@@ -35,12 +35,14 @@ silent loss), the healthy baseline is unperturbed by enabling
 resilience, and on the device-fail-stop scenario resilience-on SLO
 goodput strictly beats resilience-off at equal load.
 
-Run standalone (``python benchmarks/bench_resilience.py [--smoke]``)
-or under pytest-benchmark (``pytest benchmarks/bench_resilience.py``).
+Run standalone (``python benchmarks/bench_resilience.py``; ``--smoke``
+for the short CI grid, which writes no JSON unless ``--out PATH`` is
+given) or under pytest-benchmark (``pytest benchmarks/bench_resilience.py``).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import pathlib
@@ -173,9 +175,12 @@ def check_acceptance(result: dict) -> None:
     assert storm_on["retries"] > 0
 
 
-def write_results(result: dict) -> pathlib.Path:
-    OUTPUT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return OUTPUT_PATH
+def write_results(
+    result: dict, path: "pathlib.Path | None" = None
+) -> pathlib.Path:
+    path = OUTPUT_PATH if path is None else path
+    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def render_results(result: dict) -> str:
@@ -209,10 +214,26 @@ def test_bench_resilience(benchmark, emit):
     check_acceptance(result)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    import sys
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="1.1 s runs over the same grid; no JSON write unless --out",
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="PATH",
+        help=f"output path (default {OUTPUT_PATH})",
+    )
+    args = parser.parse_args(argv)
+    result = run_resilience_bench(smoke=args.smoke)
+    check_acceptance(result)
+    print(render_results(result))
+    if args.out is not None or not args.smoke:
+        out = None if args.out is None else pathlib.Path(args.out)
+        print(f"\nwrote {write_results(result, out)}")
+    return 0
 
-    bench_result = run_resilience_bench(smoke="--smoke" in sys.argv[1:])
-    check_acceptance(bench_result)
-    print(render_results(bench_result))
-    print(f"\nwrote {write_results(bench_result)}")
+
+if __name__ == "__main__":  # pragma: no cover
+    raise SystemExit(main())

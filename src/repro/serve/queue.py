@@ -10,6 +10,18 @@ order follows the queue's :class:`~repro.serve.scheduling.SchedulingPolicy`:
   tier (requests without an SLO sort after every deadlined request of
   their tier, in arrival order).
 
+Invariant: every tier list is in *pop order*, so the next request is
+the head of the highest tier and ``peek``/``pop`` never scan.  Under
+``fifo`` and ``priority`` pop order is arrival order.  Under
+``slo-edf`` admission bisect-inserts by
+:func:`~repro.serve.scheduling.request_order_key` (O(log n) key
+evaluations), and each tier also keeps its own arrival bookkeeping: a
+second list in arrival order.  Once a tier mixes SLOs its deadline
+order says nothing about arrivals, so the oldest arrival, the newest
+arrival the admission guard checks, and the arrival-ordered walks of
+:meth:`RequestQueue.iter_requests` / :meth:`RequestQueue.remove_where`
+all read the arrival list.
+
 The batcher inspects the queue's aggregate state (request count, total
 rows, oldest arrival) to decide when a batch should be cut.  Admission
 keeps two guards: arrivals must be time-ordered *per tier*, and every
@@ -19,7 +31,8 @@ cannot be stacked — see ``DynamicBatcher.form_batch``).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from repro.errors import ServeError
@@ -28,6 +41,71 @@ from repro.serve.request import InferenceRequest
 from repro.serve.scheduling import SchedulingPolicy, request_order_key
 
 __all__ = ["RequestQueue"]
+
+_arrival_s = attrgetter("arrival_s")
+
+
+def _arrival_key(request: InferenceRequest) -> tuple[float, int]:
+    return (request.arrival_s, request.request_id)
+
+
+def _edf_key(request: InferenceRequest) -> tuple:
+    return request_order_key(request, SchedulingPolicy.SLO_EDF)
+
+
+class _Tier:
+    """The requests of one priority tier, in arrival order and in pop
+    order.  Both names refer to one list unless the policy orders the
+    tier by deadline."""
+
+    __slots__ = ("by_arrival", "by_pop", "edf")
+
+    def __init__(self, edf: bool):
+        self.edf = edf
+        self.by_arrival: list[InferenceRequest] = []
+        self.by_pop = [] if edf else self.by_arrival
+
+    @property
+    def oldest_arrival_s(self) -> float:
+        return self.by_arrival[0].arrival_s
+
+    @property
+    def newest_arrival_s(self) -> float:
+        return self.by_arrival[-1].arrival_s
+
+    def add(self, request: InferenceRequest, retried: bool) -> None:
+        if retried:  # a retry keeps its original, older arrival
+            insort(self.by_arrival, request, key=_arrival_key)
+        else:
+            self.by_arrival.append(request)
+        if self.edf:
+            insort(self.by_pop, request, key=_edf_key)
+
+    def pop_head(self) -> InferenceRequest:
+        request = self.by_pop.pop(0)
+        if self.edf:
+            arrivals = self.by_arrival
+            index = bisect_left(arrivals, request.arrival_s, key=_arrival_s)
+            while arrivals[index] is not request:  # equal-arrival run
+                index += 1
+            del arrivals[index]
+        return request
+
+    def remove_where(
+        self, predicate: Callable[[InferenceRequest], bool]
+    ) -> list[InferenceRequest]:
+        removed = [r for r in self.by_arrival if predicate(r)]
+        if removed:
+            gone = {r.request_id for r in removed}
+            self.by_arrival = [
+                r for r in self.by_arrival if r.request_id not in gone
+            ]
+            self.by_pop = (
+                [r for r in self.by_pop if r.request_id not in gone]
+                if self.edf
+                else self.by_arrival
+            )
+        return removed
 
 
 class RequestQueue:
@@ -42,9 +120,9 @@ class RequestQueue:
             raise ServeError("queue needs a model name")
         self.model = model
         self.scheduling = SchedulingPolicy.parse(scheduling)
-        #: priority tier -> time-ordered list of requests.  Under FIFO
-        #: every request lands in tier 0 (priorities are ignored).
-        self._tiers: dict[int, list[InferenceRequest]] = {}
+        #: priority tier -> its requests.  Under FIFO every request
+        #: lands in tier 0 (priorities are ignored).
+        self._tiers: dict[int, _Tier] = {}
         #: request_id -> queued rows; its conservation-checked total is
         #: what admission control polls.
         self._rows = CostLedger(f"{model}.queued-rows")
@@ -77,12 +155,22 @@ class RequestQueue:
         """Arrival time of the longest-waiting request (across tiers)."""
         if not self._rows:
             return None
-        return min(items[0].arrival_s for items in self._tiers.values())
+        return min(tier.oldest_arrival_s for tier in self._tiers.values())
 
     def _tier_of(self, request: InferenceRequest) -> int:
         if self.scheduling is SchedulingPolicy.FIFO:
             return 0
         return request.priority
+
+    def _admit(self, request: InferenceRequest, retried: bool) -> None:
+        self._rows.add(request.request_id, request.rows)
+        key = self._tier_of(request)
+        tier = self._tiers.get(key)
+        if tier is None:
+            edf = self.scheduling is SchedulingPolicy.SLO_EDF
+            tier = self._tiers[key] = _Tier(edf)
+        tier.add(request, retried)
+        self._k = request.k
 
     # ------------------------------------------------------------------
     # Mutation
@@ -102,19 +190,15 @@ class RequestQueue:
                 f"{self.model!r} queue holds k={self._k} requests; a "
                 "mixed-k batch cannot be stacked"
             )
-        tier = self._tier_of(request)
-        items = self._tiers.get(tier)
-        if items and request.arrival_s < items[-1].arrival_s:
+        key = self._tier_of(request)
+        tier = self._tiers.get(key)
+        if tier is not None and request.arrival_s < tier.newest_arrival_s:
             raise ServeError(
                 f"out-of-order admission: request {request.request_id} "
-                f"arrives at {request.arrival_s} but tier {tier} of the "
-                f"queue tail is at {items[-1].arrival_s}"
+                f"arrives at {request.arrival_s} but tier {key} of the "
+                f"queue tail is at {tier.newest_arrival_s}"
             )
-        if items is None:
-            items = self._tiers[tier] = []
-        items.append(request)
-        self._rows.add(request.request_id, request.rows)
-        self._k = request.k
+        self._admit(request, retried=False)
 
     def requeue(self, request: InferenceRequest) -> None:
         """Re-admit a retried request.
@@ -136,33 +220,21 @@ class RequestQueue:
                 f"retried request {request.request_id} has k={request.k} "
                 f"but the {self.model!r} queue holds k={self._k} requests"
             )
-        tier = self._tier_of(request)
-        items = self._tiers.get(tier)
-        if items is None:
-            items = self._tiers[tier] = []
-        insort(items, request, key=lambda r: (r.arrival_s, r.request_id))
-        self._rows.add(request.request_id, request.rows)
-        self._k = request.k
+        self._admit(request, retried=True)
 
     def remove_where(
         self, predicate: Callable[[InferenceRequest], bool]
     ) -> list[InferenceRequest]:
         """Remove and return every queued request matching
-        ``predicate``, unwinding the row/count accounting (used for
-        timeout cancellation)."""
+        ``predicate`` (tier by tier, arrival order within a tier),
+        unwinding the row/count accounting (used for timeout
+        cancellation)."""
         removed: list[InferenceRequest] = []
-        for tier in list(self._tiers):
-            items = self._tiers[tier]
-            kept = []
-            for request in items:
-                if predicate(request):
-                    removed.append(request)
-                else:
-                    kept.append(request)
-            if kept:
-                self._tiers[tier] = kept
-            else:
-                del self._tiers[tier]
+        for key in list(self._tiers):
+            tier = self._tiers[key]
+            removed.extend(tier.remove_where(predicate))
+            if not tier.by_arrival:
+                del self._tiers[key]
         for request in removed:
             self._rows.remove(request.request_id)
         if not self._rows:
@@ -171,44 +243,28 @@ class RequestQueue:
 
     def iter_requests(self) -> Iterator[InferenceRequest]:
         """All queued requests (tier-major, time order within a tier)."""
-        for tier in sorted(self._tiers, reverse=True):
-            yield from self._tiers[tier]
-
-    def _select(self) -> tuple[int, int]:
-        """The (tier, index) the scheduling policy serves next."""
-        tier = max(self._tiers)
-        items = self._tiers[tier]
-        if self.scheduling is SchedulingPolicy.SLO_EDF:
-            index = min(
-                range(len(items)),
-                key=lambda i: request_order_key(items[i], self.scheduling),
-            )
-        else:
-            index = 0  # FIFO within the tier (and overall under fifo).
-        return tier, index
+        for key in sorted(self._tiers, reverse=True):
+            yield from self._tiers[key].by_arrival
 
     def peek(self) -> InferenceRequest:
         """The request the policy would pop next, without removing it."""
         if not self._rows:
             raise ServeError(f"peek into empty queue {self.model!r}")
-        tier, index = self._select()
-        return self._tiers[tier][index]
-
-    def _pop_at(self, tier: int, index: int) -> InferenceRequest:
-        items = self._tiers[tier]
-        request = items.pop(index)
-        if not items:
-            del self._tiers[tier]
-        self._rows.remove(request.request_id)
-        if not self._rows:
-            self._k = None
-        return request
+        return self._tiers[max(self._tiers)].by_pop[0]
 
     def pop_next(self) -> InferenceRequest:
         """Pop exactly the request the policy serves next."""
         if not self._rows:
             raise ServeError(f"pop from empty queue {self.model!r}")
-        return self._pop_at(*self._select())
+        key = max(self._tiers)
+        tier = self._tiers[key]
+        request = tier.pop_head()
+        if not tier.by_arrival:
+            del self._tiers[key]
+        self._rows.remove(request.request_id)
+        if not self._rows:
+            self._k = None
+        return request
 
     def pop_upto(
         self, max_requests: int, max_rows: int
@@ -228,11 +284,10 @@ class RequestQueue:
             )
         taken = [self.pop_next()]
         rows = taken[0].rows
-        while self._rows:
-            tier, index = self._select()
-            nxt = self._tiers[tier][index]
-            if len(taken) + 1 > max_requests or rows + nxt.rows > max_rows:
+        while self._rows and len(taken) < max_requests:
+            nxt = self.peek()
+            if rows + nxt.rows > max_rows:
                 break
-            taken.append(self._pop_at(tier, index))
+            taken.append(self.pop_next())
             rows += nxt.rows
         return taken

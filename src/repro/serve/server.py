@@ -1471,8 +1471,9 @@ class InferenceServer:
         *,
         policy: "BatchingPolicy | None" = None,
     ) -> ServingReport:
-        """Replay a request trace through the batching layer against a
-        single simulated GPU and return the full report."""
+        """Replay a request trace through the batching layer against the
+        server's simulated device group (one GPU, or ``devices`` GPUs
+        joined by the configured link) and return the full report."""
         if not requests:
             raise ServeError("simulate needs at least one request")
         for request in requests:

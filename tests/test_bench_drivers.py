@@ -1,5 +1,9 @@
 """Unit tests for the bench drivers and their renderers."""
 
+import importlib.util
+import json
+import pathlib
+
 import pytest
 
 from repro.bench.fig10 import render_fig10, run_fig10
@@ -120,3 +124,40 @@ class TestTable1Driver:
     def test_render(self, result):
         text = render_table1(result)
         assert "Table I" in text
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_bench_script(name):
+    """Import ``benchmarks/<name>.py`` (not a package) by path."""
+    path = REPO_ROOT / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestResilienceBenchScript:
+    def test_smoke_leaves_committed_baseline_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--smoke`` runs a shorter grid than the committed baseline,
+        so it must not write the repo-root JSON; ``--out`` still saves
+        it elsewhere."""
+        bench = load_bench_script("bench_resilience")
+        assert bench.OUTPUT_PATH == REPO_ROOT / "BENCH_resilience.json"
+        # Stand-in for the committed file, so a regression cannot
+        # clobber the real baseline while the test runs.
+        baseline = tmp_path / "BENCH_resilience.json"
+        baseline.write_text("committed\n")
+        monkeypatch.setattr(bench, "OUTPUT_PATH", baseline)
+
+        assert bench.main(["--smoke"]) == 0
+        assert baseline.read_text() == "committed\n"
+        assert "wrote" not in capsys.readouterr().out
+
+        out = tmp_path / "smoke.json"
+        assert bench.main(["--smoke", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["schema"] == bench.SCHEMA
+        assert baseline.read_text() == "committed\n"

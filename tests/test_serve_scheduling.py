@@ -3,6 +3,8 @@ priority-aware queue, continuous batching, the SchedulingPolicy wiring
 through the engine, tagged load generation, and the fifo-vs-slo-edf
 acceptance comparison on the simulated clock."""
 
+from bisect import insort
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.core.api import NMSpMM
 from repro.errors import ServeError
 from repro.serve.batcher import BatchingPolicy, ContinuousBatcher, DynamicBatcher
 from repro.serve.cache import PlanCache
+from repro.serve.ledger import CostLedger
 from repro.serve.loadgen import (
     DECODE_ROWS_CHOICES,
     TrafficSource,
@@ -138,6 +141,23 @@ class TestPriorityQueueing:
         q.push(meta_request(2, arrival_s=0.2, slo_ms=5.0))   # deadline .205
         q.push(meta_request(3, arrival_s=0.3, slo_ms=500.0))
         assert [r.request_id for r in q.pop_upto(10, 100)] == [1, 2, 3, 0]
+
+    def test_edf_tier_keeps_arrival_bookkeeping(self):
+        """A tier that mixes SLOs pops by deadline, but its oldest
+        arrival, admission guard, iteration and drop order stay in
+        arrival order."""
+        q = RequestQueue("m", "slo-edf")
+        q.push(meta_request(0, arrival_s=0.000))               # no SLO
+        q.push(meta_request(1, arrival_s=0.001, slo_ms=50.0))
+        q.push(meta_request(2, arrival_s=0.002, slo_ms=2.0))
+        assert q.peek().request_id == 2
+        assert q.oldest_arrival_s == 0.000
+        assert [r.request_id for r in q.iter_requests()] == [0, 1, 2]
+        with pytest.raises(ServeError, match="queue tail is at 0.002"):
+            q.push(meta_request(3, arrival_s=0.0015, slo_ms=2.0))
+        dropped = q.remove_where(lambda r: r.request_id != 1)
+        assert [r.request_id for r in dropped] == [0, 2]
+        assert q.oldest_arrival_s == 0.001
 
     def test_edf_respects_tiers_first(self):
         q = RequestQueue("m", "slo-edf")
@@ -291,6 +311,258 @@ class TestPriorityQueueing:
             assert fraction == pytest.approx(padding / record.padded_rows)
         else:
             assert fraction == 0.0  # nothing launched pads nothing
+
+
+# ---------------------------------------------------------------------------
+# The queue against a frozen linear-scan reference
+# ---------------------------------------------------------------------------
+class _ReferenceQueue:
+    """Frozen copy of the linear-scan ``RequestQueue`` that kept every
+    tier in arrival order and scanned the top tier for the minimum
+    ``request_order_key`` on every ``slo-edf`` select.  The oracle the
+    sorted-tier queue must match operation for operation."""
+
+    def __init__(self, model, scheduling=SchedulingPolicy.FIFO):
+        self.model = model
+        self.scheduling = SchedulingPolicy.parse(scheduling)
+        self._tiers: dict[int, list[InferenceRequest]] = {}
+        self._rows = CostLedger(f"{model}.queued-rows")
+        self._k = None
+
+    def __len__(self):
+        return len(self._rows)
+
+    @property
+    def total_rows(self):
+        return self._rows.total
+
+    @property
+    def oldest_arrival_s(self):
+        if not self._rows:
+            return None
+        return min(items[0].arrival_s for items in self._tiers.values())
+
+    def _tier_of(self, request):
+        if self.scheduling is SchedulingPolicy.FIFO:
+            return 0
+        return request.priority
+
+    def push(self, request):
+        if request.model != self.model:
+            raise ServeError(
+                f"request for model {request.model!r} pushed onto the "
+                f"{self.model!r} queue"
+            )
+        if self._k is not None and request.k != self._k:
+            raise ServeError(
+                f"request {request.request_id} has k={request.k} but the "
+                f"{self.model!r} queue holds k={self._k} requests; a "
+                "mixed-k batch cannot be stacked"
+            )
+        tier = self._tier_of(request)
+        items = self._tiers.get(tier)
+        if items and request.arrival_s < items[-1].arrival_s:
+            raise ServeError(
+                f"out-of-order admission: request {request.request_id} "
+                f"arrives at {request.arrival_s} but tier {tier} of the "
+                f"queue tail is at {items[-1].arrival_s}"
+            )
+        if items is None:
+            items = self._tiers[tier] = []
+        items.append(request)
+        self._rows.add(request.request_id, request.rows)
+        self._k = request.k
+
+    def requeue(self, request):
+        tier = self._tier_of(request)
+        items = self._tiers.get(tier)
+        if items is None:
+            items = self._tiers[tier] = []
+        insort(items, request, key=lambda r: (r.arrival_s, r.request_id))
+        self._rows.add(request.request_id, request.rows)
+        self._k = request.k
+
+    def remove_where(self, predicate):
+        removed = []
+        for tier in list(self._tiers):
+            items = self._tiers[tier]
+            kept = []
+            for request in items:
+                if predicate(request):
+                    removed.append(request)
+                else:
+                    kept.append(request)
+            if kept:
+                self._tiers[tier] = kept
+            else:
+                del self._tiers[tier]
+        for request in removed:
+            self._rows.remove(request.request_id)
+        if not self._rows:
+            self._k = None
+        return removed
+
+    def iter_requests(self):
+        for tier in sorted(self._tiers, reverse=True):
+            yield from self._tiers[tier]
+
+    def _select(self):
+        tier = max(self._tiers)
+        items = self._tiers[tier]
+        if self.scheduling is SchedulingPolicy.SLO_EDF:
+            index = min(
+                range(len(items)),
+                key=lambda i: request_order_key(items[i], self.scheduling),
+            )
+        else:
+            index = 0
+        return tier, index
+
+    def peek(self):
+        tier, index = self._select()
+        return self._tiers[tier][index]
+
+    def _pop_at(self, tier, index):
+        items = self._tiers[tier]
+        request = items.pop(index)
+        if not items:
+            del self._tiers[tier]
+        self._rows.remove(request.request_id)
+        if not self._rows:
+            self._k = None
+        return request
+
+    def pop_upto(self, max_requests, max_rows):
+        taken = [self._pop_at(*self._select())]
+        rows = taken[0].rows
+        while self._rows:
+            tier, index = self._select()
+            nxt = self._tiers[tier][index]
+            if len(taken) + 1 > max_requests or rows + nxt.rows > max_rows:
+                break
+            taken.append(self._pop_at(tier, index))
+            rows += nxt.rows
+        return taken
+
+
+def _ids(requests):
+    return [r.request_id for r in requests]
+
+
+_PUSH = st.tuples(
+    st.just("push"),
+    st.integers(min_value=1, max_value=64),  # rows
+    st.integers(min_value=0, max_value=2),   # priority
+    st.sampled_from([None, 2.0, 50.0]),      # slo_ms
+    st.sampled_from([0.0, 0.001, -0.0015]),  # clock step
+)
+
+
+class TestQueueMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheduling=st.sampled_from(["fifo", "priority", "slo-edf"]),
+        scrambled_ids=st.booleans(),
+        ops=st.lists(
+            st.one_of(
+                *[_PUSH] * 4,  # weighted: backlogs must build up
+                st.tuples(
+                    st.just("pop"),
+                    st.integers(min_value=1, max_value=8),   # max_requests
+                    st.integers(min_value=1, max_value=128), # max_rows
+                ),
+                st.tuples(
+                    st.just("cancel"),
+                    st.integers(min_value=1, max_value=4),   # id modulus
+                ),
+                st.tuples(st.just("requeue"), st.integers(0, 7)),
+                st.tuples(st.just("peek")),
+            ),
+            min_size=8,
+            max_size=60,
+        ),
+    )
+    def test_same_observable_behaviour(self, scheduling, scrambled_ids, ops):
+        """Differential property: under every policy, with SLOs and
+        priorities mixed inside one tier, equal arrivals, ids that do
+        or do not follow arrival order, and a clock that sometimes steps
+        back (an out-of-order push), the queue and the linear-scan
+        reference agree on every pop, peek, drop order, iteration
+        order, oldest arrival, row total and admission error."""
+        new = RequestQueue("m", scheduling)
+        ref = _ReferenceQueue("m", scheduling)
+        popped: list = []  # retry-candidate pool
+        next_id = 0
+        clock = 1.0
+        for op in ops:
+            if op[0] == "push":
+                _, rows, priority, slo_ms, step = op
+                clock += step
+                request_id = (next_id * 7919) % 10007 if scrambled_ids else next_id
+                next_id += 1
+                request = meta_request(request_id, rows, arrival_s=clock,
+                                       priority=priority, slo_ms=slo_ms)
+                errors = []
+                for q in (new, ref):
+                    try:
+                        q.push(request)
+                    except ServeError as exc:
+                        errors.append(str(exc))
+                assert len(errors) in (0, 2)
+                assert len(set(errors)) <= 1
+            elif op[0] == "pop" and len(ref):
+                _, max_requests, max_rows = op
+                taken = new.pop_upto(max_requests, max_rows)
+                assert _ids(taken) == _ids(ref.pop_upto(max_requests, max_rows))
+                popped.extend(taken)
+            elif op[0] == "cancel":
+                _, modulus = op
+                dropped = new.remove_where(lambda r: r.request_id % modulus == 0)
+                expected = ref.remove_where(lambda r: r.request_id % modulus == 0)
+                assert _ids(dropped) == _ids(expected)
+            elif op[0] == "requeue" and popped:
+                request = popped.pop(op[1] % len(popped))
+                new.requeue(request)
+                ref.requeue(request)
+            elif op[0] == "peek" and len(ref):
+                assert new.peek().request_id == ref.peek().request_id
+            assert _ids(new.iter_requests()) == _ids(ref.iter_requests())
+            assert new.oldest_arrival_s == ref.oldest_arrival_s
+            assert new.total_rows == ref.total_rows
+            assert len(new) == len(ref)
+        # Draining what is left pops in the same order too.
+        while len(ref):
+            assert _ids(new.pop_upto(3, 64)) == _ids(ref.pop_upto(3, 64))
+        assert len(new) == 0 and new.oldest_arrival_s is None
+
+    def test_edf_drain_is_n_log_n_key_evaluations(self, monkeypatch):
+        """Complexity regression: admitting and draining an ``slo-edf``
+        backlog of n requests in one tier costs O(n log n) order-key
+        evaluations.  The linear scan rescanned the tier for every pop:
+        9,000,000 evaluations at n = 4,000."""
+        import repro.serve.queue as queue_module
+
+        calls = 0
+
+        def counted(request, policy):
+            nonlocal calls
+            calls += 1
+            return request_order_key(request, policy)
+
+        monkeypatch.setattr(queue_module, "request_order_key", counted)
+        n = 4000
+        slos = (None, 2.0, 50.0)
+        q = RequestQueue("m", "slo-edf")
+        for i in range(n):
+            q.push(meta_request(i, arrival_s=i * 1e-4, slo_ms=slos[i % 3]))
+        drained = []
+        while q:
+            drained.extend(q.pop_upto(8, 10_000))
+        assert len(drained) == n
+        keys = [request_order_key(r, SchedulingPolicy.SLO_EDF) for r in drained]
+        assert keys == sorted(keys)
+        log2_n = n.bit_length()  # 12
+        assert 0 < calls <= 2 * n * log2_n  # 96,000
 
 
 # ---------------------------------------------------------------------------

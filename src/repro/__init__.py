@@ -26,7 +26,7 @@ Quickstart::
     b = rng.standard_normal((1024, 512), dtype=np.float32)
 
     op = NMSpMM(NMPattern(8, 32, vector_length=32))
-    handle = op.prepare(b)            # prune + compress + preprocess
+    handle = op.prepare(b)            # offline: top-N per window -> (B', D)
     c = op.execute(a, handle)         # sparse product
     report = op.predict(a.shape[0], gpu="A100")   # modelled performance
 """

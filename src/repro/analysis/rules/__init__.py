@@ -8,7 +8,6 @@ demand, so consumers never need to import the pack explicitly.
 from __future__ import annotations
 
 from repro.analysis.registry import _REGISTRY, register_rule
-from repro.analysis.rules.api import DeprecatedExecuteBackendsRule
 from repro.analysis.rules.determinism import (
     UnorderedIterationRule,
     UnseededRngRule,
@@ -23,7 +22,6 @@ __all__ = [
     "UnorderedIterationRule",
     "UnitSuffixRule",
     "SpanOutsideWithRule",
-    "DeprecatedExecuteBackendsRule",
 ]
 
 _DEFAULT_RULES = (
@@ -32,7 +30,6 @@ _DEFAULT_RULES = (
     UnorderedIterationRule,
     UnitSuffixRule,
     SpanOutsideWithRule,
-    DeprecatedExecuteBackendsRule,
 )
 
 for _rule_class in _DEFAULT_RULES:

@@ -132,22 +132,6 @@ def backend_trace_vocabulary(name: str) -> tuple[str, ...]:
 
 def backend_names(*, include_auto: bool = True) -> tuple[str, ...]:
     """Valid ``backend=`` arguments: ``"auto"`` plus the registered
-    names (what the deprecated ``EXECUTE_BACKENDS`` constant froze)."""
+    names."""
     names = tuple(_REGISTRY)
     return ((AUTO_BACKEND,) + names) if include_auto else names
-
-
-def deprecated_execute_backends(qualname: str) -> tuple[str, ...]:
-    """Body of the ``EXECUTE_BACKENDS`` deprecation shims (module
-    ``__getattr__`` in :mod:`repro.constants` and
-    :mod:`repro.core.api` both delegate here so the message and the
-    replacement stay in one place)."""
-    import warnings
-
-    warnings.warn(
-        f"{qualname} is deprecated; use repro.backends.backend_names() "
-        "(the registry) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return backend_names()

@@ -20,7 +20,6 @@ from repro.backends import (
     ExecutionResult,
     get_backend,
 )
-from repro.backends.registry import deprecated_execute_backends
 from repro.core.plan import ExecutionPlan, build_plan
 from repro.core.versions import OptimizationVersion
 from repro.errors import ConfigurationError, PlanError, ShapeError
@@ -32,19 +31,11 @@ from repro.sparsity.colinfo import ColumnInfo, preprocess_offline
 from repro.sparsity.compress import NMCompressedMatrix, compress
 from repro.sparsity.config import NMPattern
 from repro.sparsity.gather import GatherLayout, build_gather_layout
-from repro.sparsity.pruning import prune_dense
 from repro.utils.arrays import as_f32
 from repro.utils.cache import LRUCache
 from repro.utils.validation import check_matrix
 
 __all__ = ["SparseHandle", "NMSpMM", "nm_spmm"]
-
-
-def __getattr__(name: str):
-    # Deprecated shim: the frozen tuple became the backend registry.
-    if name == "EXECUTE_BACKENDS":
-        return deprecated_execute_backends("repro.core.api.EXECUTE_BACKENDS")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Key under which a plan is cached on a handle:
@@ -205,26 +196,23 @@ class NMSpMM:
     # ------------------------------------------------------------------
     # Offline
     # ------------------------------------------------------------------
-    def prepare(
-        self, b: np.ndarray, *, already_pruned: bool = False
-    ) -> SparseHandle:
-        """Prune (unless ``already_pruned``) and compress the weights.
+    def prepare(self, b: np.ndarray) -> SparseHandle:
+        """Compress the weights — the paper's offline phase.
 
-        Returns a :class:`SparseHandle` reusable across many
-        :meth:`execute` calls — the paper's offline phase.
+        :func:`~repro.sparsity.compress.compress` selects each pruning
+        window's N highest-energy vectors once and gathers them into
+        ``(B', D)`` (weights already N:M pruned come back unchanged);
+        the fast backend's gather layout is built here too.  Returns a
+        :class:`SparseHandle` reusable across many :meth:`execute`
+        calls.
         """
-        b = as_f32(check_matrix("b", b))
+        b = check_matrix("b", b)
         logical_k, logical_n = b.shape
-        if already_pruned:
-            compressed = compress(self.pattern, b)
-        else:
-            pruned, mask = prune_dense(self.pattern, b)
-            compressed = compress(self.pattern, pruned, mask)
         handle = SparseHandle(
-            compressed=compressed, logical_k=logical_k, logical_n=logical_n
+            compressed=compress(self.pattern, b),
+            logical_k=logical_k,
+            logical_n=logical_n,
         )
-        # Offline phase pays the format conversion: the fast backend's
-        # gather layout is part of the prepared representation.
         handle.gather_layout()
         return handle
 
@@ -487,7 +475,6 @@ def nm_spmm(
     b: np.ndarray,
     pattern: NMPattern,
     *,
-    already_pruned: bool = False,
     gpu: "str | GPUSpec" = "A100",
     version: "str | OptimizationVersion" = "V3",
     backend: str = "auto",
@@ -509,5 +496,5 @@ def nm_spmm(
     :meth:`NMSpMM.execute`.
     """
     op = NMSpMM(pattern, gpu=gpu, version=version)
-    handle = op.prepare(b, already_pruned=already_pruned)
+    handle = op.prepare(b)
     return op.execute(a, handle, backend=backend)

@@ -31,7 +31,6 @@ from repro.model.traffic import compute_traffic
 from repro.model.workload import ProblemShape, SparseProblem
 from repro.sparsity.compress import compress
 from repro.sparsity.config import NMPattern
-from repro.sparsity.pruning import prune_dense
 from repro.utils.tables import TextTable
 from repro.workloads.synthetic import random_dense
 
@@ -121,7 +120,7 @@ def validate_model(
     rng = np.random.default_rng(seed)
     a = random_dense(m, pattern.padded_k(k), rng)
     b = random_dense(pattern.padded_k(k), pattern.padded_n(n), rng)
-    comp = compress(pattern, *prune_dense(pattern, b))
+    comp = compress(pattern, b)
 
     def profile(mode: ALoadMode) -> ExecutionProfile:
         return ExecutionProfile(

@@ -503,12 +503,11 @@ class InferenceServer:
         *,
         gpu: "str | GPUSpec" = "A100",
         version: str = "V3",
-        already_pruned: bool = False,
     ) -> ModelEntry:
         """Prepare ``weights`` (the offline phase) and register the
         handle under ``name``."""
         op = NMSpMM(pattern, gpu=gpu, version=version)
-        handle = op.prepare(weights, already_pruned=already_pruned)
+        handle = op.prepare(weights)
         return self.register_handle(name, op, handle)
 
     def register_handle(

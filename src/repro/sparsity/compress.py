@@ -20,12 +20,16 @@ import numpy as np
 from repro.constants import FP32_BYTES
 from repro.errors import CompressionError, ShapeError
 from repro.sparsity.config import NMPattern
-from repro.sparsity.index_matrix import index_dtype_for, validate_index_matrix
+from repro.sparsity.index_matrix import (
+    absolute_rows,
+    index_dtype_for,
+    validate_index_matrix,
+)
 from repro.sparsity.masks import (
     vector_mask_to_element_mask,
     window_indices_from_mask,
 )
-from repro.sparsity.pruning import magnitude_prune
+from repro.sparsity.pruning import magnitude_indices
 from repro.utils.arrays import as_f32, pad_to_multiple
 from repro.utils.validation import check_matrix
 
@@ -148,9 +152,7 @@ class NMCompressedMatrix:
         """``(w, q)`` original-row index of every compressed entry:
         ``(u // N) * M + D[u][j]`` (the gather rows of Eq. 1)."""
         if "absolute_rows" not in self._cache:
-            u = np.arange(self.w, dtype=np.int64)[:, None]
-            base = (u // self.pattern.n) * self.pattern.m
-            self._cache["absolute_rows"] = base + self.indices.astype(np.int64)
+            self._cache["absolute_rows"] = absolute_rows(self.pattern, self.indices)
         return self._cache["absolute_rows"]
 
     def to_dense(self) -> np.ndarray:
@@ -173,10 +175,11 @@ def compress(
 ) -> NMCompressedMatrix:
     """Compress a dense matrix ``b`` under ``pattern``.
 
-    When ``vector_mask`` is None the mask is derived by vector-wise
-    magnitude pruning (:func:`repro.sparsity.pruning.magnitude_prune`).
-    Vectors *not* selected by the mask are discarded regardless of their
-    values, so callers should prune (or accept pruning) first.
+    When ``vector_mask`` is None, each window's N highest-energy
+    vectors (:func:`repro.sparsity.pruning.magnitude_indices`) are
+    gathered straight from ``b`` — pruning and compression in one
+    selection.  An explicit ``(g, M, q)`` ``vector_mask`` keeps exactly
+    the vectors it marks, whatever their values.
     """
     b = as_f32(check_matrix("b", b))
     if pad:
@@ -188,8 +191,9 @@ def compress(
             f"L={pattern.vector_length}); pass pad=True"
         )
     if vector_mask is None:
-        vector_mask = magnitude_prune(pattern, b)
-    indices = window_indices_from_mask(pattern, vector_mask)  # (g, N, q)
+        indices = magnitude_indices(pattern, b)  # (g, N, q)
+    else:
+        indices = window_indices_from_mask(pattern, vector_mask)
     g, _, q = indices.shape
     windows = b.reshape(g, pattern.m, q, pattern.vector_length)
     gathered = np.take_along_axis(windows, indices[:, :, :, None], axis=1)

@@ -6,6 +6,13 @@ zero the rest.  This is the standard one-shot magnitude criterion the
 N:M literature uses (Mishra et al. 2021; paper §II-B) lifted to the
 vector granularity of Fig. 1: a vector's importance is the sum of the
 squared magnitudes of its L elements.
+
+:func:`magnitude_indices` is the one place the selection is made (a
+stable top-N: equal importance keeps the lower slot).
+:func:`repro.sparsity.compress.compress` gathers ``B'`` straight from
+those indices; :func:`magnitude_prune` and :func:`prune_dense` scatter
+them into a mask and a pruned dense copy for callers that want the
+dense view.
 """
 
 from __future__ import annotations
@@ -13,20 +20,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparsity.config import NMPattern
-from repro.sparsity.masks import vector_mask_to_element_mask
+from repro.sparsity.masks import mask_from_indices, vector_mask_to_element_mask
 from repro.utils.arrays import as_f32, pad_to_multiple
 from repro.utils.validation import check_matrix
 
-__all__ = ["magnitude_prune", "prune_dense", "vector_importance"]
+__all__ = ["magnitude_indices", "magnitude_prune", "prune_dense", "vector_importance"]
 
 
 def vector_importance(pattern: NMPattern, b: np.ndarray) -> np.ndarray:
-    """Per-vector importance scores of shape ``(g, M, q)``.
-
-    Importance is the L2 energy of each L-element vector; ties are
-    broken towards the lower slot index (stable top-N), matching a
-    deterministic pruning pass.
-    """
+    """Per-vector importance scores of shape ``(g, M, q)``: the L2
+    energy of each L-element vector, accumulated in float64."""
     b = check_matrix("b", b)
     k, n = b.shape
     g = k // pattern.m
@@ -35,21 +38,26 @@ def vector_importance(pattern: NMPattern, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"b shape {b.shape} not divisible by (M={pattern.m}, L={pattern.vector_length})"
         )
-    windows = b.reshape(g, pattern.m, q, pattern.vector_length)
-    return np.square(windows.astype(np.float64)).sum(axis=3)
+    energy = b.reshape(g, pattern.m, q, pattern.vector_length).astype(np.float64)
+    np.square(energy, out=energy)
+    return energy.sum(axis=3)
+
+
+def magnitude_indices(pattern: NMPattern, b: np.ndarray) -> np.ndarray:
+    """Ascending ``(g, N, q)`` slots of the N highest-energy vectors in
+    every pruning window of ``b``; equal energies keep the lower slot.
+    A read-only ``arange(M)`` view when ``N == M``."""
+    scores = vector_importance(pattern, b)
+    if pattern.n == pattern.m:
+        return np.broadcast_to(np.arange(pattern.m)[:, None], scores.shape)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return np.sort(order[:, : pattern.n, :], axis=1)
 
 
 def magnitude_prune(pattern: NMPattern, b: np.ndarray) -> np.ndarray:
     """Return the ``(g, M, q)`` vector mask keeping the N highest-energy
     vectors in every pruning window of ``b``."""
-    scores = vector_importance(pattern, b)
-    if pattern.n == pattern.m:
-        return np.ones_like(scores, dtype=bool)
-    # Stable selection: sort by (-score, slot) so equal scores keep the
-    # earliest slots, then mark the first N of each window.
-    order = np.argsort(-scores, axis=1, kind="stable")
-    ranks = np.argsort(order, axis=1, kind="stable")
-    return ranks < pattern.n
+    return mask_from_indices(pattern, magnitude_indices(pattern, b))
 
 
 def prune_dense(

@@ -3,8 +3,8 @@
 Covers registration/lookup semantics, the Backend protocol as seen by
 third-party backends (usable end to end through execute(), the serving
 runtime and the CLI without core edits), the new dense_scatter backend's
-numerics against the Eq. 1 reference, and the deprecated
-EXECUTE_BACKENDS shims.
+numerics against the Eq. 1 reference, and that the removed
+EXECUTE_BACKENDS shims stay removed.
 """
 
 import numpy as np
@@ -138,49 +138,18 @@ class TestRegistry:
 
 
 class TestDeprecatedShims:
-    def test_constants_shim_warns_and_tracks_registry(self, toy_backend):
-        import repro.constants as constants
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            names = constants.EXECUTE_BACKENDS  # repro-lint: disable=API001 -- exercising the deprecation shim
-        assert names == backend_names()
-        assert "toy" in names
-
-    def test_core_api_shim_warns(self):
-        import repro.core.api as api
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            names = api.EXECUTE_BACKENDS  # repro-lint: disable=API001 -- exercising the deprecation shim
-        assert names == backend_names()
+    """The ``EXECUTE_BACKENDS`` shims are gone; the registry
+    (:func:`backend_names`) is the only enumeration."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.constants as constants
+        import repro.core.api as api
 
         with pytest.raises(AttributeError):
             constants.NO_SUCH_CONSTANT
-
-    def test_shims_track_register_and_unregister(self):
-        """The shim is a live view of the registry, not a frozen copy:
-        it reflects both registration and unregistration, and every
-        read fires the DeprecationWarning."""
-        import repro.constants as constants
-        import repro.core.api as api
-
-        with pytest.warns(DeprecationWarning):
-            assert "toy" not in constants.EXECUTE_BACKENDS  # repro-lint: disable=API001 -- exercising the deprecation shim
-        register_backend(ToyBackend())
-        try:
-            for module in (constants, api):
-                with pytest.warns(DeprecationWarning, match="deprecated"):
-                    names = module.EXECUTE_BACKENDS  # repro-lint: disable=API001 -- exercising the deprecation shim
-                assert names == backend_names()
-                assert "toy" in names
-        finally:
-            unregister_backend("toy")
-        with pytest.warns(DeprecationWarning):
-            assert "toy" not in constants.EXECUTE_BACKENDS  # repro-lint: disable=API001 -- exercising the deprecation shim
-        with pytest.warns(DeprecationWarning):
-            assert "toy" not in api.EXECUTE_BACKENDS  # repro-lint: disable=API001 -- exercising the deprecation shim
+        for module in (constants, api):
+            with pytest.raises(AttributeError):
+                module.EXECUTE_BACKENDS
 
 
 @pytest.fixture(scope="module")

@@ -127,9 +127,25 @@ class TestNMSpMMFacade:
         from repro.sparsity.pruning import prune_dense
 
         pruned, _ = prune_dense(op.pattern, b)
-        handle = op.prepare(pruned, already_pruned=True)
+        handle = op.prepare(pruned)
         out = op.execute(a, handle)
         np.testing.assert_allclose(out, a @ pruned, rtol=2e-5, atol=2e-5)
+
+    def test_prepare_peak_memory(self):
+        """One selection, no pruned dense copy: the offline phase's
+        transient footprint stays under 3x the weights (the two-pass
+        chain peaked at 4x)."""
+        import tracemalloc
+
+        op = NMSpMM(NMPattern(2, 8, vector_length=8))
+        b = np.random.default_rng(0).standard_normal((1024, 1024)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            op.prepare(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * b.nbytes
 
     def test_short_a_rejected(self, op_and_data):
         op, a, b = op_and_data

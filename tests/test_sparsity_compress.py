@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import NMSpMM
 from repro.errors import CompressionError, ShapeError
 from repro.sparsity.compress import NMCompressedMatrix, compress, decompress
 from repro.sparsity.config import NMPattern
-from repro.sparsity.masks import random_nm_mask
-from repro.sparsity.pruning import prune_dense
+from repro.sparsity.gather import build_gather_layout
+from repro.sparsity.masks import random_nm_mask, vector_mask_to_element_mask
+from repro.sparsity.pruning import magnitude_prune, prune_dense
+from repro.utils.arrays import pad_to_multiple
 
 
 def _compressed(pattern, k, n, seed=0):
@@ -77,8 +80,6 @@ class TestRoundTrip:
         n = gn * ell
         b = rng.standard_normal((k, n)).astype(np.float32)
         mask = random_nm_mask(pattern, k, n, rng)
-        from repro.sparsity.masks import vector_mask_to_element_mask
-
         pruned = b * vector_mask_to_element_mask(pattern, mask)
         comp = compress(pattern, pruned, mask)
         assert np.array_equal(decompress(comp), pruned)
@@ -90,8 +91,6 @@ class TestRoundTrip:
             np.arange(k, dtype=np.float32)[:, None], (1, n)
         )
         mask = random_nm_mask(pattern_2_4, k, n, np.random.default_rng(3))
-        from repro.sparsity.masks import vector_mask_to_element_mask
-
         pruned = b * vector_mask_to_element_mask(pattern_2_4, mask)
         comp = compress(pattern_2_4, pruned, mask)
         # Row u of B' must equal original row (u//N)*M + D[u].
@@ -165,3 +164,82 @@ class TestValidation:
     def test_repr(self, pattern_2_4):
         _, comp = _compressed(pattern_2_4, 16, 12)
         assert "2:4" in repr(comp)
+
+
+# ----------------------------------------------------------------------
+# Differential test: the one-selection offline path against the frozen
+# two-pass chain it replaced (rank-trick mask -> pruned dense copy ->
+# compress(pruned, mask) -> gather layout).
+# ----------------------------------------------------------------------
+def _reference_magnitude_prune(pattern, b):
+    g, q = b.shape[0] // pattern.m, b.shape[1] // pattern.vector_length
+    windows = b.reshape(g, pattern.m, q, pattern.vector_length)
+    scores = np.square(windows.astype(np.float64)).sum(axis=3)
+    if pattern.n == pattern.m:
+        return np.ones_like(scores, dtype=bool)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranks = np.argsort(order, axis=1, kind="stable")
+    return ranks < pattern.n
+
+
+def _reference_prepare(pattern, b):
+    b = pad_to_multiple(b, pattern.m, pattern.vector_length)
+    mask = _reference_magnitude_prune(pattern, b)
+    pruned = b * vector_mask_to_element_mask(pattern, mask).astype(b.dtype)
+    compressed = compress(pattern, pruned, mask)
+    return compressed, build_gather_layout(compressed), mask
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _weights(draw):
+    n_, m_, ell = draw(
+        st.sampled_from(
+            [(1, 4, 2), (2, 4, 4), (2, 8, 8), (3, 8, 2), (1, 8, 4), (4, 4, 2), (8, 32, 1)]
+        )
+    )
+    pattern = NMPattern(n_, m_, vector_length=ell)
+    # Shapes up to three windows either way, usually not pattern
+    # multiples, so compression pads.
+    k = draw(st.integers(1, 3 * m_ + 1))
+    n = draw(st.integers(1, 3 * ell + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        # Few distinct magnitudes: many equal-energy vectors per window.
+        b = rng.integers(-1, 2, size=(k, n)).astype(np.float32)
+    else:
+        b = rng.standard_normal((k, n)).astype(np.float32)
+    rows = rng.random(k) < draw(st.sampled_from([0.0, 0.25, 0.5]))
+    b[rows, :] = 0.0  # all-zero vectors
+    if k >= 2 and draw(st.booleans()):
+        b[1] = -b[0]  # a sign-flipped copy: an exact energy tie
+    return pattern, b
+
+
+class TestPrepareMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_weights())
+    def test_prepare_bitwise_equals_two_pass_chain(self, case):
+        pattern, b = case
+        handle = NMSpMM(pattern).prepare(b)
+        expected, layout, mask = _reference_prepare(pattern, b)
+        got = handle.compressed
+        _assert_bitwise(got.values, expected.values)
+        _assert_bitwise(got.indices, expected.indices)
+        assert got.k == expected.k
+        _assert_bitwise(handle.gather_layout().rows, layout.rows)
+        _assert_bitwise(handle.gather_layout().values, layout.values)
+        padded = pad_to_multiple(b, pattern.m, pattern.vector_length)
+        np.testing.assert_array_equal(magnitude_prune(pattern, padded), mask)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_weights())
+    def test_pre_pruned_weights_compress_to_themselves(self, case):
+        pattern, b = case
+        pruned, _ = prune_dense(pattern, b)
+        assert np.array_equal(decompress(NMSpMM(pattern).prepare(pruned).compressed), pruned)

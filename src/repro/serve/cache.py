@@ -12,11 +12,18 @@ few buckets, so the cache converges to near-100% hits after warm-up.
 ``ColumnInfo`` (Listing 3's offline pre-processing) is likewise reused
 — it lives on each model's :class:`~repro.core.api.SparseHandle` and is
 built at most once per block shape.
+
+A model-mode layer walk is priced once per run (see
+``InferenceServer._modeled_model_walk``): later walks at the same
+geometry replay their lookups through :meth:`PlanCache.refresh`, so
+the stats still count one hit per layer launch and the LRU recency is
+what the per-layer lookups would have left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.api import NMSpMM, SparseHandle
 from repro.core.plan import ExecutionPlan
@@ -64,6 +71,11 @@ class PlanCache:
     def __post_init__(self) -> None:
         self._lru = LRUCache(self.capacity)
 
+    @staticmethod
+    def key(model: str, op: NMSpMM, m: int) -> tuple:
+        """The cache key of an ``m``-row launch of ``model``."""
+        return (model, m, op.gpu.name, op.version.value)
+
     def lookup(
         self, model: str, op: NMSpMM, handle: SparseHandle, m: int
     ) -> PlanEntry:
@@ -75,7 +87,7 @@ class PlanCache:
         ``plan_cache.hit``/``plan_cache.miss`` events (see
         ``InferenceServer._cached_plan``), so the cache itself stays
         observability-free."""
-        key = (model, m, op.gpu.name, op.version.value)
+        key = self.key(model, op, m)
 
         def build() -> PlanEntry:
             # Deliberately NOT handle-level caching (use_cache): this
@@ -94,6 +106,15 @@ class PlanCache:
             return PlanEntry(plan=plan, report=plan.simulate(), trace=trace)
 
         return self._lru.get_or_build(key, build)
+
+    def refresh(self, keys: "Sequence[tuple]") -> None:
+        """Replay hits on cached ``keys`` (see :meth:`LRUCache.refresh`)."""
+        self._lru.refresh(keys)
+
+    @property
+    def generation(self) -> int:
+        """Moves on every eviction and clear (see :class:`LRUCache`)."""
+        return self._lru.generation
 
     @property
     def stats(self) -> CacheStats:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from repro.faults import FaultInjector, FaultPlan, parse_fault_spec
 from repro.gpu.spec import GPUSpec
 from repro.obs.tracer import Tracer
 from repro.serve.batcher import BatchingPolicy, ContinuousBatcher, DynamicBatcher
-from repro.serve.cache import PlanCache
+from repro.serve.cache import PlanCache, PlanEntry
 from repro.serve.metrics import (
     BatchRecord,
     DropRecord,
@@ -109,6 +110,19 @@ class ModelEntry:
     #: leave both unset.
     executor: "ModelExecutor | None" = None
     layers: "tuple[ModelEntry, ...]" = ()
+    #: Whether launches shard over a device group (any layer sharded,
+    #: for a model-mode entry).  Set once at construction — entries
+    #: are immutable and this sits on every launch's hot path.
+    distributed: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.layers:
+            distributed = any(
+                layer.sharded is not None for layer in self.layers
+            )
+        else:
+            distributed = self.sharded is not None
+        object.__setattr__(self, "distributed", distributed)
 
     @property
     def k(self) -> int:
@@ -124,12 +138,6 @@ class ModelEntry:
         if self.executor is not None:
             return self.executor.vocab
         return self.handle.n_logical
-
-    @property
-    def distributed(self) -> bool:
-        if self.layers:
-            return any(layer.sharded is not None for layer in self.layers)
-        return self.sharded is not None
 
     def describe(self) -> str:
         if self.executor is not None:
@@ -206,6 +214,62 @@ class _RunState:
     #: The run's model -> ContinuousBatcher map (device-death handling
     #: must evict model-mode residents outside the step path).
     continuous: "dict | None" = None
+    #: (id(entry), padded_rows, physical devices) -> _WalkMemo: each
+    #: model-mode layer walk priced once per run.
+    walk_memo: dict = field(default_factory=dict)
+
+
+@dataclass
+class _WalkMemo:
+    """One model-mode layer walk, priced once and replayed.
+
+    Valid while every plan cache the walk looked up in is still at the
+    generation it was priced at: no key has left those caches since
+    (and a plan cache only inserts on a miss), so each of the walk's
+    lookups would hit and return the same plan entry.  A replay
+    refreshes those keys in walk order, so the cache stats and LRU
+    recency are exactly what the per-layer lookups would have left.
+    """
+
+    #: The walked entry.  Keeping it alive keeps ``id(entry)`` — part
+    #: of the memo key — unique for the run, so a re-shard overlay
+    #: entry can never pick up the registered entry's price.
+    entry: ModelEntry
+    #: ``(plan cache, generation, keys in walk order)`` per cache.
+    caches: tuple
+    #: ``(key, plan entry)`` of every plan lookup, in walk order.
+    lookups: tuple
+    #: Physical devices whose straggler factors the walk reads, in
+    #: first-read order.
+    devices: tuple
+    #: The group whose link state the walk reads (None unless the
+    #: layers are sharded).
+    group: "DeviceGroup | None"
+    #: The healthy-device ``(total_s, layer_spans, per_device_s,
+    #: comm_s)``, or None until a replay with no fault touching it
+    #: (the first healthy one) stores it.
+    walk: "tuple | None" = None
+
+    def current(self) -> bool:
+        for cache, generation, _ in self.caches:
+            if cache.generation != generation:
+                return False
+        return True
+
+    def refresh(self) -> None:
+        for cache, _, keys in self.caches:
+            cache.refresh(keys)
+
+    def healthy(self, injector: FaultInjector, t_s: float) -> bool:
+        """Whether no fault touches the walk at ``t_s``: every
+        straggler factor is 1.0 and the link is undegraded.  Reads the
+        injector exactly as a walk does (the same devices, the link
+        only for sharded layers), so its state advances identically."""
+        factors = [injector.device_factor(d, t_s) for d in self.devices]
+        if self.group is not None:
+            if injector.degraded_group(self.group, t_s) is not self.group:
+                return False
+        return all(factor == 1.0 for factor in factors)
 
 
 @dataclass
@@ -753,12 +817,19 @@ class InferenceServer:
         ``plan_cache.hit``/``plan_cache.miss`` event plus a counter —
         the outcome read off the cache's own stats delta, so the event
         stream and ``plan_cache_stats`` can never disagree."""
-        tr = self.tracer
-        if tr is None:
+        if self.tracer is None:
             return cache.lookup(entry.name, entry.op, handle, padded_rows)
         hits_before = cache.stats.hits
         plan_entry = cache.lookup(entry.name, entry.op, handle, padded_rows)
         outcome = "hit" if cache.stats.hits > hits_before else "miss"
+        self._trace_plan_lookup(outcome, entry.name, padded_rows, device)
+        return plan_entry
+
+    def _trace_plan_lookup(
+        self, outcome: str, model: str, padded_rows: int, device: int
+    ) -> None:
+        """The ``plan_cache.<outcome>`` counter + event of one lookup."""
+        tr = self.tracer
         counter = self._plan_metric_cache.get(outcome)
         if counter is None:
             counter = self._bm(
@@ -771,12 +842,11 @@ class InferenceServer:
             tr.event(
                 f"plan_cache.{outcome}",
                 track="engine",
-                model=entry.name,
+                model=model,
                 padded_rows=padded_rows,
                 device=device,
                 keep=True,
             )
-        return plan_entry
 
     def _modeled_launch(
         self,
@@ -784,6 +854,7 @@ class InferenceServer:
         padded_rows: int,
         state: "_RunState | None" = None,
         t_s: float = 0.0,
+        lookup: "Callable[..., PlanEntry] | None" = None,
     ) -> (
         "tuple[float, tuple[float, ...], CommEvent | None, object,"
         " tuple[int, int, int]]"
@@ -808,12 +879,18 @@ class InferenceServer:
         collective is priced against the (possibly degraded) link — so
         a slowdown on one device gates the whole tensor-parallel
         launch, exactly as the topology model prescribes.
+
+        ``lookup`` stands in for :meth:`_cached_plan` (same arguments,
+        same call order) — the walk memo records and replays plan
+        lookups through it.
         """
         injector = None if state is None else state.injector
         phys = self._phys_devices(entry, state)
+        if lookup is None:
+            lookup = self._cached_plan
         if not entry.distributed:
             device = phys[0]
-            plan_entry = self._cached_plan(
+            plan_entry = lookup(
                 self.plan_caches[device], device, entry, entry.handle,
                 padded_rows,
             )
@@ -825,7 +902,7 @@ class InferenceServer:
         flops = ldg_bytes = stg_bytes = 0
         for shard in entry.sharded.shards:
             device = phys[shard.device]
-            plan_entry = self._cached_plan(
+            plan_entry = lookup(
                 self.plan_caches[device], device, entry,
                 shard.handle, padded_rows,
             )
@@ -2087,14 +2164,103 @@ class InferenceServer:
         so the walk's modeled time is their plain sum (each
         distributed layer's seconds already includes its collective).
         ``cost`` is the layer launch's ``(flops, ldg_bytes,
-        stg_bytes)`` for the per-layer ``gpu.launch`` span attrs."""
+        stg_bytes)`` for the per-layer ``gpu.launch`` span attrs.
+
+        A walk is priced once per run per ``(entry, padded_rows,
+        physical devices)`` and memoized (:class:`_WalkMemo`); later
+        walks replay it.  Plan-cache hits still count one per layer
+        launch, with the recency the per-layer lookups would leave.
+        A traced replay re-walks the layers lookup by lookup, so
+        ``plan_cache.hit`` and ``fault.inject`` events interleave as
+        they always have; an untraced one returns the memoized totals
+        unless a fault touches the walk, and then re-prices from the
+        memoized plans in the same float order."""
+        key = (id(entry), padded_rows, self._phys_devices(entry, state))
+        memo = state.walk_memo.get(key)
+        if memo is None or not memo.current():
+            return self._price_model_walk(entry, padded_rows, state, t_s, key)
+        replay = iter(memo.lookups)
+        if self.tracer is not None:
+
+            def traced_replay(cache, device, sub, handle, rows):
+                plan_key, plan_entry = next(replay)
+                cache.refresh((plan_key,))
+                self._trace_plan_lookup("hit", sub.name, rows, device)
+                return plan_entry
+
+            return self._walk_layers(
+                entry, padded_rows, state, t_s, traced_replay
+            )
+        memo.refresh()
+        injector = state.injector
+        healthy = injector is None or memo.healthy(injector, t_s)
+        if healthy and memo.walk is not None:
+            return memo.walk
+        walk = self._walk_layers(
+            entry, padded_rows, state, t_s, lambda *_: next(replay)[1]
+        )
+        if healthy:
+            memo.walk = walk
+        return walk
+
+    def _price_model_walk(
+        self,
+        entry: ModelEntry,
+        padded_rows: int,
+        state: _RunState,
+        t_s: float,
+        key: tuple,
+    ) -> "tuple[float, tuple, tuple[float, ...], float]":
+        """Price a walk through the plan caches and memoize it.  The
+        memo holds the cache generations from *before* the walk, so a
+        walk during which a key left a cache (a replay's lookup could
+        miss) is never current."""
+        generations = [cache.generation for cache in self.plan_caches]
+        lookups = []
+        keys_by_device: "dict[int, list]" = {}
+
+        def recording_lookup(cache, device, sub, handle, rows):
+            plan_entry = self._cached_plan(cache, device, sub, handle, rows)
+            plan_key = PlanCache.key(sub.name, sub.op, rows)
+            lookups.append((plan_key, plan_entry))
+            keys_by_device.setdefault(device, []).append(plan_key)
+            return plan_entry
+
+        walk = self._walk_layers(
+            entry, padded_rows, state, t_s, recording_lookup
+        )
+        memo = _WalkMemo(
+            entry=entry,
+            caches=tuple(
+                (self.plan_caches[device], generations[device], tuple(keys))
+                for device, keys in keys_by_device.items()
+            ),
+            lookups=tuple(lookups),
+            devices=tuple(keys_by_device),
+            group=next(
+                (sub.group for sub in entry.layers if sub.distributed), None
+            ),
+        )
+        state.walk_memo[key] = memo
+        return walk
+
+    def _walk_layers(
+        self,
+        entry: ModelEntry,
+        padded_rows: int,
+        state: _RunState,
+        t_s: float,
+        lookup: "Callable[..., PlanEntry]",
+    ) -> "tuple[float, tuple, tuple[float, ...], float]":
+        """Price each layer launch in walk order (``lookup`` as in
+        :meth:`_modeled_launch`) and sum them into a walk."""
         total = 0.0
         comm_total = 0.0
         per_device: "list[float] | None" = None
         spans = []
         for sub in entry.layers:
             seconds, pd, comm, _, cost = self._modeled_launch(
-                sub, padded_rows, state, t_s
+                sub, padded_rows, state, t_s, lookup
             )
             spans.append((sub.name, total, seconds, cost))
             total += seconds

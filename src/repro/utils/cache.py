@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, TypeVar
+from typing import Callable, Hashable, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 
 __all__ = ["CacheStats", "LRUCache"]
 
 V = TypeVar("V")
+
+#: Sentinel for "not cached" — ``None`` is a legitimate cached value.
+_MISSING = object()
 
 
 @dataclass
@@ -59,7 +62,16 @@ class CacheStats:
 
 
 class LRUCache:
-    """A bounded LRU with stats (least-recently-*used* eviction)."""
+    """A bounded LRU with stats (least-recently-*used* eviction).
+
+    :attr:`generation` moves on every eviction and on :meth:`clear` —
+    the only ways a key leaves the cache — so a caller that saw every
+    key of a lookup sequence cached at generation ``g`` knows they are
+    all still cached while the generation is still ``g``, and may
+    replay the sequence's hits via :meth:`refresh`.  (Overwriting a
+    cached key with :meth:`put` does not move it; ``get_or_build``
+    only ever puts on a miss.)
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -68,6 +80,7 @@ class LRUCache:
             )
         self.capacity = capacity
         self.stats = CacheStats()
+        self.generation = 0
         self._data: "OrderedDict[Hashable, object]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -76,14 +89,21 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def get(self, key: Hashable) -> "object | None":
-        """The cached value (refreshing its recency), or None."""
-        if key in self._data:
+    def _lookup(self, key: Hashable) -> object:
+        """The cached value (refreshing its recency) or ``_MISSING``,
+        counting exactly one hit or miss."""
+        value = self._data.get(key, _MISSING)
+        if value is _MISSING:
+            self.stats.misses += 1
+        else:
             self.stats.hits += 1
             self._data.move_to_end(key)
-            return self._data[key]
-        self.stats.misses += 1
-        return None
+        return value
+
+    def get(self, key: Hashable) -> "object | None":
+        """The cached value (refreshing its recency), or None."""
+        value = self._lookup(key)
+        return None if value is _MISSING else value
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert/refresh a value, evicting the least recently used
@@ -94,15 +114,27 @@ class LRUCache:
         if len(self._data) > self.capacity:
             self._data.popitem(last=False)
             self.stats.evictions += 1
+            self.generation += 1
 
     def get_or_build(self, key: Hashable, build: Callable[[], V]) -> V:
         """Return the cached value, building (and possibly evicting) on
         a miss."""
-        value = self.get(key)
-        if value is None:
+        value = self._lookup(key)
+        if value is _MISSING:
             value = build()
             self.put(key, value)
         return value  # type: ignore[return-value]
 
+    def refresh(self, keys: "Sequence[Hashable]") -> None:
+        """Replay a sequence of hits: move each key to the most-recent
+        end in order and count ``len(keys)`` hits — the stats and
+        recency the same ``get`` calls would leave.  Every key must be
+        cached (a missing key raises ``KeyError``)."""
+        move_to_end = self._data.move_to_end
+        for key in keys:
+            move_to_end(key)
+        self.stats.hits += len(keys)
+
     def clear(self) -> None:
         self._data.clear()
+        self.generation += 1

@@ -14,10 +14,11 @@ few buckets, so the cache converges to near-100% hits after warm-up.
 built at most once per block shape.
 
 A model-mode layer walk is priced once per run (see
-``InferenceServer._modeled_model_walk``): later walks at the same
-geometry replay their lookups through :meth:`PlanCache.refresh`, so
-the stats still count one hit per layer launch and the LRU recency is
-what the per-layer lookups would have left.
+``InferenceServer._modeled_model_walk``): in an untraced run with no
+fault plan, later walks at the same geometry replay their lookups
+through :meth:`PlanCache.refresh`, so the stats still count one hit
+per layer launch and the LRU recency is what the per-layer lookups
+would have left.
 """
 
 from __future__ import annotations

@@ -229,6 +229,9 @@ class _WalkMemo:
     lookups would hit and return the same plan entry.  A replay
     refreshes those keys in walk order, so the cache stats and LRU
     recency are exactly what the per-layer lookups would have left.
+    Only runs with neither a tracer nor a fault injector replay (see
+    ``InferenceServer._modeled_model_walk``), so a replayed ``walk``
+    was always priced on healthy devices with no events to emit.
     """
 
     #: The walked entry.  Keeping it alive keeps ``id(entry)`` — part
@@ -237,18 +240,8 @@ class _WalkMemo:
     entry: ModelEntry
     #: ``(plan cache, generation, keys in walk order)`` per cache.
     caches: tuple
-    #: ``(key, plan entry)`` of every plan lookup, in walk order.
-    lookups: tuple
-    #: Physical devices whose straggler factors the walk reads, in
-    #: first-read order.
-    devices: tuple
-    #: The group whose link state the walk reads (None unless the
-    #: layers are sharded).
-    group: "DeviceGroup | None"
-    #: The healthy-device ``(total_s, layer_spans, per_device_s,
-    #: comm_s)``, or None until a replay with no fault touching it
-    #: (the first healthy one) stores it.
-    walk: "tuple | None" = None
+    #: The priced ``(total_s, layer_spans, per_device_s, comm_s)``.
+    walk: tuple
 
     def current(self) -> bool:
         for cache, generation, _ in self.caches:
@@ -259,17 +252,6 @@ class _WalkMemo:
     def refresh(self) -> None:
         for cache, _, keys in self.caches:
             cache.refresh(keys)
-
-    def healthy(self, injector: FaultInjector, t_s: float) -> bool:
-        """Whether no fault touches the walk at ``t_s``: every
-        straggler factor is 1.0 and the link is undegraded.  Reads the
-        injector exactly as a walk does (the same devices, the link
-        only for sharded layers), so its state advances identically."""
-        factors = [injector.device_factor(d, t_s) for d in self.devices]
-        if self.group is not None:
-            if injector.degraded_group(self.group, t_s) is not self.group:
-                return False
-        return all(factor == 1.0 for factor in factors)
 
 
 @dataclass
@@ -817,19 +799,12 @@ class InferenceServer:
         ``plan_cache.hit``/``plan_cache.miss`` event plus a counter —
         the outcome read off the cache's own stats delta, so the event
         stream and ``plan_cache_stats`` can never disagree."""
-        if self.tracer is None:
+        tr = self.tracer
+        if tr is None:
             return cache.lookup(entry.name, entry.op, handle, padded_rows)
         hits_before = cache.stats.hits
         plan_entry = cache.lookup(entry.name, entry.op, handle, padded_rows)
         outcome = "hit" if cache.stats.hits > hits_before else "miss"
-        self._trace_plan_lookup(outcome, entry.name, padded_rows, device)
-        return plan_entry
-
-    def _trace_plan_lookup(
-        self, outcome: str, model: str, padded_rows: int, device: int
-    ) -> None:
-        """The ``plan_cache.<outcome>`` counter + event of one lookup."""
-        tr = self.tracer
         counter = self._plan_metric_cache.get(outcome)
         if counter is None:
             counter = self._bm(
@@ -842,11 +817,12 @@ class InferenceServer:
             tr.event(
                 f"plan_cache.{outcome}",
                 track="engine",
-                model=model,
+                model=entry.name,
                 padded_rows=padded_rows,
                 device=device,
                 keep=True,
             )
+        return plan_entry
 
     def _modeled_launch(
         self,
@@ -880,9 +856,8 @@ class InferenceServer:
         a slowdown on one device gates the whole tensor-parallel
         launch, exactly as the topology model prescribes.
 
-        ``lookup`` stands in for :meth:`_cached_plan` (same arguments,
-        same call order) — the walk memo records and replays plan
-        lookups through it.
+        ``lookup`` stands in for :meth:`_cached_plan` (same arguments)
+        — the walk memo records a walk's plan-cache keys through it.
         """
         injector = None if state is None else state.injector
         phys = self._phys_devices(entry, state)
@@ -2167,41 +2142,25 @@ class InferenceServer:
         stg_bytes)`` for the per-layer ``gpu.launch`` span attrs.
 
         A walk is priced once per run per ``(entry, padded_rows,
-        physical devices)`` and memoized (:class:`_WalkMemo`); later
-        walks replay it.  Plan-cache hits still count one per layer
-        launch, with the recency the per-layer lookups would leave.
-        A traced replay re-walks the layers lookup by lookup, so
-        ``plan_cache.hit`` and ``fault.inject`` events interleave as
-        they always have; an untraced one returns the memoized totals
-        unless a fault touches the walk, and then re-prices from the
-        memoized plans in the same float order."""
+        physical devices)`` and memoized (:class:`_WalkMemo`).  In a
+        run with neither a tracer nor a fault injector, later walks
+        return the memoized totals and replay their plan lookups as
+        hits through :meth:`PlanCache.refresh`: plan-cache hits still
+        count one per layer launch, with the recency the per-layer
+        lookups would leave.  A traced or faulted run prices every walk
+        layer by layer, so its events and fault factors are read as
+        they always have been."""
         key = (id(entry), padded_rows, self._phys_devices(entry, state))
         memo = state.walk_memo.get(key)
-        if memo is None or not memo.current():
-            return self._price_model_walk(entry, padded_rows, state, t_s, key)
-        replay = iter(memo.lookups)
-        if self.tracer is not None:
-
-            def traced_replay(cache, device, sub, handle, rows):
-                plan_key, plan_entry = next(replay)
-                cache.refresh((plan_key,))
-                self._trace_plan_lookup("hit", sub.name, rows, device)
-                return plan_entry
-
-            return self._walk_layers(
-                entry, padded_rows, state, t_s, traced_replay
-            )
-        memo.refresh()
-        injector = state.injector
-        healthy = injector is None or memo.healthy(injector, t_s)
-        if healthy and memo.walk is not None:
+        if (
+            memo is not None
+            and self.tracer is None
+            and state.injector is None
+            and memo.current()
+        ):
+            memo.refresh()
             return memo.walk
-        walk = self._walk_layers(
-            entry, padded_rows, state, t_s, lambda *_: next(replay)[1]
-        )
-        if healthy:
-            memo.walk = walk
-        return walk
+        return self._price_model_walk(entry, padded_rows, state, t_s, key)
 
     def _price_model_walk(
         self,
@@ -2211,56 +2170,27 @@ class InferenceServer:
         t_s: float,
         key: tuple,
     ) -> "tuple[float, tuple, tuple[float, ...], float]":
-        """Price a walk through the plan caches and memoize it.  The
-        memo holds the cache generations from *before* the walk, so a
-        walk during which a key left a cache (a replay's lookup could
-        miss) is never current."""
+        """Price each layer launch in walk order through the plan
+        caches, sum them into a walk and memoize it.  The memo holds
+        the cache generations from *before* the walk, so a walk during
+        which a key left a cache (a replay's lookup could miss) is
+        never current."""
         generations = [cache.generation for cache in self.plan_caches]
-        lookups = []
         keys_by_device: "dict[int, list]" = {}
 
         def recording_lookup(cache, device, sub, handle, rows):
-            plan_entry = self._cached_plan(cache, device, sub, handle, rows)
-            plan_key = PlanCache.key(sub.name, sub.op, rows)
-            lookups.append((plan_key, plan_entry))
-            keys_by_device.setdefault(device, []).append(plan_key)
-            return plan_entry
+            keys_by_device.setdefault(device, []).append(
+                PlanCache.key(sub.name, sub.op, rows)
+            )
+            return self._cached_plan(cache, device, sub, handle, rows)
 
-        walk = self._walk_layers(
-            entry, padded_rows, state, t_s, recording_lookup
-        )
-        memo = _WalkMemo(
-            entry=entry,
-            caches=tuple(
-                (self.plan_caches[device], generations[device], tuple(keys))
-                for device, keys in keys_by_device.items()
-            ),
-            lookups=tuple(lookups),
-            devices=tuple(keys_by_device),
-            group=next(
-                (sub.group for sub in entry.layers if sub.distributed), None
-            ),
-        )
-        state.walk_memo[key] = memo
-        return walk
-
-    def _walk_layers(
-        self,
-        entry: ModelEntry,
-        padded_rows: int,
-        state: _RunState,
-        t_s: float,
-        lookup: "Callable[..., PlanEntry]",
-    ) -> "tuple[float, tuple, tuple[float, ...], float]":
-        """Price each layer launch in walk order (``lookup`` as in
-        :meth:`_modeled_launch`) and sum them into a walk."""
         total = 0.0
         comm_total = 0.0
         per_device: "list[float] | None" = None
         spans = []
         for sub in entry.layers:
             seconds, pd, comm, _, cost = self._modeled_launch(
-                sub, padded_rows, state, t_s, lookup
+                sub, padded_rows, state, t_s, recording_lookup
             )
             spans.append((sub.name, total, seconds, cost))
             total += seconds
@@ -2271,7 +2201,16 @@ class InferenceServer:
                     per_device = list(pd)
                 else:
                     per_device = [a + b for a, b in zip(per_device, pd, strict=True)]
-        return total, tuple(spans), tuple(per_device or ()), comm_total
+        walk = (total, tuple(spans), tuple(per_device or ()), comm_total)
+        state.walk_memo[key] = _WalkMemo(
+            entry=entry,
+            caches=tuple(
+                (self.plan_caches[device], generations[device], tuple(keys))
+                for device, keys in keys_by_device.items()
+            ),
+            walk=walk,
+        )
+        return walk
 
     def _drop_hopeless_model_work(
         self,

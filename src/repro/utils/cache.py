@@ -89,21 +89,15 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def _lookup(self, key: Hashable) -> object:
-        """The cached value (refreshing its recency) or ``_MISSING``,
-        counting exactly one hit or miss."""
+    def get(self, key: Hashable) -> "object | None":
+        """The cached value (refreshing its recency), or None."""
         value = self._data.get(key, _MISSING)
         if value is _MISSING:
             self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-            self._data.move_to_end(key)
+            return None
+        self.stats.hits += 1
+        self._data.move_to_end(key)
         return value
-
-    def get(self, key: Hashable) -> "object | None":
-        """The cached value (refreshing its recency), or None."""
-        value = self._lookup(key)
-        return None if value is _MISSING else value
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert/refresh a value, evicting the least recently used
@@ -119,10 +113,14 @@ class LRUCache:
     def get_or_build(self, key: Hashable, build: Callable[[], V]) -> V:
         """Return the cached value, building (and possibly evicting) on
         a miss."""
-        value = self._lookup(key)
+        value = self._data.get(key, _MISSING)
         if value is _MISSING:
+            self.stats.misses += 1
             value = build()
             self.put(key, value)
+        else:
+            self.stats.hits += 1
+            self._data.move_to_end(key)
         return value  # type: ignore[return-value]
 
     def refresh(self, keys: "Sequence[Hashable]") -> None:

@@ -22,6 +22,7 @@ import pytest
 from repro.obs import Tracer
 from repro.obs.export import chrome_trace
 from repro.serve.loadgen import generate_requests
+from repro.serve.metrics import ServingMetrics
 from repro.serve.model_exec import long_context_summarization
 from repro.utils.cache import LRUCache
 
@@ -234,6 +235,44 @@ class TestWalkMemoAfterReshard:
         memos = state.walk_memo.values()
         assert any(memo.entry is overlay for memo in memos)
         assert any(memo.entry is registered for memo in memos)
+
+    def test_reshard_stales_the_memo_in_a_replaying_run(self):
+        # No injector, so walks replay; a fail-stop handled mid-run
+        # clears the plan caches and installs an overlay entry.
+        scenario = long_context_summarization(
+            duration_s=0.3, seed=0, devices=2, resilience=True
+        )
+        server, _ = scenario.build_server()
+        state = server._new_run_state(ServingMetrics())
+        assert state.injector is None
+        name = scenario.model.lower()
+        registered = server._entry(name, state)
+        sharded = server._modeled_model_walk(registered, 64, state, 0.0)
+        stats = server.plan_cache.stats.snapshot()
+        assert server._modeled_model_walk(registered, 64, state, 0.0) == (
+            sharded
+        )
+        assert server.plan_cache.stats.hits - stats.hits == len(
+            registered.layers
+        )
+        (memo,) = state.walk_memo.values()
+        state.dead.add(1)
+        server._handle_device_death(1, 0.1, state)
+        assert not memo.current()
+        overlay = server._entry(name, state)
+        assert overlay is not registered and not overlay.distributed
+        stats = server.plan_cache.stats.snapshot()
+        total, _, per_device, comm = server._modeled_model_walk(
+            overlay, 64, state, 0.2
+        )
+        # Priced afresh on the survivor: every layer misses the cleared
+        # cache, and a single-device walk has no split or collective.
+        assert server.plan_cache.stats.misses - stats.misses == len(
+            overlay.layers
+        )
+        assert per_device == () and comm == 0.0 and total > 0
+        assert sharded[2] and sharded[3] > 0.0
+        assert any(m.entry is overlay for m in state.walk_memo.values())
 
     def test_repeat_walk_equals_fresh_pricing(self):
         # A replayed walk returns exactly what pricing the stack anew

@@ -215,7 +215,7 @@ class _RunState:
     #: must evict model-mode residents outside the step path).
     continuous: "dict | None" = None
     #: (id(entry), padded_rows, physical devices) -> _WalkMemo: each
-    #: model-mode layer walk priced once per run.
+    #: model-mode layer walk priced once per untraced, fault-free run.
     walk_memo: dict = field(default_factory=dict)
 
 
@@ -229,9 +229,9 @@ class _WalkMemo:
     lookups would hit and return the same plan entry.  A replay
     refreshes those keys in walk order, so the cache stats and LRU
     recency are exactly what the per-layer lookups would have left.
-    Only runs with neither a tracer nor a fault injector replay (see
-    ``InferenceServer._modeled_model_walk``), so a replayed ``walk``
-    was always priced on healthy devices with no events to emit.
+    Only runs with neither a tracer nor a fault injector keep memos
+    (see ``InferenceServer._modeled_model_walk``), so a ``walk`` is
+    always priced on healthy devices with no events to emit.
     """
 
     #: The walked entry.  Keeping it alive keeps ``id(entry)`` — part
@@ -2141,40 +2141,26 @@ class InferenceServer:
         ``cost`` is the layer launch's ``(flops, ldg_bytes,
         stg_bytes)`` for the per-layer ``gpu.launch`` span attrs.
 
-        A walk is priced once per run per ``(entry, padded_rows,
-        physical devices)`` and memoized (:class:`_WalkMemo`).  In a
-        run with neither a tracer nor a fault injector, later walks
-        return the memoized totals and replay their plan lookups as
-        hits through :meth:`PlanCache.refresh`: plan-cache hits still
-        count one per layer launch, with the recency the per-layer
-        lookups would leave.  A traced or faulted run prices every walk
-        layer by layer, so its events and fault factors are read as
-        they always have been."""
+        In a run with neither a tracer nor a fault injector, a walk is
+        priced once per ``(entry, padded_rows, physical devices)`` and
+        memoized (:class:`_WalkMemo`); later walks return the memoized
+        totals and replay their plan lookups as hits through
+        :meth:`PlanCache.refresh`, so plan-cache hits still count one
+        per layer launch, with the recency the per-layer lookups would
+        leave.  A traced or faulted run prices every walk layer by
+        layer, so its events and fault factors are read as they
+        always have been (and it keeps no memo it would never
+        replay)."""
+        if self.tracer is not None or state.injector is not None:
+            return self._walk_layers(entry, padded_rows, state, t_s)
         key = (id(entry), padded_rows, self._phys_devices(entry, state))
         memo = state.walk_memo.get(key)
-        if (
-            memo is not None
-            and self.tracer is None
-            and state.injector is None
-            and memo.current()
-        ):
+        if memo is not None and memo.current():
             memo.refresh()
             return memo.walk
-        return self._price_model_walk(entry, padded_rows, state, t_s, key)
-
-    def _price_model_walk(
-        self,
-        entry: ModelEntry,
-        padded_rows: int,
-        state: _RunState,
-        t_s: float,
-        key: tuple,
-    ) -> "tuple[float, tuple, tuple[float, ...], float]":
-        """Price each layer launch in walk order through the plan
-        caches, sum them into a walk and memoize it.  The memo holds
-        the cache generations from *before* the walk, so a walk during
-        which a key left a cache (a replay's lookup could miss) is
-        never current."""
+        # The generations from *before* the walk: a walk during which
+        # a key left a cache (a replay's lookup could miss) is never
+        # current.
         generations = [cache.generation for cache in self.plan_caches]
         keys_by_device: "dict[int, list]" = {}
 
@@ -2184,13 +2170,36 @@ class InferenceServer:
             )
             return self._cached_plan(cache, device, sub, handle, rows)
 
+        walk = self._walk_layers(
+            entry, padded_rows, state, t_s, recording_lookup
+        )
+        state.walk_memo[key] = _WalkMemo(
+            entry=entry,
+            caches=tuple(
+                (self.plan_caches[device], generations[device], tuple(keys))
+                for device, keys in keys_by_device.items()
+            ),
+            walk=walk,
+        )
+        return walk
+
+    def _walk_layers(
+        self,
+        entry: ModelEntry,
+        padded_rows: int,
+        state: _RunState,
+        t_s: float,
+        lookup: "Callable[..., PlanEntry] | None" = None,
+    ) -> "tuple[float, tuple, tuple[float, ...], float]":
+        """Price each layer launch in walk order (``lookup`` as in
+        :meth:`_modeled_launch`) and sum them into a walk."""
         total = 0.0
         comm_total = 0.0
         per_device: "list[float] | None" = None
         spans = []
         for sub in entry.layers:
             seconds, pd, comm, _, cost = self._modeled_launch(
-                sub, padded_rows, state, t_s, recording_lookup
+                sub, padded_rows, state, t_s, lookup
             )
             spans.append((sub.name, total, seconds, cost))
             total += seconds
@@ -2201,16 +2210,7 @@ class InferenceServer:
                     per_device = list(pd)
                 else:
                     per_device = [a + b for a, b in zip(per_device, pd, strict=True)]
-        walk = (total, tuple(spans), tuple(per_device or ()), comm_total)
-        state.walk_memo[key] = _WalkMemo(
-            entry=entry,
-            caches=tuple(
-                (self.plan_caches[device], generations[device], tuple(keys))
-                for device, keys in keys_by_device.items()
-            ),
-            walk=walk,
-        )
-        return walk
+        return total, tuple(spans), tuple(per_device or ()), comm_total
 
     def _drop_hopeless_model_work(
         self,

@@ -17,11 +17,15 @@ The execution layer's public API:
   :meth:`~repro.backends.auto.AutoSelector.explain` for inspectable
   decisions.
 
-Importing this package registers the builtin backends in display
+Importing this package registers the builtin host backends in display
 order: ``fast`` (batched gather-GEMM), ``structural`` (recorded-trace
-executors), ``dense_scatter`` (scatter-to-dense + SGEMM for the tiny-L
-regime) and ``sharded`` (tensor-parallel execution across a simulated
-device group, from :mod:`repro.distributed`).
+executors) and ``dense_scatter`` (scatter-to-dense + SGEMM for the
+tiny-L regime).  :class:`~repro.distributed.sharded.ShardedBackend`
+(tensor-parallel execution across a simulated device group) is
+re-exported but opt-in: its cost prices a modeled multi-GPU split that
+``run()`` executes serially on the host, so it would win ``auto``'s
+race without being faster.  Callers who want ``backend="sharded"``
+register it with ``register_backend(ShardedBackend())``.
 """
 
 from repro.backends.auto import (
@@ -71,17 +75,12 @@ __all__ = [
     "ShardedBackend",
 ]
 
-# Builtin registrations (idempotent across re-imports because module
-# initialization runs once per process).  The sharded backend lives in
-# repro.distributed and is imported last: it consumes this package's
-# already-bound base/registry/auto modules, which is safe mid-init.
+# Re-exported, not registered.  Imported last: repro.distributed
+# consumes this package's already-bound base/registry/auto modules,
+# which is safe mid-init.
 from repro.distributed.sharded import ShardedBackend  # noqa: E402
 
-for _backend in (
-    FastBackend(),
-    StructuralBackend(),
-    DenseScatterBackend(),
-    ShardedBackend(),
-):
+# Builtin registrations (module initialization runs once per process).
+for _backend in (FastBackend(), StructuralBackend(), DenseScatterBackend()):
     register_backend(_backend)
 del _backend

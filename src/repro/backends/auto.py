@@ -400,7 +400,7 @@ class AutoSelector:
             f"{self.gather_full_efficiency_l})^2) MACs/output) and "
             "scatter-to-dense SGEMM (k * (1 + "
             f"{self.scatter_macs_per_element:g}/m)), ties to the "
-            "sparse path; backends exposing estimated_cost (e.g. "
-            "sharded) join the race; decisions memoized per "
-            "(handle, m-bucket)"
+            "sparse path; registered backends exposing estimated_cost "
+            "(e.g. an opt-in sharded) join the race; decisions "
+            "memoized per (handle, m-bucket)"
         )

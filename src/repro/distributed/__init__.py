@@ -16,10 +16,11 @@ communication model):
 * :mod:`repro.distributed.sharded` — :func:`sharded_execute` (real
   per-device numerics via the fast gather-GEMM kernel),
   :func:`modeled_step` (per-device plan simulation + collective on the
-  simulated clock) and :class:`ShardedBackend`, registered in the
-  backend registry as ``"sharded"`` (importing :mod:`repro.backends`
-  registers it, so it is selectable — and auto-raced via its
-  ``estimated_cost`` hook — everywhere the registry is consumed).
+  simulated clock) and :class:`ShardedBackend`, the registry face.  It
+  is opt-in: ``register_backend(ShardedBackend())`` makes
+  ``backend="sharded"`` selectable and enters it in ``auto``'s race
+  (its ``estimated_cost`` prices the modeled multi-GPU split, while
+  ``run()`` executes the shards serially on the host).
 
 Serving integration lives in :class:`repro.serve.InferenceServer`
 (``devices=``/``shard=``/``link=``) and ``python -m repro serve-sim

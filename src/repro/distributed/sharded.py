@@ -13,10 +13,10 @@ from modeled time:
   its shard's shape, the group's collective is priced by the ring
   formulas, and one :class:`DistributedStep` composes them (devices
   run concurrently, the collective follows the slowest device).
-* :class:`ShardedBackend` — the registry face: ``execute(a, handle,
-  backend="sharded")`` runs the whole thing through the PR-3 backend
-  protocol, composes per-device analytic traces into the request's
-  trace, and enters the auto-selector's race through
+* :class:`ShardedBackend` — the opt-in registry face: once registered,
+  ``execute(a, handle, backend="sharded")`` runs the whole thing through
+  the backend protocol, composes per-device analytic traces into the
+  request's trace, and enters the auto-selector's race through
   ``estimated_cost`` with *both* terms — per-device compute (the
   gather-GEMM cost model divided by the device count) and the modeled
   collective converted to MAC-equivalents at the group GPU's locked

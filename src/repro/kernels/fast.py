@@ -3,14 +3,13 @@
 Where :func:`repro.kernels.functional.nm_spmm_functional` re-derives
 the gather rows from ``D`` and loops over column windows in Python,
 this kernel consumes a precomputed
-:class:`~repro.sparsity.gather.GatherLayout` and evaluates **all**
-windows with one batched ``matmul``: gather ``A`` into ``(q, m, w)``
-blocks, multiply against the layout's ``(q, w, L)`` value blocks, and
-interleave the ``(q, m, L)`` results back into ``(m, n)``.  This is the
-§III-B2 observation applied end to end — after the offline layout
-conversion the whole product is dense-GEMM-shaped work that BLAS can
-execute at full rate, which is why ``execute(backend="fast")`` is the
-library's default numerics path.
+:class:`~repro.sparsity.gather.GatherLayout` and evaluates windows in
+cache-sized groups, one batched ``matmul`` per group: gather ``A`` into
+``(cq, m, w)`` blocks, multiply against the layout's ``(cq, w, L)``
+value blocks, and interleave the ``(cq, m, L)`` results into ``(m, n)``.
+This is the §III-B2 observation applied end to end — after the offline
+layout conversion the product is dense-GEMM-shaped work that BLAS runs
+at full rate — which is why ``execute(backend="fast")`` is the default.
 """
 
 from __future__ import annotations
@@ -25,13 +24,14 @@ from repro.utils.validation import check_matrix
 
 __all__ = ["nm_spmm_fast", "GATHER_BUFFER_ELEMENTS"]
 
-#: Bound on the gathered-operand buffer, in float32 elements (64 MiB).
-#: Every column window gathers its own (w, m) view of A, so an
-#: unchunked gather grows as q * w * m — orders of magnitude beyond the
-#: inputs for many-window (small-L, large-n) problems.  Windows are
-#: processed in groups that keep the buffer under this bound; one
-#: window is the floor, so correctness never depends on the limit.
-GATHER_BUFFER_ELEMENTS = 1 << 24
+#: Bound on one group's gathered block of A, in float32 elements
+#: (512 KiB).  The gather holds q * w * m floats, 1/L of the MACs, so
+#: groups are sized like the paper's hierarchical blocking (§III-B,
+#: Fig. 8) but to the host's per-core L2: the block and its (cq, m, L)
+#: product stay cached from the gather to the matmul instead of going
+#: out to DRAM.  One window is the floor; the per-window GEMMs, and so
+#: the output bits, do not depend on the bound.
+GATHER_BUFFER_ELEMENTS = 1 << 17
 
 
 def nm_spmm_fast(

@@ -17,6 +17,7 @@ from repro.backends import (
 from repro.core.api import NMSpMM
 from repro.errors import ConfigurationError
 from repro.kernels.blocked import KernelTrace
+from repro.serve.model_exec.executor import ModelExecutor
 from repro.sparsity.config import NMPattern
 from repro.workloads.synthetic import random_dense
 
@@ -119,12 +120,50 @@ class TestBatchSizeAwareness:
         assert selector.explain(request).backend == "dense_scatter"
 
 
+@pytest.fixture(scope="module")
+def llama_executor():
+    """The perfbench forward executor: Llama-7B/8, two blocks, 2:8 L=8."""
+    return ModelExecutor(
+        "llama-7b", scale=8, blocks=2, pattern=NMPattern(2, 8, vector_length=8)
+    )
+
+
+class TestLlamaLayerPicks:
+    """On real layer shapes the default registry races host backends
+    only, and the L=8 gather-GEMM wins every layer at decode and at
+    prefill."""
+
+    @pytest.mark.parametrize("m", [1, 256])
+    def test_auto_picks_fast_on_every_layer(self, llama_executor, m):
+        for spec in llama_executor.layers:
+            op, handle = spec.layer.op, spec.layer.handle
+            x = np.zeros((m, spec.layer.in_features), dtype=np.float32)
+            decision = op.selector.explain_uncached(op.build_request(x, handle))
+            assert decision.backend == "fast", (spec.name, decision.costs)
+            assert "sharded" not in decision.costs
+
+    def test_registered_sharded_matches_fast(
+        self, llama_executor, sharded_registered, rng
+    ):
+        for spec in llama_executor.layers[:4] + llama_executor.layers[-1:]:
+            op, handle = spec.layer.op, spec.layer.handle
+            x = random_dense(256, spec.layer.in_features, rng)
+            np.testing.assert_allclose(
+                op.execute(x, handle, backend="sharded"),
+                op.execute(x, handle, backend="fast"),
+                rtol=RTOL,
+                atol=ATOL,
+            )
+
+
 class TestExplainContents:
-    def test_cost_race_exposes_costs_and_rejections(self, rng):
+    def test_cost_race_exposes_costs_and_rejections(
+        self, sharded_registered, rng
+    ):
         op, _, request = _request((2, 4), 4, False, rng)
         decision = op.selector.explain(request)
-        # The builtins race on the calibrated model; `sharded` enters
-        # through its estimated_cost hook.
+        # The builtins race on the calibrated model; a registered
+        # `sharded` enters through its estimated_cost hook.
         assert set(decision.costs) == {"fast", "dense_scatter", "sharded"}
         assert decision.costs["dense_scatter"] < decision.costs["fast"]
         builtin = op.selector.modeled_costs(request)
@@ -134,7 +173,7 @@ class TestExplainContents:
         assert all(why.strip() for _, why in decision.rejected)
 
     def test_rejected_only_lists_registered_candidates(
-        self, registry_snapshot, rng
+        self, sharded_registered, rng
     ):
         op, _, request = _request((2, 4), 4, True, rng)
         unregister_backend("dense_scatter")
@@ -402,7 +441,6 @@ class TestFallbacks:
         op, _, request = _request((2, 4), 4, False, rng)
         unregister_backend("fast")
         unregister_backend("dense_scatter")
-        unregister_backend("sharded")
         decision = op.selector.explain(request)
         assert decision.backend == "structural"
 

@@ -71,13 +71,13 @@ def toy_backend():
 class TestRegistry:
     def test_builtins_registered_in_display_order(self):
         assert backend_names() == (
-            "auto", "fast", "structural", "dense_scatter", "sharded",
+            "auto", "fast", "structural", "dense_scatter",
         )
         assert backend_names(include_auto=False) == (
-            "fast", "structural", "dense_scatter", "sharded",
+            "fast", "structural", "dense_scatter",
         )
         assert [b.name for b in available_backends()] == [
-            "fast", "structural", "dense_scatter", "sharded",
+            "fast", "structural", "dense_scatter",
         ]
 
     def test_get_backend_unknown_name(self):

@@ -4,7 +4,7 @@ composed traces, modeled steps, and the auto-selector race."""
 import numpy as np
 import pytest
 
-from repro.backends import backend_names, get_backend
+from repro.backends import backend_names, get_backend, register_backend
 from repro.core.api import NMSpMM
 from repro.distributed import (
     DeviceGroup,
@@ -33,12 +33,15 @@ def _prepared(rng, pattern=None, *, k_windows=4, n_windows=6, m=8):
 
 
 class TestRegistration:
-    def test_sharded_is_registered_by_import(self):
-        assert "sharded" in backend_names()
-        backend = get_backend("sharded")
-        assert isinstance(backend, ShardedBackend)
+    def test_sharded_is_opt_in(self, registry_snapshot):
+        """The default registry races host backends only; a caller
+        opts in with one ``register_backend`` call."""
+        assert "sharded" not in backend_names()
+        backend = register_backend(ShardedBackend())
+        assert get_backend("sharded") is backend
         assert backend.group.devices >= 2
 
+    @pytest.mark.usefixtures("sharded_registered")
     def test_capabilities_describe_the_group(self):
         caps = get_backend("sharded").capabilities()
         assert "parallel" in caps["description"]
@@ -49,6 +52,7 @@ class TestRegistration:
             ShardedBackend(shard="diagonal")
 
 
+@pytest.mark.usefixtures("sharded_registered")
 class TestExecuteThroughFacade:
     def test_matches_fast(self, rng):
         op, handle, a = _prepared(rng)
@@ -59,9 +63,7 @@ class TestExecuteThroughFacade:
             atol=ATOL,
         )
 
-    def test_row_mode_backend(self, registry_snapshot, rng):
-        from repro.backends import register_backend
-
+    def test_row_mode_backend(self, rng):
         register_backend(
             ShardedBackend(
                 DeviceGroup.build("A100", devices=3), shard="row"
@@ -107,6 +109,7 @@ class TestExecuteThroughFacade:
         assert isinstance(verdict, str) and "row-parallel" in verdict
 
 
+@pytest.mark.usefixtures("sharded_registered")
 class TestComposedTraces:
     def test_trace_totals_match_single_device_invariants(self, rng):
         """Per-device analytic traces compose: the FMA total and the
@@ -186,6 +189,7 @@ class TestModeledSteps:
         assert by_shape.comm == by_handle.comm
 
 
+@pytest.mark.usefixtures("sharded_registered")
 class TestAutoRace:
     def test_sharded_enters_the_cost_race(self, rng):
         op, handle, a = _prepared(rng)

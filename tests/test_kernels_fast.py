@@ -119,6 +119,41 @@ class TestFastEquivalence:
         np.testing.assert_allclose(out, gold, rtol=RTOL, atol=ATOL)
 
 
+#: (pattern, k, n) cases for the window-group bound.  Both have a q
+#: the default group size does not divide at m=256, so the last group
+#: is partial; the second is the perfbench prefill lm-head scale
+#: (Llama-7B/8, k=512, 2:8 L=8) widened to q=501 windows.
+BLOCKING_CASES = [
+    (NMPattern(3, 8, vector_length=4), 24, 4 * 61),
+    (NMPattern(2, 8, vector_length=8), 512, 8 * 501),
+]
+
+
+class TestWindowGroupBlocking:
+    @pytest.mark.parametrize("m", [1, 256])
+    @pytest.mark.parametrize(
+        "pattern, k, n", BLOCKING_CASES, ids=["small", "prefill-scale"]
+    )
+    def test_bound_never_changes_the_bits(
+        self, pattern, k, n, m, monkeypatch
+    ):
+        """One window per group, the default L2-sized groups and one
+        group for the whole layer give bitwise-identical output: the
+        bound only decides which windows share a batched matmul."""
+        import repro.kernels.fast as fast_module
+
+        a, comp, _ = _setup(pattern, m, n, k)
+        layout = build_gather_layout(comp)
+        default_group = fast_module.GATHER_BUFFER_ELEMENTS // (layout.w * m)
+        if m == 256:
+            assert 1 < default_group < layout.q
+            assert layout.q % default_group != 0
+        blocked = nm_spmm_fast(a, layout)
+        for bound in (1, 1 << 30):
+            monkeypatch.setattr(fast_module, "GATHER_BUFFER_ELEMENTS", bound)
+            np.testing.assert_array_equal(nm_spmm_fast(a, layout), blocked)
+
+
 class TestFastShapeContract:
     def setup_method(self):
         self.pattern = NMPattern(2, 8, vector_length=4)

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sparsity.config import NMPattern
+
+#: The serving chaos fuzzer's long run (``tests/test_serve_fuzz.py``
+#: draws a few tier-1 examples unless this profile is loaded with
+#: ``--hypothesis-profile=serve-fuzz``).
+settings.register_profile("serve-fuzz", max_examples=300)
 
 
 @pytest.fixture

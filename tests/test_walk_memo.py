@@ -1,11 +1,15 @@
-"""The per-run model-mode walk memo: golden digests of canned model
-serving runs (modeled outputs, plan-cache stats, and — traced — the
-exported trace) that pricing each walk once per run must reproduce bit
-for bit, plus the cache invariants the memo rests on.
+"""Golden digests of canned serving runs — the per-run model-mode walk
+memo and the engine's one continuous-step path must reproduce them bit
+for bit — plus the cache invariants the memo rests on.
 
-The golden values in ``fixtures/walk_memo_golden.json`` were recorded
-with the per-layer walk (every walk re-priced through the plan cache).
-Regenerate them only for a change that is meant to move modeled
+Each case records the run's modeled outputs, plan-cache stats, launch
+counts and (traced) the exported trace.  The model-mode records were
+first taken with the per-layer walk (every walk re-priced through the
+plan cache); the plain-entry and faulted model-mode records were taken
+with one launch path per step kind (single projection, failed step,
+model step) before those paths became one step.  Cases that run
+numerics also check every served output against ``a @ pruned``.
+Regenerate the file only for a change that is meant to move modeled
 numbers::
 
     PYTHONPATH=src python tests/test_walk_memo.py > tests/fixtures/walk_memo_golden.json
@@ -13,10 +17,12 @@ numbers::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.obs import Tracer
@@ -24,6 +30,7 @@ from repro.obs.export import chrome_trace
 from repro.serve.loadgen import generate_requests
 from repro.serve.metrics import ServingMetrics
 from repro.serve.model_exec import long_context_summarization
+from repro.serve.scenarios import LlamaServingScenario, TrafficTier
 from repro.utils.cache import LRUCache
 
 GOLDEN = Path(__file__).parent / "fixtures" / "walk_memo_golden.json"
@@ -34,20 +41,36 @@ CHAOS = (
     "devfail:device=1,at=0.6"
 )
 
-#: case name -> (long_context_summarization overrides, Tracer kwargs or
-#: None for an untraced run)
+model = functools.partial(long_context_summarization, duration_s=1.0)
+mixed = LlamaServingScenario.mixed_prefill_decode
+tiered = functools.partial(
+    LlamaServingScenario.priority_tiered,
+    qps=1500.0, continuous=True, decode_fraction=0.5,
+)
+TIERS = (
+    TrafficTier(priority=1, slo_ms=20.0, share=0.3),
+    TrafficTier(priority=0, slo_ms=200.0, share=0.7),
+)
+
+#: case name -> (scenario factory, overrides, Tracer kwargs or None for
+#: an untraced run)
 CASES = {
-    "seed0": (dict(seed=0), None),
-    "seed4242": (dict(seed=4242), None),
-    "seed0-capacity4": (dict(seed=0, plan_cache_capacity=4), None),
-    "seed4242-capacity4": (dict(seed=4242, plan_cache_capacity=4), None),
+    "seed0": (model, dict(seed=0), None),
+    "seed4242": (model, dict(seed=4242), None),
+    "seed0-capacity4": (model, dict(seed=0, plan_cache_capacity=4), None),
+    "seed4242-capacity4": (
+        model, dict(seed=4242, plan_cache_capacity=4), None
+    ),
     # Some walks hit, others evict (27 live keys against 20 slots).
-    "seed0-capacity20": (dict(seed=0, plan_cache_capacity=20), None),
+    "seed0-capacity20": (
+        model, dict(seed=0, plan_cache_capacity=20), None
+    ),
     "chaos-2dev": (
-        dict(seed=0, devices=2, faults=CHAOS, resilience=True), None
+        model, dict(seed=0, devices=2, faults=CHAOS, resilience=True), None
     ),
     # The fail-stop re-shards onto two survivors (still distributed).
     "chaos-3dev": (
+        model,
         dict(
             seed=0, devices=3, resilience=True,
             faults="slow:device=2,factor=3,start=0.2,end=0.5;"
@@ -55,9 +78,86 @@ CASES = {
         ),
         None,
     ),
-    "traced": (dict(seed=0), {}),
+    "traced": (model, dict(seed=0), {}),
     "traced-chaos-2dev": (
+        model,
         dict(seed=0, devices=2, faults=CHAOS, resilience=True),
+        dict(sample_rate=0.5, sample_seed=7),
+    ),
+    # The no-memory-model baseline: overflow pays host-link thrash.
+    "model-kv-none": (model, dict(seed=0, kv_admission="none"), None),
+    # Failed model steps: residents burn attempts, prefills re-run.
+    "model-launch-faults": (
+        model,
+        dict(seed=0, faults="launch:p=0.3;seed=0", resilience=True),
+        None,
+    ),
+    "model-traced-launch-faults-2dev": (
+        model,
+        dict(
+            seed=0, devices=2, faults="launch:p=0.2;seed=1",
+            resilience=True,
+        ),
+        dict(sample_rate=0.5, sample_seed=7),
+    ),
+    # Plain single-projection entries: dynamic batches + plain steps.
+    "plain-fifo": (
+        mixed, dict(seed=0, duration_s=0.3, execute_numerics=True), None
+    ),
+    "plain-priority-row3": (
+        mixed,
+        dict(
+            seed=1, duration_s=0.3, scheduling="priority", tiers=TIERS,
+            devices=3, shard="row", execute_numerics=True,
+        ),
+        None,
+    ),
+    # Failed batches and failed steps, retried with backoff.
+    "plain-launch-faults-col2": (
+        tiered,
+        dict(
+            seed=0, duration_s=0.5, devices=2, shard="column",
+            faults="launch:p=0.2;seed=3", resilience=True,
+        ),
+        None,
+    ),
+    # Resilience off: the first fault fails every member for good.
+    "plain-launch-faults-no-resilience": (
+        tiered,
+        dict(
+            scheduling="fifo", seed=3, duration_s=0.4,
+            faults="launch:p=0.1;seed=5",
+        ),
+        None,
+    ),
+    # The fail-stop re-shards row-parallel onto two survivors.
+    "plain-devfail-row3": (
+        tiered,
+        dict(
+            seed=0, duration_s=0.5, devices=3, shard="row",
+            faults="launch:p=0.05;devfail:device=1,at=0.2;seed=3",
+            resilience=True,
+        ),
+        None,
+    ),
+    # ... and column-parallel onto one survivor (numerics stay sharded
+    # until then, single-device after).
+    "plain-devfail-col2": (
+        mixed,
+        dict(
+            seed=0, duration_s=0.4, devices=2, scheduling="slo-edf",
+            tiers=TIERS, faults="devfail:device=0,at=0.15",
+            resilience=True, execute_numerics=True,
+        ),
+        None,
+    ),
+    "plain-traced-chaos-row2": (
+        tiered,
+        dict(
+            seed=0, duration_s=0.5, devices=2, shard="row",
+            faults="launch:p=0.1;devfail:device=1,at=0.3;seed=4",
+            resilience=True,
+        ),
         dict(sample_rate=0.5, sample_seed=7),
     ),
 }
@@ -68,13 +168,18 @@ def _sha(payload: object) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _run(name: str):
+    """Run one case once per session: ``(scenario, report, tracer)``."""
+    factory, overrides, tracer_kwargs = CASES[name]
+    tracer = Tracer(**tracer_kwargs) if tracer_kwargs is not None else None
+    scenario = factory(tracer=tracer, **overrides)
+    return scenario, scenario.run(), tracer
+
+
 def case_record(name: str) -> dict:
     """Run one golden case and return its recorded figures."""
-    overrides, tracer_kwargs = CASES[name]
-    tracer = Tracer(**tracer_kwargs) if tracer_kwargs is not None else None
-    report = long_context_summarization(
-        duration_s=1.0, tracer=tracer, **overrides
-    ).run()
+    _, report, tracer = _run(name)
     m = report.metrics
     record = {
         "modeled_digest": _sha(
@@ -99,6 +204,13 @@ def case_record(name: str) -> dict:
         "steps": len(m.step_records),
         "reshards": len(m.reshard_records),
     }
+    # Model-mode runs launch no dynamic batches and (the recorded ones
+    # without a launch plan) no failed launch, so their records keep
+    # the original keys.
+    if m.batch_records:
+        record["batches"] = len(m.batch_records)
+    if m.failed_launches:
+        record["failed_launches"] = m.failed_launches
     if tracer is not None:
         names = [event.name for event in tracer.events]
         record["chrome_trace_sha256"] = _sha(chrome_trace(tracer))
@@ -120,6 +232,42 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_case_reproduces_golden(self, golden, name):
         assert case_record(name) == golden[name]
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(n for n in CASES if CASES[n][1].get("execute_numerics")),
+    )
+    def test_served_outputs_match_pruned_weights(self, name):
+        # Tolerance, not bits: BLAS summation order differs by host.
+        scenario, report, _ = _run(name)
+        server, _ = scenario.build_server()
+        completed = report.metrics.request_records
+        assert completed
+        for record in completed:
+            handle = server.model(record.request.model).handle
+            pruned = handle.dense()[: handle.k_logical, : handle.n_logical]
+            np.testing.assert_allclose(
+                record.output, record.request.a @ pruned,
+                rtol=1e-4, atol=1e-4,
+            )
+
+    def test_plain_cases_exercise_every_launch_path(self, golden):
+        # Failed batches and failed plain steps both run, with and
+        # without resilience, and both fail-stops re-shard.
+        for name in (
+            "plain-launch-faults-col2", "plain-launch-faults-no-resilience",
+        ):
+            steps, batches = _failed_counts(name)
+            assert steps > 0 and batches > 0, name
+        for name in (
+            "model-launch-faults", "model-traced-launch-faults-2dev",
+        ):
+            assert _failed_counts(name)[0] > 0, name
+        for name in (
+            "plain-devfail-row3", "plain-devfail-col2",
+            "plain-traced-chaos-row2",
+        ):
+            assert golden[name]["reshards"] == 1
 
     def test_cases_exercise_the_memo_boundaries(self, golden):
         # Capacity 4 evicts inside every walk (nothing may be replayed);
@@ -289,6 +437,15 @@ class TestWalkMemoAfterReshard:
         assert server._modeled_model_walk(
             entry, 64, fresh_state, 0.0
         ) == first
+
+
+def _failed_counts(name: str) -> "tuple[int, int]":
+    """``(failed steps, failed batches)`` of one case's run."""
+    m = _run(name)[1].metrics
+    return (
+        sum(s.failed for s in m.step_records),
+        sum(b.failed for b in m.batch_records),
+    )
 
 
 if __name__ == "__main__":

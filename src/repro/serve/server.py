@@ -25,7 +25,12 @@ with a discrete-event loop:
   through the real NumPy kernels.  A multi-step (decode-sequence)
   request charges one modeled launch per step: the dynamic path holds
   the whole batch until its longest member finishes, while the
-  continuous path re-forms the rolling batch between steps.
+  continuous path re-forms the rolling batch between steps;
+* every continuous step — a single projection's or a whole model's —
+  takes one path (``InferenceServer._step``): refill, form the batch,
+  price it, draw the launch fault, then either the failed-step
+  accounting or advance, records and spans.  Only a model entry's KV
+  phase and its pricing (prefill and decode layer walks) differ.
 
 With a :class:`~repro.faults.FaultPlan` attached, the run is subjected
 to seeded chaos — transient launch failures, device fail-stop and
@@ -90,6 +95,18 @@ __all__ = ["ModelEntry", "ServingReport", "InferenceServer"]
 DEFAULT_HOST_OVERHEAD_S = 10e-6
 
 
+def _add_per_device(
+    total: "tuple[float, ...]", seconds: "tuple[float, ...]"
+) -> "tuple[float, ...]":
+    """Per-device seconds summed device by device (``()`` — a
+    single-device launch — adds nothing)."""
+    if not total:
+        return tuple(seconds)
+    if not seconds:
+        return total
+    return tuple(a + b for a, b in zip(total, seconds, strict=True))
+
+
 @dataclass(frozen=True)
 class ModelEntry:
     """One registered weight matrix and its operator.
@@ -147,22 +164,17 @@ class ModelEntry:
                 f"{self.executor.pattern.label()}) "
                 f"gpu={self.op.gpu.name} {self.op.version.value}"
             )
-            if self.distributed:
-                sub = self.layers[0]
-                text += (
-                    f" [{sub.sharded.mode}-parallel x"
-                    f"{sub.sharded.devices} over {sub.group.link.name}]"
-                )
-            return text
-        text = (
-            f"{self.name}: {self.op.pattern.label()} "
-            f"k={self.k} n={self.n} gpu={self.op.gpu.name} "
-            f"{self.op.version.value}"
-        )
+        else:
+            text = (
+                f"{self.name}: {self.op.pattern.label()} "
+                f"k={self.k} n={self.n} gpu={self.op.gpu.name} "
+                f"{self.op.version.value}"
+            )
         if self.distributed:
+            placed = self.layers[0] if self.layers else self
             text += (
-                f" [{self.sharded.mode}-parallel x"
-                f"{self.sharded.devices} over {self.group.link.name}]"
+                f" [{placed.sharded.mode}-parallel x"
+                f"{placed.sharded.devices} over {placed.group.link.name}]"
             )
         return text
 
@@ -567,16 +579,7 @@ class InferenceServer:
             raise ServeError("model name must be nonempty")
         if name in self._models:
             raise ServeError(f"model {name!r} is already registered")
-        sharded = None
-        group = None
-        if self.devices > 1:
-            sharded = shard_handle(handle, self.devices, self.shard)
-            group = DeviceGroup(
-                gpu=op.gpu, devices=self.devices, link=self.link
-            )
-        entry = ModelEntry(
-            name=name, op=op, handle=handle, sharded=sharded, group=group
-        )
+        entry = self._placed(name, op, handle, self.devices)
         self._models[name] = entry
         return entry
 
@@ -605,31 +608,37 @@ class InferenceServer:
                 "model-mode serving decodes through the rolling batch; "
                 "build the server with continuous_batching=True"
             )
-        layers = []
-        for spec in executor.layers:
-            op, handle = spec.layer.op, spec.layer.handle
-            sharded = None
-            group = None
-            if self.devices > 1:
-                sharded = shard_handle(handle, self.devices, self.shard)
-                group = DeviceGroup(
-                    gpu=op.gpu, devices=self.devices, link=self.link
-                )
-            layers.append(
-                ModelEntry(
-                    name=f"{name}/{spec.name}", op=op, handle=handle,
-                    sharded=sharded, group=group,
-                )
+        layers = tuple(
+            self._placed(
+                f"{name}/{spec.name}", spec.layer.op, spec.layer.handle,
+                self.devices,
             )
+            for spec in executor.layers
+        )
         entry = ModelEntry(
             name=name,
             op=executor.layers[0].layer.op,
             handle=executor.layers[0].layer.handle,
             executor=executor,
-            layers=tuple(layers),
+            layers=layers,
         )
         self._models[name] = entry
         return entry
+
+    def _placed(
+        self, name: str, op: NMSpMM, handle: SparseHandle, devices: int
+    ) -> ModelEntry:
+        """A plain entry for ``handle`` placed on ``devices`` devices:
+        sharded tensor-parallel over a device group when there are at
+        least two, else a single-device entry (no partition, no
+        group)."""
+        if devices < 2:
+            return ModelEntry(name=name, op=op, handle=handle)
+        return ModelEntry(
+            name=name, op=op, handle=handle,
+            sharded=shard_handle(handle, devices, self.shard),
+            group=DeviceGroup(gpu=op.gpu, devices=devices, link=self.link),
+        )
 
     @property
     def model_names(self) -> list[str]:
@@ -750,12 +759,8 @@ class InferenceServer:
         tiers just because a low-priority decode request is queued."""
         keys = [
             request_order_key(entry.request, self.scheduling)
-            for entry in batcher.resident
+            for entry in (*batcher.resident, *batcher.preempted)
         ]
-        keys.extend(
-            request_order_key(entry.request, self.scheduling)
-            for entry in batcher.preempted
-        )
         if queue:
             keys.append(self._queue_key(queue))
         return min(keys)
@@ -767,7 +772,9 @@ class InferenceServer:
         )
 
     # ------------------------------------------------------------------
-    # Launch accounting (shared by the dynamic and continuous paths)
+    # Launch accounting: metric handles, plan lookups, modeled launch
+    # prices and spans shared by the dynamic batch (``_launch``) and
+    # the one continuous step (``_step``)
     # ------------------------------------------------------------------
     def _bm(
         self,
@@ -793,6 +800,36 @@ class InferenceServer:
             self._bound_metrics[key] = handle
         return handle
 
+    def _launch_metrics(self, model: str) -> tuple:
+        """``model``'s pre-bound ``(launch counter, launch-seconds
+        histogram)`` pair."""
+        handles = self._launch_metric_cache.get(model)
+        if handles is None:
+            handles = (
+                self._bm(
+                    "counter", "serve_launches_total",
+                    "batch/step launches", ("model", model),
+                ),
+                self._bm(
+                    "histogram", "serve_launch_seconds",
+                    "modeled GPU seconds per launch", ("model", model),
+                ),
+            )
+            self._launch_metric_cache[model] = handles
+        return handles
+
+    def _site_metric(
+        self, cache: dict, value: str, kind: str, name: str,
+        help_text: str, label: str,
+    ):
+        """:meth:`_bm` for ``(label, value)`` behind one call site's
+        ``cache``, keyed by the value alone."""
+        handle = cache.get(value)
+        if handle is None:
+            handle = self._bm(kind, name, help_text, (label, value))
+            cache[value] = handle
+        return handle
+
     def _cached_plan(self, cache: PlanCache, device: int, entry: ModelEntry,
                      handle: SparseHandle, padded_rows: int):
         """One plan-cache lookup, surfaced (when tracing) as a
@@ -805,14 +842,11 @@ class InferenceServer:
         hits_before = cache.stats.hits
         plan_entry = cache.lookup(entry.name, entry.op, handle, padded_rows)
         outcome = "hit" if cache.stats.hits > hits_before else "miss"
-        counter = self._plan_metric_cache.get(outcome)
-        if counter is None:
-            counter = self._bm(
-                "counter", "serve_plan_cache_total",
-                "plan-cache lookups by outcome", ("outcome", outcome),
-            )
-            self._plan_metric_cache[outcome] = counter
-        counter.inc()
+        self._site_metric(
+            self._plan_metric_cache, outcome, "counter",
+            "serve_plan_cache_total", "plan-cache lookups by outcome",
+            "outcome",
+        ).inc()
         if tr.sample():  # skip attr building on dropped traces
             tr.event(
                 f"plan_cache.{outcome}",
@@ -908,12 +942,12 @@ class InferenceServer:
         per_device: "tuple[float, ...]",
         comm: "CommEvent | None",
         model: str,
-        device_ids: "tuple[int, ...] | None" = None,
+        device_ids: "tuple[int, ...]",
+        rows: int,
+        gpu: str,
+        cost: "tuple[int, int, int]",
         failed: bool = False,
-        rows: "int | None" = None,
-        gpu: "str | None" = None,
-        cost: "tuple[int, int, int] | None" = None,
-    ):
+    ) -> None:
         """Record one launch's GPU-side spans: ``gpu.launch`` covering
         the full modeled busy time (so summed launch durations equal
         ``ServingMetrics.gpu_busy_s`` exactly), one nested
@@ -925,44 +959,27 @@ class InferenceServer:
         ``rows``/``gpu``/``cost`` enrich the ``gpu.launch`` span with
         the padded row count, the GPU-catalog name, and the launch's
         ``(flops, ldg_bytes, stg_bytes)`` — scaled by ``steps`` —
-        which ``trace attribute`` places on the roofline offline."""
-        handles = self._launch_metric_cache.get(model)
-        if handles is None:
-            handles = (
-                self._bm(
-                    "counter", "serve_launches_total",
-                    "batch/step launches", ("model", model),
-                ),
-                self._bm(
-                    "histogram", "serve_launch_seconds",
-                    "modeled GPU seconds per launch", ("model", model),
-                ),
-            )
-            self._launch_metric_cache[model] = handles
-        handles[0].inc()
-        handles[1].observe(steps * modeled_s)
+        which ``trace attribute`` places on the roofline offline;
+        ``device_ids`` names each shard's physical device."""
+        launches, launch_seconds = self._launch_metrics(model)
+        launches.inc()
+        launch_seconds.observe(steps * modeled_s)
         launch_end = start_s + steps * modeled_s
         if parent is not None and not parent.sampled:
             # metrics above are sampling-independent; the span tree of
             # an unsampled trace is never built.
             tr.advance(launch_end)
-            return None
-        extra = {"failed": True} if failed else {}
-        if rows is not None:
-            extra["rows"] = rows
-        if gpu is not None:
-            extra["gpu"] = gpu
-        if cost is not None:
-            extra["flops"] = steps * cost[0]
-            extra["ldg_bytes"] = steps * cost[1]
-            extra["stg_bytes"] = steps * cost[2]
+            return
         launch = tr.add_span(
             "gpu.launch", start_s, launch_end,
-            track="gpu", parent=parent, model=model, steps=steps, **extra,
+            track="gpu", parent=parent, model=model, steps=steps,
+            rows=rows, gpu=gpu, flops=steps * cost[0],
+            ldg_bytes=steps * cost[1], stg_bytes=steps * cost[2],
+            **({"failed": True} if failed else {}),
         )
         if launch.sampled:  # children of an unsampled trace never record
             for slot, seconds in enumerate(per_device):
-                device = device_ids[slot] if device_ids else slot
+                device = device_ids[slot]
                 tr.add_span(
                     "device.compute", start_s, start_s + steps * seconds,
                     track=f"device{device}", parent=launch,
@@ -975,7 +992,6 @@ class InferenceServer:
                     track="comm", parent=launch, model=model,
                     **comm.trace_attrs(),
                 )
-        return launch
 
     def _trace_queue_wait(
         self, tr: Tracer, request: InferenceRequest, started_s: float,
@@ -992,14 +1008,10 @@ class InferenceServer:
         it bounds the request's end-to-end interval, which the
         critical-path analyzer decomposes into queue / compute / comm
         / paging / retry-backoff buckets offline."""
-        hist = self._qwait_metric_cache.get(queue)
-        if hist is None:
-            hist = self._bm(
-                "histogram", "serve_queue_wait_seconds",
-                "queue wait per request", ("queue", queue),
-            )
-            self._qwait_metric_cache[queue] = hist
-        hist.observe(started_s - request.arrival_s)
+        self._site_metric(
+            self._qwait_metric_cache, queue, "histogram",
+            "serve_queue_wait_seconds", "queue wait per request", "queue",
+        ).observe(started_s - request.arrival_s)
         if keep is False:
             return
         tr.add_span(
@@ -1183,16 +1195,15 @@ class InferenceServer:
         resilience off, re-sharding disabled, or no survivors, in
         which case launches touching the device keep failing)."""
         res = state.resilience
-        survivors = [
+        survivors = tuple(
             d for d in range(self.devices) if d not in state.dead
-        ]
+        )
         if (
-            res is None
-            or not res.reshard
-            or not survivors
+            res is None or not res.reshard or not survivors
             or self.devices == 1
         ):
             return 0.0
+        n = len(survivors)
         tr = self.tracer
         blocked = t_s
         for name in sorted(self._models):
@@ -1202,56 +1213,41 @@ class InferenceServer:
             if device not in self._phys_devices(entry, state):
                 continue
             if entry.executor is not None:
-                new_entry = self._reshard_executor_entry(
-                    entry, survivors, state
+                # Each layer re-partitions its own handle.
+                layers = tuple(
+                    self._placed(sub.name, sub.op, sub.handle, n)
+                    for sub in entry.layers
+                )
+                state.device_map.update((sub.name, survivors) for sub in layers)
+                new_entry = ModelEntry(
+                    name=name, op=entry.op, handle=entry.handle,
+                    executor=entry.executor, layers=layers,
                 )
                 payload = entry.executor.weight_bytes
             else:
-                handle = entry.handle
-                if len(survivors) >= 2:
-                    sharded = shard_handle(
-                        handle, len(survivors), self.shard
-                    )
-                    group = DeviceGroup(
-                        gpu=entry.op.gpu, devices=len(survivors),
-                        link=self.link,
-                    )
-                    new_entry = ModelEntry(
-                        name=name, op=entry.op, handle=handle,
-                        sharded=sharded, group=group,
-                    )
-                else:
-                    new_entry = ModelEntry(
-                        name=name, op=entry.op, handle=handle
-                    )
-                payload = (
-                    handle.compressed.values.nbytes
-                    + handle.compressed.indices.nbytes
-                )
+                new_entry = self._placed(name, entry.op, entry.handle, n)
+                compressed = entry.handle.compressed
+                payload = compressed.values.nbytes + compressed.indices.nbytes
             state.overlay[name] = new_entry
-            state.device_map[name] = tuple(survivors)
+            state.device_map[name] = survivors
             recovery_s = (
-                payload / len(survivors) / self.link.bytes_per_s
-                + self.link.latency_s
+                payload / n / self.link.bytes_per_s + self.link.latency_s
             )
             state.metrics.add_reshard(
                 ReshardRecord(
-                    model=name,
-                    failed_device=device,
-                    survivors=len(survivors),
-                    at_s=blocked,
-                    recovery_s=recovery_s,
+                    model=name, failed_device=device, survivors=n,
+                    at_s=blocked, recovery_s=recovery_s,
                 )
             )
             if tr is not None:
                 tr.add_span(
                     "reshard", blocked, blocked + recovery_s,
                     track="engine", parent=None, model=name,
-                    failed_device=device, survivors=len(survivors),
+                    failed_device=device, survivors=n,
                 )
                 tr.event(
                     "reshard", t_s=blocked, track="engine", model=name,
-                    failed_device=device, survivors=len(survivors),
+                    failed_device=device, survivors=n,
                 )
                 tr.metrics.counter(
                     "serve_reshards_total", "health-driven re-shards"
@@ -1266,8 +1262,7 @@ class InferenceServer:
             # released above, and sequences that can no longer fit at
             # all are dropped by the step path's stall relief.
             state.memory.set_budget(
-                state.hbm_base_budget * len(survivors) // self.devices,
-                blocked,
+                state.hbm_base_budget * n // self.devices, blocked
             )
         # The plan caches key by (model, rows, gpu, version) — not by
         # handle — so plans built for the old shard geometry are stale.
@@ -1275,36 +1270,6 @@ class InferenceServer:
             cache.clear()
         state.resharded = True
         return blocked
-
-    def _reshard_executor_entry(
-        self, entry: ModelEntry, survivors: list, state: _RunState
-    ) -> ModelEntry:
-        """Rebuild a model-mode entry's per-layer sub-entries on the
-        surviving devices (each layer re-partitions its own handle)."""
-        new_layers = []
-        for layer in entry.layers:
-            if len(survivors) >= 2:
-                sharded = shard_handle(
-                    layer.handle, len(survivors), self.shard
-                )
-                group = DeviceGroup(
-                    gpu=layer.op.gpu, devices=len(survivors),
-                    link=self.link,
-                )
-                sub = ModelEntry(
-                    name=layer.name, op=layer.op, handle=layer.handle,
-                    sharded=sharded, group=group,
-                )
-            else:
-                sub = ModelEntry(
-                    name=layer.name, op=layer.op, handle=layer.handle
-                )
-            state.device_map[sub.name] = tuple(survivors)
-            new_layers.append(sub)
-        return ModelEntry(
-            name=entry.name, op=entry.op, handle=entry.handle,
-            executor=entry.executor, layers=tuple(new_layers),
-        )
 
     def _evict_model_residents(
         self, name: str, t_s: float, state: _RunState, *, reason: str
@@ -1369,24 +1334,33 @@ class InferenceServer:
             "serve_drops_total", "dropped requests by outcome"
         ).inc(outcome=outcome)
 
-    def _retry_or_fail(
+    def _spend_attempt(
         self, request: InferenceRequest, t_s: float, state: _RunState
-    ) -> None:
-        """After a failed launch: schedule a backoff retry for
-        ``request`` or, with the retry budget exhausted (or resilience
-        off), fail it terminally."""
+    ) -> bool:
+        """Charge ``request`` one failed launch attempt and return
+        whether it may try again.  With its retry budget exhausted (or
+        resilience off) it is failed terminally here."""
         attempts = state.attempts.get(request.request_id, 0) + 1
         state.attempts[request.request_id] = attempts
         res = state.resilience
         if res is not None and attempts <= res.max_retries:
+            return True
+        state.attempts[request.request_id] = attempts - 1
+        self._drop(request, "failed", t_s, state, attempts=attempts)
+        return False
+
+    def _retry_or_fail(
+        self, request: InferenceRequest, t_s: float, state: _RunState
+    ) -> None:
+        """After a failed launch: schedule a backoff retry for
+        ``request``, or fail it terminally."""
+        if self._spend_attempt(request, t_s, state):
+            attempts = state.attempts[request.request_id]
             u = float(state.rng.random())
-            ready_s = t_s + res.backoff_s(attempts, u)
+            ready_s = t_s + state.resilience.backoff_s(attempts, u)
             heapq.heappush(
                 state.retry_heap, (ready_s, request.request_id, request)
             )
-        else:
-            state.attempts[request.request_id] = attempts - 1
-            self._drop(request, "failed", t_s, state, attempts=attempts)
 
     def _admit_retries(
         self,
@@ -1444,10 +1418,7 @@ class InferenceServer:
                         state.deadlines[request.request_id],
                         state, where=where,
                     )
-        if state.retry_heap and any(
-            expired(item[2]) for item in state.retry_heap
-        ):
-            kept = []
+        if any(expired(item[2]) for item in state.retry_heap):
             for item in state.retry_heap:
                 if expired(item[2]):
                     self._drop(
@@ -1455,9 +1426,9 @@ class InferenceServer:
                         state.deadlines[item[2].request_id],
                         state, where="retry",
                     )
-                else:
-                    kept.append(item)
-            state.retry_heap = kept
+            state.retry_heap = [
+                item for item in state.retry_heap if not expired(item[2])
+            ]
             heapq.heapify(state.retry_heap)
         tr = self.tracer
         for name, cb in continuous.items():
@@ -1625,14 +1596,11 @@ class InferenceServer:
                 target.push(request)
                 if tracer is not None:
                     queue_name = "decode" if decode else "prefill"
-                    admitted = self._admit_metric_cache.get(queue_name)
-                    if admitted is None:
-                        admitted = self._bm(
-                            "counter", "serve_requests_admitted_total",
-                            "admitted requests", ("queue", queue_name),
-                        )
-                        self._admit_metric_cache[queue_name] = admitted
-                    admitted.inc()
+                    self._site_metric(
+                        self._admit_metric_cache, queue_name, "counter",
+                        "serve_requests_admitted_total", "admitted requests",
+                        "queue",
+                    ).inc()
                     if tracer.sample():
                         tracer.event(
                             "request.admit",
@@ -1683,23 +1651,10 @@ class InferenceServer:
                     gpu_free_s = self._launch(
                         prefill_queues[name], batcher, t, state
                     )
-                elif self._entry(name, state).executor is not None:
-                    gpu_free_s = self._launch_model_step(
-                        name,
-                        decode_queues[name],
-                        continuous[name],
-                        batcher,
-                        t,
-                        state,
-                    )
                 else:
-                    gpu_free_s = self._launch_step(
-                        name,
-                        decode_queues[name],
-                        continuous[name],
-                        batcher,
-                        t,
-                        state,
+                    gpu_free_s = self._step(
+                        name, decode_queues[name], continuous[name],
+                        batcher, t, state,
                     )
                 clock_s = t
                 continue
@@ -1812,81 +1767,38 @@ class InferenceServer:
         device_ids = self._phys_devices(entry, state)
 
         fail_device = self._launch_fault(entry, start_s, state)
-        if fail_device is not None:
-            finished_s = start_s + step_s
-            if tr is not None:
-                batch_span = tr.add_span(
-                    "serve.batch", start_s, finished_s,
-                    track="engine", parent=None, kind="prefill",
-                    steps=1, failed=True, **batch.trace_attrs(),
-                )
-                self._trace_launch(
-                    tr, batch_span, start_s, 1, modeled_s,
-                    per_device, comm, batch.model,
-                    device_ids=device_ids, failed=True,
-                    rows=batch.padded_rows, gpu=entry.op.gpu.name,
-                    cost=cost,
-                )
-            metrics.add_batch(
-                BatchRecord(
-                    batch_id=batch.batch_id,
-                    model=batch.model,
-                    n_requests=batch.n_requests,
-                    rows=batch.rows,
-                    padded_rows=batch.padded_rows,
-                    started_s=start_s,
-                    finished_s=finished_s,
-                    modeled_gpu_s=modeled_s,
-                    per_device_gpu_s=per_device,
-                    comm_s=comm_s,
-                    failed=True,
-                )
-            )
-            for request in batch.requests:
-                self._retry_or_fail(request, finished_s, state)
-            blocked = self._note_launch_failed(fail_device, finished_s, state)
-            return max(finished_s, blocked)
-
-        self._note_launch_ok(entry, state)
-        max_steps = max(request.steps for request in batch.requests)
-        finished_s = start_s + max_steps * step_s
-
+        failed = fail_device is not None
         outputs: "list[np.ndarray] | None" = None
-        if self.execute_numerics:
-            outputs = self._execute_batch(entry, batch, plan)
+        if failed:
+            steps = 1
+        else:
+            self._note_launch_ok(entry, state)
+            steps = max(request.steps for request in batch.requests)
+            if self.execute_numerics:
+                outputs = self._execute_batch(entry, batch, plan)
+        finished_s = start_s + steps * step_s
 
         if tr is not None:
-            keep = tr.sample()
+            # A failed batch draws its sampling decision in add_span.
+            keep = None if failed else tr.sample()
             batch_span = tr.add_span(
                 "serve.batch", start_s, finished_s,
-                track="engine", parent=None, keep=True, kind="prefill",
-                steps=max_steps, **batch.trace_attrs(),
-            ) if keep else tr.add_span(
-                # Dropped trace: record nothing, still advance the clock.
-                "serve.batch", start_s, finished_s, parent=None, keep=False,
+                track="engine", parent=None, keep=keep, kind="prefill",
+                steps=steps, **({"failed": True} if failed else {}),
+                **batch.trace_attrs(),
             )
-            for request in batch.requests:
-                self._trace_queue_wait(
-                    tr, request, start_s, "prefill", keep=keep,
-                    finished_s=start_s + request.steps * step_s,
-                )
+            if not failed:
+                for request in batch.requests:
+                    self._trace_queue_wait(
+                        tr, request, start_s, "prefill", keep=keep,
+                        finished_s=start_s + request.steps * step_s,
+                    )
             self._trace_launch(
-                tr, batch_span, start_s, max_steps, modeled_s,
-                per_device, comm, batch.model, device_ids=device_ids,
-                rows=batch.padded_rows, gpu=entry.op.gpu.name, cost=cost,
+                tr, batch_span, start_s, steps, modeled_s, per_device,
+                comm, batch.model, device_ids, batch.padded_rows,
+                entry.op.gpu.name, cost, failed=failed,
             )
 
-        for idx, request in enumerate(batch.requests):
-            metrics.add_request(
-                RequestRecord(
-                    request=request,
-                    batch_id=batch.batch_id,
-                    started_s=start_s,
-                    finished_s=start_s + request.steps * step_s,
-                    output=None if outputs is None else outputs[idx],
-                    retries=state.attempts.get(request.request_id, 0),
-                )
-            )
         metrics.add_batch(
             BatchRecord(
                 batch_id=batch.batch_id,
@@ -1896,16 +1808,50 @@ class InferenceServer:
                 padded_rows=batch.padded_rows,
                 started_s=start_s,
                 finished_s=finished_s,
-                modeled_gpu_s=max_steps * modeled_s,
+                modeled_gpu_s=steps * modeled_s,
                 per_device_gpu_s=tuple(
-                    max_steps * seconds for seconds in per_device
+                    steps * seconds for seconds in per_device
                 ),
-                comm_s=max_steps * comm_s,
+                comm_s=steps * comm_s,
+                failed=failed,
             )
         )
+        if failed:
+            for request in batch.requests:
+                self._retry_or_fail(request, finished_s, state)
+            blocked = self._note_launch_failed(fail_device, finished_s, state)
+            return max(finished_s, blocked)
+        for idx, request in enumerate(batch.requests):
+            self._complete(
+                request, batch.batch_id, start_s,
+                start_s + request.steps * step_s, outputs, idx, state,
+            )
         return finished_s
 
-    def _launch_step(
+    def _complete(
+        self,
+        request: InferenceRequest,
+        batch_id: int,
+        started_s: float,
+        finished_s: float,
+        outputs: "list[np.ndarray] | None",
+        idx: int,
+        state: _RunState,
+    ) -> None:
+        """Record ``request``'s completion (its output is slice ``idx``
+        of the launch's ``outputs`` when numerics ran)."""
+        state.metrics.add_request(
+            RequestRecord(
+                request=request,
+                batch_id=batch_id,
+                started_s=started_s,
+                finished_s=finished_s,
+                output=None if outputs is None else outputs[idx],
+                retries=state.attempts.get(request.request_id, 0),
+            )
+        )
+
+    def _step(
         self,
         name: str,
         queue: RequestQueue,
@@ -1915,57 +1861,120 @@ class InferenceServer:
         state: _RunState,
     ) -> float:
         """Run one continuous-batching engine step for ``name`` at
-        ``start_s``: refill the rolling batch, execute the resident
-        rows, evict finished sequences, and return when the GPU frees
-        up.
+        ``start_s`` and return when the GPU frees up.  Plain and model
+        entries run the same sequence on the simulated clock:
 
-        Under an injected launch fault no sequence advances (the GPU
-        time is still spent): retry-exhausted residents are evicted
-        and failed, the survivors stay resident, and the model backs
-        off (``holdoff``) before its next step."""
+        1. refill the rolling batch (a model entry through its KV
+           phase, :meth:`_refill_kv`);
+        2. form the step's batch;
+        3. price it: one modeled launch, or a model entry's prefill and
+           decode walks (:meth:`_price_model_step`);
+        4. draw the launch fault;
+        5. on a fault no sequence advances (the GPU time is still
+           spent): every resident burns an attempt, the retry-exhausted
+           ones are evicted and failed, the rest stay resident (their
+           prefills re-run) and the model backs off (``holdoff``).
+           Otherwise finished sequences leave and free their KV and
+           survivors' KV grows a token.  Spans, request records and
+           the step record follow either way.
+        """
         metrics = state.metrics
         entry = self._entry(name, state)
+        ex = entry.executor
+        mem = state.memory
         tr = self.tracer
         if tr is not None:
             tr.advance(start_s)
-        joined, preempted = cb.refill(queue, start_s)
+        kv_evicted = 0
+        if ex is None:
+            joined, preempted = cb.refill(queue, start_s)
+        else:
+            refilled = self._refill_kv(
+                name, queue, cb, ex.kv_bytes_per_token, start_s, state
+            )
+            if refilled is None:
+                return start_s
+            joined, preempted, kv_evicted = refilled
         batch = cb.form_step(
             batcher.allocate_batch_id(),
             stack=self.execute_numerics,
             pad_to_k=entry.handle.k,
         )
-        modeled_gpu_s, per_device, comm, plan, cost = self._modeled_launch(
-            entry, batch.padded_rows, state, start_s
-        )
-        comm_s = 0.0 if comm is None else comm.seconds
+        walks: "list | tuple" = ()
+        prefill_s = thrash_s = 0.0
+        if ex is None:
+            modeled_gpu_s, per_device, comm, plan, cost = self._modeled_launch(
+                entry, batch.padded_rows, state, start_s
+            )
+            comm_s = 0.0 if comm is None else comm.seconds
+        else:
+            (
+                modeled_gpu_s, per_device, comm_s, walks, prefill_s,
+                thrash_s,
+            ) = self._price_model_step(entry, cb, batch, start_s, state)
+            comm = plan = cost = None
         finished_s = start_s + modeled_gpu_s + self.host_overhead_s
         device_ids = self._phys_devices(entry, state)
 
         fail_device = self._launch_fault(entry, start_s, state)
-        if fail_device is not None:
-            return self._failed_step(
-                name, cb, batch, start_s, finished_s, modeled_gpu_s,
-                per_device, comm, comm_s, joined, preempted,
-                fail_device, device_ids, state, cost=cost,
-                gpu=entry.op.gpu.name,
-            )
-        self._note_launch_ok(entry, state)
-        state.cb_streak[name] = 0
-
+        failed = fail_device is not None
         outputs: "list[np.ndarray] | None" = None
-        if self.execute_numerics:
-            outputs = self._execute_batch(entry, batch, plan)
-
-        finished_entries = cb.advance()
-        if tr is not None:
-            keep = tr.sample()
-            if keep:
-                step_span = tr.add_span(
-                    "serve.step", start_s, finished_s,
-                    track="engine", parent=None, keep=True, kind="decode",
-                    joined=joined, evicted=len(finished_entries),
-                    preempted=preempted, **batch.trace_attrs(),
+        res = state.resilience
+        if failed:
+            finished: list = []
+            dropped: set[int] = set()
+            for inflight in cb.resident:
+                request = inflight.request
+                if not self._spend_attempt(request, finished_s, state):
+                    dropped.add(request.request_id)
+            if dropped:
+                cb.cancel_where(lambda r: r.request_id in dropped)
+            if res is not None:
+                streak = state.cb_streak.get(name, 0) + 1
+                state.cb_streak[name] = streak
+                u = float(state.rng.random())
+                state.holdoff[name] = finished_s + res.backoff_s(
+                    min(streak, 6), u
                 )
+            # Nothing advanced: this step's prefills run again.
+            for inflight, *_ in walks[:-1]:
+                inflight.needs_prefill = True
+            evicted = len(dropped)
+        else:
+            self._note_launch_ok(entry, state)
+            state.cb_streak[name] = 0
+            if self.execute_numerics:
+                outputs = self._execute_batch(entry, batch, plan)
+            finished = cb.advance()
+            if ex is not None:
+                for _, inflight in finished:
+                    mem.release_kv(inflight.request.request_id, finished_s)
+                bpt = ex.kv_bytes_per_token
+                for inflight in cb.resident:
+                    mem.grow_kv(inflight.request.request_id, bpt, finished_s)
+            evicted = len(finished)
+
+        if tr is not None:
+            # A failed step draws its sampling decision in add_span.
+            keep = None if failed else tr.sample()
+            attrs = batch.trace_attrs()
+            if failed:
+                attrs["failed"] = True
+            elif ex is not None:
+                attrs["kv_evicted"] = kv_evicted
+            step_span = tr.add_span(
+                "serve.step", start_s, finished_s, track="engine",
+                parent=None, keep=keep,
+                # A failed step is one decode-kind launch in either mode.
+                kind="model" if "kv_evicted" in attrs else "decode",
+                joined=joined, evicted=evicted, preempted=preempted,
+                **attrs,
+            )
+            if keep:
+                if walks:
+                    self._trace_walks(
+                        tr, step_span, entry, walks, thrash_s, start_s, mem
+                    )
                 if joined:
                     tr.event(
                         "cb.join", t_s=start_s, track="engine",
@@ -1976,118 +1985,13 @@ class InferenceServer:
                         "cb.preempt", t_s=start_s, track="engine",
                         keep=True, model=name, count=preempted,
                     )
-                if finished_entries:
-                    tr.event(
-                        "cb.evict", t_s=finished_s, track="engine",
-                        keep=True, model=name, count=len(finished_entries),
-                    )
-            else:
-                step_span = tr.add_span(
-                    "serve.step", start_s, finished_s, parent=None,
-                    keep=False,
-                )
-            for _, inflight in finished_entries:
-                self._trace_queue_wait(
-                    tr, inflight.request, inflight.joined_s, "decode",
-                    keep=keep, finished_s=finished_s,
-                )
-            self._trace_launch(
-                tr, step_span, start_s, 1, modeled_gpu_s,
-                per_device, comm, name, device_ids=device_ids,
-                rows=batch.padded_rows, gpu=entry.op.gpu.name, cost=cost,
-            )
-        for idx, inflight in finished_entries:
-            metrics.add_request(
-                RequestRecord(
-                    request=inflight.request,
-                    batch_id=batch.batch_id,
-                    started_s=inflight.joined_s,
-                    finished_s=finished_s,
-                    output=None if outputs is None else outputs[idx],
-                    retries=state.attempts.get(
-                        inflight.request.request_id, 0
-                    ),
-                )
-            )
-        metrics.add_step(
-            StepRecord(
-                step_id=batch.batch_id,
-                model=name,
-                n_resident=batch.n_requests,
-                rows=batch.rows,
-                padded_rows=batch.padded_rows,
-                joined=joined,
-                evicted=len(finished_entries),
-                preempted=preempted,
-                started_s=start_s,
-                finished_s=finished_s,
-                modeled_gpu_s=modeled_gpu_s,
-                per_device_gpu_s=per_device,
-                comm_s=comm_s,
-            )
-        )
-        return finished_s
-
-    def _failed_step(
-        self,
-        name: str,
-        cb: ContinuousBatcher,
-        batch,
-        start_s: float,
-        finished_s: float,
-        modeled_gpu_s: float,
-        per_device: "tuple[float, ...]",
-        comm: "CommEvent | None",
-        comm_s: float,
-        joined: int,
-        preempted: int,
-        fail_device: int,
-        device_ids: tuple,
-        state: _RunState,
-        cost: "tuple[int, int, int] | None" = None,
-        gpu: "str | None" = None,
-    ) -> float:
-        """Account one continuous step that suffered a launch fault:
-        GPU time spent, no sequence advanced.  Every resident sequence
-        burns one attempt; the retry-exhausted ones are evicted (their
-        rows free immediately) and failed, the rest stay resident for
-        the next step after the model's backoff holdoff."""
-        metrics = state.metrics
-        tr = self.tracer
-        res = state.resilience
-        dropped_ids: set[int] = set()
-        for inflight in cb.resident:
-            request = inflight.request
-            attempts = state.attempts.get(request.request_id, 0) + 1
-            state.attempts[request.request_id] = attempts
-            if res is None or attempts > res.max_retries:
-                state.attempts[request.request_id] = attempts - 1
-                dropped_ids.add(request.request_id)
-                self._drop(
-                    request, "failed", finished_s, state, attempts=attempts
-                )
-        if dropped_ids:
-            cb.cancel_where(lambda r: r.request_id in dropped_ids)
-        if res is not None:
-            streak = state.cb_streak.get(name, 0) + 1
-            state.cb_streak[name] = streak
-            u = float(state.rng.random())
-            state.holdoff[name] = finished_s + res.backoff_s(
-                min(streak, 6), u
-            )
-        if tr is not None:
-            step_span = tr.add_span(
-                "serve.step", start_s, finished_s,
-                track="engine", parent=None, kind="decode",
-                joined=joined, evicted=len(dropped_ids),
-                preempted=preempted, failed=True, **batch.trace_attrs(),
-            )
-            if dropped_ids:
+            if evicted and keep is not False:
                 tr.event(
-                    "cb.evict", t_s=finished_s, track="engine",
-                    model=name, count=len(dropped_ids), reason="failed",
+                    "cb.evict", t_s=finished_s, track="engine", keep=keep,
+                    model=name, count=evicted,
+                    **({"reason": "failed"} if failed else {}),
                 )
-            if res is not None and cb.has_work:
+            if failed and res is not None and cb.has_work:
                 tr.event(
                     "retry.attempt", t_s=finished_s, track="engine",
                     model=name, count=len(cb.resident),
@@ -2096,10 +2000,48 @@ class InferenceServer:
                 tr.metrics.counter(
                     "serve_retries_total", "launch-failure retries"
                 ).inc(model=name)
-            self._trace_launch(
-                tr, step_span, start_s, 1, modeled_gpu_s,
-                per_device, comm, name, device_ids=device_ids, failed=True,
-                rows=batch.padded_rows, gpu=gpu, cost=cost,
+            for _, inflight in finished:
+                self._trace_queue_wait(
+                    tr, inflight.request, inflight.joined_s, "decode",
+                    keep=keep, finished_s=finished_s,
+                )
+            if walks and not failed:
+                # Each layer already has its own gpu.launch span.
+                launches, launch_seconds = self._launch_metrics(name)
+                launches.inc()
+                launch_seconds.observe(modeled_gpu_s)
+            else:
+                if walks:
+                    # A failed model step is one launch span: its walks'
+                    # layer costs summed.
+                    costs = [c for *_, spans in walks for *_, c in spans]
+                    cost = tuple(sum(c[i] for c in costs) for i in range(3))
+                self._trace_launch(
+                    tr, step_span, start_s, 1, modeled_gpu_s, per_device,
+                    comm, name, device_ids, batch.padded_rows,
+                    entry.op.gpu.name, cost, failed=failed,
+                )
+
+        end_s = finished_s
+        if failed:
+            end_s = max(
+                finished_s,
+                self._note_launch_failed(fail_device, finished_s, state),
+            )
+            if ex is not None:
+                # Sequences a re-shard evicted inside the call above
+                # freed their KV there already.
+                for rid in sorted(dropped):
+                    mem.release_kv(rid, finished_s)
+        if tr is not None and ex is not None:
+            self._site_metric(
+                self._kv_gauge_cache, name, "gauge", "serve_kv_bytes",
+                "resident KV-cache bytes", "model",
+            ).set(float(mem.kv_bytes))
+        for idx, inflight in finished:
+            self._complete(
+                inflight.request, batch.batch_id, inflight.joined_s,
+                finished_s, outputs, idx, state,
             )
         metrics.add_step(
             StepRecord(
@@ -2109,18 +2051,21 @@ class InferenceServer:
                 rows=batch.rows,
                 padded_rows=batch.padded_rows,
                 joined=joined,
-                evicted=len(dropped_ids),
+                evicted=evicted,
                 preempted=preempted,
                 started_s=start_s,
                 finished_s=finished_s,
                 modeled_gpu_s=modeled_gpu_s,
                 per_device_gpu_s=per_device,
                 comm_s=comm_s,
-                failed=True,
+                failed=failed,
+                prefill_s=prefill_s,
+                thrash_s=thrash_s,
+                kv_evicted=kv_evicted,
+                kv_bytes=0 if ex is None else mem.kv_bytes,
             )
         )
-        blocked = self._note_launch_failed(fail_device, finished_s, state)
-        return max(finished_s, blocked)
+        return end_s
 
     # ------------------------------------------------------------------
     # Model-mode serving (ModelExecutor entries)
@@ -2195,7 +2140,7 @@ class InferenceServer:
         :meth:`_modeled_launch`) and sum them into a walk."""
         total = 0.0
         comm_total = 0.0
-        per_device: "list[float] | None" = None
+        per_device: "tuple[float, ...]" = ()
         spans = []
         for sub in entry.layers:
             seconds, pd, comm, _, cost = self._modeled_launch(
@@ -2205,83 +2150,35 @@ class InferenceServer:
             total += seconds
             if comm is not None:
                 comm_total += comm.seconds
-            if pd:
-                if per_device is None:
-                    per_device = list(pd)
-                else:
-                    per_device = [a + b for a, b in zip(per_device, pd, strict=True)]
-        return total, tuple(spans), tuple(per_device or ()), comm_total
+            per_device = _add_per_device(per_device, pd)
+        return total, tuple(spans), per_device, comm_total
 
-    def _drop_hopeless_model_work(
+    def _refill_kv(
         self,
         name: str,
         queue: RequestQueue,
         cb: ContinuousBatcher,
-        mem: DeviceMemoryModel,
         bpt: int,
-        t_s: float,
-        state: _RunState,
-    ) -> None:
-        """After a budget shrink, drop every sequence of ``name`` that
-        can never fit even with all KV drained — queued as ``shed``,
-        mid-flight as ``failed`` — so the event loop cannot stall on
-        permanently inadmissible work."""
-
-        def hopeless(request: InferenceRequest) -> bool:
-            lifetime = (request.prompt_len + request.max_new_tokens) * bpt
-            return mem.weight_bytes + lifetime > mem.budget_bytes
-
-        for request in queue.remove_where(hopeless):
-            self._drop(request, "shed", t_s, state, reason="kv-overflow")
-        doomed = [e for e in cb.preempted if hopeless(e.request)]
-        if doomed:
-            ids = {e.request.request_id for e in doomed}
-            cb.cancel_where(lambda r: r.request_id in ids)
-            state.metrics.cancelled_evictions += len(doomed)
-            for inflight in doomed:
-                self._drop(
-                    inflight.request, "failed", t_s, state,
-                    reason="kv-overflow",
-                )
-
-    def _launch_model_step(
-        self,
-        name: str,
-        queue: RequestQueue,
-        cb: ContinuousBatcher,
-        batcher: DynamicBatcher,
         start_s: float,
         state: _RunState,
-    ) -> float:
-        """Run one model-mode engine step for ``name`` at ``start_s``.
-
-        Order of operations, all on the simulated clock:
+    ) -> "tuple[int, int, int] | None":
+        """A model entry's refill, with its KV phase:
 
         1. refill the rolling batch behind the KV admission gate
            (``kv-aware`` only) and release the KV of anything the
            refill preempted;
         2. reserve KV for residents that need (re)prefill;
         3. memory-pressure eviction: while the coming growth (one
-           token per resident) would overflow the budget, preempt the
-           victim with the lowest priority and cheapest modeled
-           re-prefill — resident bytes never exceed the budget;
-        4. charge modeled time: one gather-GEMM launch per layer for
-           each (re)prefill at the sequence's token count, plus one
-           per-layer decode walk of the whole batch, plus — under the
-           ``none`` baseline — host-link thrash for the overflow;
-        5. advance: finished sequences release their KV, survivors
-           grow by one token.
-        """
-        metrics = state.metrics
-        entry = self._entry(name, state)
-        ex = entry.executor
+           token per resident, ``bpt`` bytes each) would overflow the
+           budget, preempt the victim with the lowest priority and
+           cheapest modeled re-prefill — resident bytes never exceed
+           the budget.
+
+        Returns ``(joined, preempted, kv_evicted)``, or ``None`` when
+        nothing is left resident to step (a model that still has work
+        then waits out a short holdoff)."""
         mem = state.memory
         tr = self.tracer
-        if tr is not None:
-            tr.advance(start_s)
-        bpt = ex.kv_bytes_per_token
-        run_policy = cb.policy
-
         gate = None
         if mem.enforce:
             pending = 0
@@ -2303,43 +2200,47 @@ class InferenceServer:
         for waiting in cb.preempted:
             mem.release_kv(waiting.request.request_id, start_s)
 
-        if not cb.resident and (queue or cb.preempted):
+        if not cb.resident and (queue or cb.preempted) and mem.enforce:
             # Every waiter is memory-blocked with nothing resident to
             # drain.  Anything that cannot fit even alone (possible
-            # only after a fail-stop shrank the budget) is dropped;
-            # the rest waits out other models' KV via a short holdoff
-            # so the event loop keeps advancing.
-            if mem.enforce:
-                self._drop_hopeless_model_work(
-                    name, queue, cb, mem, bpt, start_s, state
+            # only after a fail-stop shrank the budget) is dropped —
+            # queued as ``shed``, mid-flight as ``failed`` — so the
+            # event loop cannot stall on it; the rest waits out other
+            # models' KV via a short holdoff.
+            def hopeless(request: InferenceRequest) -> bool:
+                lifetime = (request.prompt_len + request.max_new_tokens) * bpt
+                return mem.weight_bytes + lifetime > mem.budget_bytes
+
+            for request in queue.remove_where(hopeless):
+                self._drop(
+                    request, "shed", start_s, state, reason="kv-overflow"
                 )
-                joined2, preempted2 = cb.refill(queue, start_s, gate=gate)
-                joined += joined2
-                preempted += preempted2
-                for waiting in cb.preempted:
-                    mem.release_kv(waiting.request.request_id, start_s)
-            if not cb.resident:
-                if queue or cb.has_work:
-                    state.holdoff[name] = start_s + max(
-                        self.host_overhead_s, 1e-6
+            doomed = [e for e in cb.preempted if hopeless(e.request)]
+            if doomed:
+                ids = {e.request.request_id for e in doomed}
+                cb.cancel_where(lambda r: r.request_id in ids)
+                state.metrics.cancelled_evictions += len(doomed)
+                for inflight in doomed:
+                    self._drop(
+                        inflight.request, "failed", start_s, state,
+                        reason="kv-overflow",
                     )
-                return start_s
+            joined2, preempted2 = cb.refill(queue, start_s, gate=gate)
+            joined += joined2
+            preempted += preempted2
+            for waiting in cb.preempted:
+                mem.release_kv(waiting.request.request_id, start_s)
 
-        # (2) KV reservation for fresh joins and post-eviction rejoins.
         for inflight in cb.resident:
-            if inflight.needs_prefill:
-                request = inflight.request
-                if request.request_id not in mem.kv:
-                    mem.reserve_kv(
-                        request.request_id,
-                        (request.prompt_len + inflight.completed_steps)
-                        * bpt,
-                        start_s,
-                    )
-
-        # (3) Memory-pressure eviction ahead of this step's growth.
+            request = inflight.request
+            if inflight.needs_prefill and request.request_id not in mem.kv:
+                mem.reserve_kv(
+                    request.request_id,
+                    (request.prompt_len + inflight.completed_steps) * bpt,
+                    start_s,
+                )
         kv_evicted = 0
-        if mem.enforce:
+        if cb.resident and mem.enforce:
             growth = len(cb.resident) * bpt
             while mem.resident_bytes + growth > mem.budget_bytes:
                 if len(cb.resident) > 1:
@@ -2374,258 +2275,122 @@ class InferenceServer:
                     cb.cancel_where(
                         lambda r: r.request_id == lone.request.request_id
                     )
-                    metrics.cancelled_evictions += 1
+                    state.metrics.cancelled_evictions += 1
                     mem.release_kv(lone.request.request_id, start_s)
                     self._drop(
                         lone.request, "failed", start_s, state,
                         reason="kv-overflow",
                     )
                 growth -= bpt
-            if not cb.resident:
-                if queue or cb.has_work:
-                    state.holdoff[name] = start_s + max(
-                        self.host_overhead_s, 1e-6
-                    )
-                return start_s
+        if not cb.resident:
+            if queue or cb.has_work:
+                state.holdoff[name] = start_s + max(
+                    self.host_overhead_s, 1e-6
+                )
+            return None
+        return joined, preempted, kv_evicted
 
-        # (4) Modeled time: per-sequence (re)prefills, then one decode
-        # walk of the whole rolling batch.
-        prefills = []  # (inflight, tokens, seconds, layer_spans)
+    def _price_model_step(
+        self,
+        entry: ModelEntry,
+        cb: ContinuousBatcher,
+        batch,
+        start_s: float,
+        state: _RunState,
+    ) -> "tuple[float, tuple[float, ...], float, list, float, float]":
+        """Price one model-mode step: ``(modeled_gpu_s, per_device_s,
+        comm_s, walks, prefill_s, thrash_s)``.
+
+        Every resident that needs (re)prefill walks the layer stack at
+        its token count, in batch order; then the whole batch walks it
+        once to decode.  ``walks`` holds ``(inflight, tokens, rows,
+        seconds, layer_spans)`` per prefill, then ``(None, batch.rows,
+        batch.padded_rows, seconds, layer_spans)`` for the decode walk.
+        Under the ``none`` baseline, KV growth past the budget spills
+        to host memory and reloads over the host link every step it
+        stays oversubscribed (``thrash_s``)."""
+        mem = state.memory
+        walks = []
         prefill_s = 0.0
         comm_s = 0.0
-        per_device: "list[float] | None" = None
-
-        def merge_pd(pd) -> None:
-            nonlocal per_device
-            if pd:
-                if per_device is None:
-                    per_device = list(pd)
-                else:
-                    per_device = [a + b for a, b in zip(per_device, pd, strict=True)]
-
+        per_device: "tuple[float, ...]" = ()
         for inflight in cb.resident:
             if not inflight.needs_prefill:
                 continue
-            request = inflight.request
-            tokens = request.prompt_len + inflight.completed_steps
+            tokens = inflight.request.prompt_len + inflight.completed_steps
+            rows = cb.policy.bucket_rows(tokens)
             seconds, spans, pd, comm = self._modeled_model_walk(
-                entry, run_policy.bucket_rows(tokens), state, start_s
+                entry, rows, state, start_s
             )
-            prefills.append((inflight, tokens, seconds, spans))
+            walks.append((inflight, tokens, rows, seconds, spans))
             prefill_s += seconds
             comm_s += comm
-            merge_pd(pd)
+            per_device = _add_per_device(per_device, pd)
             inflight.needs_prefill = False
-
-        batch = cb.form_step(
-            batcher.allocate_batch_id(), stack=False,
-            pad_to_k=entry.handle.k,
+        decode_s, spans, pd, comm = self._modeled_model_walk(
+            entry, batch.padded_rows, state, start_s
         )
-        decode_s, decode_spans, decode_pd, decode_comm = (
-            self._modeled_model_walk(
-                entry, batch.padded_rows, state, start_s
-            )
-        )
-        comm_s += decode_comm
-        merge_pd(decode_pd)
-
+        walks.append((None, batch.rows, batch.padded_rows, decode_s, spans))
+        comm_s += comm
+        per_device = _add_per_device(per_device, pd)
         thrash_s = 0.0
         if not mem.enforce:
-            projected = mem.resident_bytes + len(cb.resident) * bpt
-            overflow = projected - mem.budget_bytes
+            overflow = (
+                mem.resident_bytes
+                + len(cb.resident) * entry.executor.kv_bytes_per_token
+                - mem.budget_bytes
+            )
             if overflow > 0:
-                # No memory model: the overflow spills to host memory
-                # and reloads over the host link every step it stays
-                # oversubscribed.
                 thrash_s = overflow / self.host_link_bytes_per_s
                 mem.overflow_steps += 1
-
-        modeled_gpu_s = prefill_s + decode_s + thrash_s
-        finished_s = start_s + modeled_gpu_s + self.host_overhead_s
-        per_device_t = tuple(per_device or ())
-        device_ids = self._phys_devices(entry, state)
-
-        fail_device = self._launch_fault(entry, start_s, state)
-        if fail_device is not None:
-            walk_costs = [
-                cost
-                for _, _, _, layer_spans in prefills
-                for _, _, _, cost in layer_spans
-            ] + [cost for _, _, _, cost in decode_spans]
-            step_cost = (
-                sum(c[0] for c in walk_costs),
-                sum(c[1] for c in walk_costs),
-                sum(c[2] for c in walk_costs),
-            )
-            before_ids = {e.request.request_id for e in cb.resident}
-            result = self._failed_step(
-                name, cb, batch, start_s, finished_s, modeled_gpu_s,
-                per_device_t, None, comm_s, joined, preempted,
-                fail_device, device_ids, state, cost=step_cost,
-                gpu=entry.op.gpu.name,
-            )
-            # The failed launch advanced nothing: sequences dropped by
-            # retry exhaustion (or evicted by a death re-shard inside
-            # _note_launch_failed) free their KV, and survivors that
-            # were prefilling this step still need their prefill.
-            survivor_ids = {e.request.request_id for e in cb.resident}
-            for rid in sorted(before_ids - survivor_ids):
-                mem.release_kv(rid, finished_s)
-            for inflight, _, _, _ in prefills:
-                if inflight.request.request_id in survivor_ids:
-                    inflight.needs_prefill = True
-            if tr is not None:
-                tr.metrics.gauge(
-                    "serve_kv_bytes", "resident KV-cache bytes"
-                ).set(float(mem.kv_bytes), model=name)
-            return result
-
-        self._note_launch_ok(entry, state)
-        state.cb_streak[name] = 0
-
-        # (5) Advance: finished sequences leave (KV freed at step
-        # end), survivors' KV grows by the token they just decoded.
-        finished_entries = cb.advance()
-        for _, inflight in finished_entries:
-            mem.release_kv(inflight.request.request_id, finished_s)
-        for inflight in cb.resident:
-            mem.grow_kv(inflight.request.request_id, bpt, finished_s)
-
-        if tr is not None:
-            keep = tr.sample()
-            if keep:
-                step_span = tr.add_span(
-                    "serve.step", start_s, finished_s,
-                    track="engine", parent=None, keep=True, kind="model",
-                    joined=joined, evicted=len(finished_entries),
-                    preempted=preempted, kv_evicted=kv_evicted,
-                    **batch.trace_attrs(),
-                )
-                gpu_name = entry.op.gpu.name
-                offset = start_s
-                for inflight, tokens, seconds, spans in prefills:
-                    span = tr.add_span(
-                        "model.prefill", offset, offset + seconds,
-                        track="gpu", parent=step_span, model=name,
-                        request_id=inflight.request.request_id,
-                        tokens=tokens,
-                    )
-                    prefill_rows = run_policy.bucket_rows(tokens)
-                    for layer_name, layer_off, layer_s, cost in spans:
-                        tr.add_span(
-                            "gpu.launch",
-                            offset + layer_off,
-                            offset + layer_off + layer_s,
-                            track="gpu", parent=span, model=name,
-                            layer=layer_name, rows=prefill_rows,
-                            gpu=gpu_name, flops=cost[0],
-                            ldg_bytes=cost[1], stg_bytes=cost[2],
-                        )
-                    offset += seconds
-                span = tr.add_span(
-                    "model.decode_step", offset, offset + decode_s,
-                    track="gpu", parent=step_span, model=name,
-                    rows=batch.rows,
-                )
-                for layer_name, layer_off, layer_s, cost in decode_spans:
-                    tr.add_span(
-                        "gpu.launch",
-                        offset + layer_off,
-                        offset + layer_off + layer_s,
-                        track="gpu", parent=span, model=name,
-                        layer=layer_name, rows=batch.padded_rows,
-                        gpu=gpu_name, flops=cost[0],
-                        ldg_bytes=cost[1], stg_bytes=cost[2],
-                    )
-                offset += decode_s
-                if thrash_s > 0:
-                    tr.add_span(
-                        "kv.thrash", offset, offset + thrash_s,
-                        track="gpu", parent=step_span, model=name,
-                        overflow_bytes=mem.overflow_bytes,
-                    )
-                if joined:
-                    tr.event(
-                        "cb.join", t_s=start_s, track="engine",
-                        keep=True, model=name, count=joined,
-                    )
-                if preempted:
-                    tr.event(
-                        "cb.preempt", t_s=start_s, track="engine",
-                        keep=True, model=name, count=preempted,
-                    )
-                if finished_entries:
-                    tr.event(
-                        "cb.evict", t_s=finished_s, track="engine",
-                        keep=True, model=name, count=len(finished_entries),
-                    )
-            else:
-                tr.add_span(
-                    # Dropped trace: nothing recorded, clock still moves.
-                    "serve.step", start_s, finished_s, parent=None,
-                    keep=False,
-                )
-            for _, inflight in finished_entries:
-                self._trace_queue_wait(
-                    tr, inflight.request, inflight.joined_s, "decode",
-                    keep=keep, finished_s=finished_s,
-                )
-            handles = self._launch_metric_cache.get(name)
-            if handles is None:
-                handles = (
-                    self._bm(
-                        "counter", "serve_launches_total",
-                        "batch/step launches", ("model", name),
-                    ),
-                    self._bm(
-                        "histogram", "serve_launch_seconds",
-                        "modeled GPU seconds per launch", ("model", name),
-                    ),
-                )
-                self._launch_metric_cache[name] = handles
-            handles[0].inc()
-            handles[1].observe(modeled_gpu_s)
-            kv_gauge = self._kv_gauge_cache.get(name)
-            if kv_gauge is None:
-                kv_gauge = self._bm(
-                    "gauge", "serve_kv_bytes", "resident KV-cache bytes",
-                    ("model", name),
-                )
-                self._kv_gauge_cache[name] = kv_gauge
-            kv_gauge.set(float(mem.kv_bytes))
-
-        for _, inflight in finished_entries:
-            metrics.add_request(
-                RequestRecord(
-                    request=inflight.request,
-                    batch_id=batch.batch_id,
-                    started_s=inflight.joined_s,
-                    finished_s=finished_s,
-                    output=None,
-                    retries=state.attempts.get(
-                        inflight.request.request_id, 0
-                    ),
-                )
-            )
-        metrics.add_step(
-            StepRecord(
-                step_id=batch.batch_id,
-                model=name,
-                n_resident=batch.n_requests,
-                rows=batch.rows,
-                padded_rows=batch.padded_rows,
-                joined=joined,
-                evicted=len(finished_entries),
-                preempted=preempted,
-                started_s=start_s,
-                finished_s=finished_s,
-                modeled_gpu_s=modeled_gpu_s,
-                per_device_gpu_s=per_device_t,
-                comm_s=comm_s,
-                prefill_s=prefill_s,
-                thrash_s=thrash_s,
-                kv_evicted=kv_evicted,
-                kv_bytes=mem.kv_bytes,
-            )
+        return (
+            prefill_s + decode_s + thrash_s, per_device, comm_s, walks,
+            prefill_s, thrash_s,
         )
-        return finished_s
+
+    def _trace_walks(
+        self,
+        tr: Tracer,
+        step_span,
+        entry: ModelEntry,
+        walks: list,
+        thrash_s: float,
+        start_s: float,
+        mem: DeviceMemoryModel,
+    ) -> None:
+        """A model step's GPU-side spans under its ``serve.step``: the
+        ``model.prefill`` and ``model.decode_step`` walks back to back,
+        each with one ``gpu.launch`` child per layer, then any
+        ``kv.thrash``."""
+        name = entry.name
+        gpu_name = entry.op.gpu.name
+        offset = start_s
+        for inflight, count, rows, seconds, layer_spans in walks:
+            if inflight is None:
+                span = tr.add_span(
+                    "model.decode_step", offset, offset + seconds,
+                    track="gpu", parent=step_span, model=name, rows=count,
+                )
+            else:
+                span = tr.add_span(
+                    "model.prefill", offset, offset + seconds,
+                    track="gpu", parent=step_span, model=name,
+                    request_id=inflight.request.request_id, tokens=count,
+                )
+            for layer_name, layer_off, layer_s, cost in layer_spans:
+                tr.add_span(
+                    "gpu.launch",
+                    offset + layer_off,
+                    offset + layer_off + layer_s,
+                    track="gpu", parent=span, model=name,
+                    layer=layer_name, rows=rows,
+                    gpu=gpu_name, flops=cost[0],
+                    ldg_bytes=cost[1], stg_bytes=cost[2],
+                )
+            offset += seconds
+        if thrash_s > 0:
+            tr.add_span(
+                "kv.thrash", offset, offset + thrash_s,
+                track="gpu", parent=step_span, model=name,
+                overflow_bytes=mem.overflow_bytes,
+            )

@@ -146,6 +146,24 @@ class TestEndToEnd:
         assert first["resilience"]["reshards"] == 1
         assert first["memory"]["budget_shrinks"] == 1
 
+    def test_failed_steps_keep_their_kv_accounting(self):
+        # Memory-pressure evictions and (re)prefills inside a step that
+        # then suffers a launch fault still happened: the step record
+        # keeps them, so the per-step totals match the HBM pool's.
+        report = long_context_summarization(
+            duration_s=4.0, seed=0, faults="launch:p=0.3;seed=0",
+            resilience=True,
+        ).run()
+        summary = report.summary()
+        assert summary["memory"]["kv_evictions"] > 0
+        assert (
+            summary["model"]["kv_evictions"]
+            == summary["memory"]["kv_evictions"]
+        )
+        failed = [s for s in report.metrics.step_records if s.failed]
+        assert any(s.prefill_s > 0 for s in failed)
+        assert any(s.kv_bytes > 0 for s in failed)
+
 
 class TestObsIntegration:
     def test_model_spans_and_kv_telemetry(self):

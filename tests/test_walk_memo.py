@@ -30,6 +30,7 @@ from repro.obs.export import chrome_trace
 from repro.serve.loadgen import generate_requests
 from repro.serve.metrics import ServingMetrics
 from repro.serve.model_exec import long_context_summarization
+from repro.serve.resilience import ResiliencePolicy
 from repro.serve.scenarios import LlamaServingScenario, TrafficTier
 from repro.utils.cache import LRUCache
 
@@ -156,6 +157,37 @@ CASES = {
         dict(
             seed=0, duration_s=0.5, devices=2, shard="row",
             faults="launch:p=0.1;devfail:device=1,at=0.3;seed=4",
+            resilience=True,
+        ),
+        dict(sample_rate=0.5, sample_seed=7),
+    ),
+    # Traced prefill retries: failed batches re-admit their members.
+    "plain-traced-launch-faults-col2": (
+        tiered,
+        dict(
+            seed=0, duration_s=0.5, devices=2, shard="column",
+            faults="launch:p=0.2;seed=3", resilience=True,
+        ),
+        dict(sample_rate=0.5, sample_seed=7),
+    ),
+    # Traced sheds, timeouts, exhausted retries and half-open breakers.
+    "plain-traced-shed-breaker-col2": (
+        tiered,
+        dict(
+            seed=0, duration_s=0.5, devices=2, shard="column",
+            faults="launch:p=0.3;seed=3",
+            resilience=ResiliencePolicy(
+                shed_queue_rows=64, breaker_threshold=2,
+                breaker_cooldown_s=0.02, timeout_slo_multiplier=2.0,
+            ),
+        ),
+        dict(sample_rate=0.5, sample_seed=7),
+    ),
+    # Traced re-shard evictions, then refills under the shrunk budget.
+    "model-traced-devfail-3dev": (
+        model,
+        dict(
+            seed=0, devices=3, faults="devfail:device=1,at=0.3",
             resilience=True,
         ),
         dict(sample_rate=0.5, sample_seed=7),

@@ -1296,7 +1296,7 @@ class InferenceServer:
             )
             tr.metrics.counter(
                 "serve_kv_evictions_total", "memory-pressure evictions"
-            ).inc(model=name, reason=reason)
+            ).inc(len(victims), model=name, reason=reason)
         return len(victims)
 
     def _drop(

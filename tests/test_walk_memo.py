@@ -311,6 +311,16 @@ class TestGoldenDigests:
         for name in ("chaos-2dev", "chaos-3dev", "traced-chaos-2dev"):
             assert golden[name]["reshards"] == 1
 
+    @pytest.mark.parametrize(
+        "name", ["traced-chaos-2dev", "model-traced-devfail-3dev"]
+    )
+    def test_kv_eviction_counter_counts_sequences(self, name):
+        # A re-shard evicts several residents at once; the counter
+        # counts each one, as the memory model does.
+        _, report, tracer = _run(name)
+        counter = tracer.metrics.as_dict()["serve_kv_evictions_total"]
+        assert sum(counter.values()) == report.metrics.memory["kv_evictions"]
+
 
 def _eviction_order(cache: LRUCache, keys: list) -> list:
     """The order ``cache`` evicts ``keys`` in as fresh keys arrive —

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ServeError
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.request import RequestRecord
 from repro.utils.stats import percentile as _percentile
 from repro.utils.tables import TextTable
@@ -28,6 +29,7 @@ __all__ = [
     "ReshardRecord",
     "DROP_OUTCOMES",
     "ServingMetrics",
+    "fill_registry",
 ]
 
 #: Terminal outcomes of a request that did *not* complete.  Together
@@ -137,14 +139,17 @@ class StepRecord:
     #: The step's launch suffered an injected fault: no sequence
     #: advanced (the GPU time was still spent).
     failed: bool = False
+    #: The step failed and left sequences behind, which the model
+    #: retries after a backoff (resilience on).
+    retry: bool = False
     #: Model-mode extras: modeled (re)prefill seconds charged inside
     #: this step, host-link thrash seconds (the ``none`` admission
     #: baseline's overflow cost), memory-pressure evictions, and the
-    #: resident KV bytes after the step.
+    #: resident KV bytes after the step (``None`` for a plain entry).
     prefill_s: float = 0.0
     thrash_s: float = 0.0
     kv_evicted: int = 0
-    kv_bytes: int = 0
+    kv_bytes: "int | None" = None
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,15 @@ class DropRecord:
     outcome: str
     at_s: float
     retries: int = 0
+    #: ``"kv-overflow"``: it can never fit the (shrunk) HBM budget.  A
+    #: ``shed`` without a reason was shed at admission (never queued).
+    reason: "str | None" = None
+    #: Where a timeout cancelled it: ``"prefill"``, ``"decode"``,
+    #: ``"retry"`` (backing off) or ``"inflight"``.
+    where: "str | None" = None
+    #: Residents the refill that dropped this lone one evicted first
+    #: (that refill ran no step to record them).
+    kv_evicted: int = 0
 
     def __post_init__(self) -> None:
         if self.outcome not in DROP_OUTCOMES:
@@ -185,6 +199,8 @@ class ReshardRecord:
     survivors: int
     at_s: float
     recovery_s: float
+    #: Model-mode residents the re-shard evicted.
+    kv_evicted: int = 0
 
 
 @dataclass
@@ -782,3 +798,99 @@ class ServingMetrics:
     def _require_batches(self) -> None:
         if not self.batch_records and not self.step_records:
             raise ServeError("no batches recorded")
+
+
+#: Help text of the ``serve_<name>_total`` counters, by name.
+_COUNTERS = {
+    "launches": "batch/step launches",
+    "plan_cache": "plan-cache lookups by outcome",
+    "requests_admitted": "admitted requests",
+    "retries": "launch-failure retries",
+    "drops": "dropped requests by outcome",
+    "reshards": "health-driven re-shards",
+    "circuit_opens": "circuit-breaker openings",
+    "kv_evictions": "memory-pressure evictions",
+}
+
+
+def fill_registry(
+    registry: MetricsRegistry,
+    metrics: ServingMetrics,
+    plan_cache: dict,
+    is_decode: "Callable[[object], bool]",
+) -> None:
+    """Add one run's serving metrics to ``registry``, derived from its
+    records, its plan-cache stats delta ``plan_cache``, and
+    ``is_decode`` (was a request queued for the rolling batch?).
+
+    Histograms observe launches by id and queue waits in completion
+    order, so call this before the request records are sorted.
+    Counters and histograms add to earlier runs; gauges hold this run's
+    last value.  A zero total gets no sample, and a family with no
+    samples is not created.
+    """
+    def queue(request: object) -> str:
+        return "decode" if is_decode(request) else "prefill"
+
+    #: (counter name, label pairs) -> this run's total
+    counts: Counter = Counter()
+    launches = sorted(
+        [(b.batch_id, b.model, b.modeled_gpu_s) for b in metrics.batch_records]
+        + [(s.step_id, s.model, s.modeled_gpu_s) for s in metrics.step_records]
+    )
+    if launches:
+        launch_s = registry.histogram(
+            "serve_launch_seconds", "modeled GPU seconds per launch"
+        )
+        for _, model, seconds in launches:
+            counts["launches", (("model", model),)] += 1
+            launch_s.observe(seconds, model=model)
+    if metrics.request_records:
+        wait_s = registry.histogram(
+            "serve_queue_wait_seconds", "queue wait per request"
+        )
+        for record in metrics.request_records:
+            wait_s.observe(record.queue_wait_s, queue=queue(record.request))
+    counts["plan_cache", (("outcome", "hit"),)] += plan_cache["hits"]
+    counts["plan_cache", (("outcome", "miss"),)] += plan_cache["misses"]
+    # Every request ends in one record, and all but the sheds at
+    # admission were queued once.  A prefill request re-joins its queue
+    # after each failed attempt, unless it timed out backing off.
+    queued = [(r.request, r.retries, None) for r in metrics.request_records]
+    queued += [
+        (d.request, d.retries, d.where)
+        for d in metrics.drop_records
+        if d.outcome != "shed" or d.reason is not None
+    ]
+    for request, retries, where in queued:
+        counts["requests_admitted", (("queue", queue(request)),)] += 1
+        if not is_decode(request):
+            model = ("model", request.model)
+            counts["retries", (model,)] += retries - (where == "retry")
+    pressure = ("reason", "memory-pressure")
+    for step in metrics.step_records:
+        model = ("model", step.model)
+        counts["retries", (model,)] += step.retry
+        counts["kv_evictions", (model, pressure)] += step.kv_evicted
+    for drop in metrics.drop_records:
+        model = ("model", drop.request.model)
+        counts["drops", (("outcome", drop.outcome),)] += 1
+        counts["kv_evictions", (model, pressure)] += drop.kv_evicted
+    for reshard in metrics.reshard_records:
+        model = ("model", reshard.model)
+        counts["reshards", (model,)] += 1
+        counts["kv_evictions", (model, ("reason", "reshard"))] += (
+            reshard.kv_evicted
+        )
+    counts["circuit_opens", ()] += metrics.circuit_opens
+    for (name, labels), total in counts.items():
+        if total:
+            registry.counter(f"serve_{name}_total", _COUNTERS[name]).inc(
+                total, **dict(labels)
+            )
+    if metrics.memory is not None:
+        kv_bytes = registry.gauge("serve_kv_bytes", "resident KV-cache bytes")
+        for step in metrics.step_records:
+            if step.kv_bytes is not None:
+                kv_bytes.set(float(step.kv_bytes), model=step.model)
+        kv_bytes.set(0.0)

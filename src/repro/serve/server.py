@@ -76,6 +76,7 @@ from repro.serve.metrics import (
     ReshardRecord,
     ServingMetrics,
     StepRecord,
+    fill_registry,
 )
 from repro.serve.model_exec.executor import ModelExecutor
 from repro.serve.model_exec.memory import (
@@ -417,11 +418,11 @@ class InferenceServer:
         simulated run records spans on the simulated clock — request
         admission and queue waits, batch/step launches with nested
         per-device compute and ring-collective children, plan-cache
-        hits/misses, continuous-batching join/evict/preempt — plus the
-        matching counters/histograms in ``tracer.metrics``.  ``None``
-        (the default) keeps serving observation-free; the only cost of
-        the disabled path is a ``None`` check per instrumentation
-        site.
+        hits/misses, continuous-batching join/evict/preempt.  At the
+        end of each run the serving counters, histograms and gauges in
+        ``tracer.metrics`` are filled from the run's records
+        (:func:`~repro.serve.metrics.fill_registry`).  ``None`` (the
+        default) keeps serving observation-free.
     faults:
         Optional :class:`~repro.faults.FaultPlan` (or a ``--faults``
         spec string) applied to every simulated run: transient launch
@@ -538,17 +539,6 @@ class InferenceServer:
         self.host_link_bytes_per_s = host_link_bytes_per_s
         self._models: dict[str, ModelEntry] = {}
         self._inbox: list[InferenceRequest] = []
-        #: (registry id, metric, label) -> pre-bound metric handle;
-        #: the per-launch hot path must not re-normalize labels.
-        self._bound_metrics: dict = {}
-        # Per-site handle caches keyed by the one varying label value —
-        # a plain string-keyed dict get per observation instead of
-        # rebuilding/hashing a tuple key (the per-launch hot path).
-        self._launch_metric_cache: dict = {}
-        self._qwait_metric_cache: dict = {}
-        self._plan_metric_cache: dict = {}
-        self._admit_metric_cache: dict = {}
-        self._kv_gauge_cache: dict = {}
 
     # ------------------------------------------------------------------
     # Registry
@@ -772,82 +762,23 @@ class InferenceServer:
         )
 
     # ------------------------------------------------------------------
-    # Launch accounting: metric handles, plan lookups, modeled launch
-    # prices and spans shared by the dynamic batch (``_launch``) and
-    # the one continuous step (``_step``)
+    # Launch accounting: plan lookups, modeled launch prices and spans
+    # shared by the dynamic batch (``_launch``) and the one continuous
+    # step (``_step``)
     # ------------------------------------------------------------------
-    def _bm(
-        self,
-        kind: str,
-        name: str,
-        help_text: str,
-        label: "tuple[str, object] | None" = None,
-    ):
-        """Cached pre-bound metric handle for one ``(metric, label)``
-        pair — per-launch instrumentation calls this instead of
-        re-resolving the instrument and re-normalizing labels every
-        step."""
-        registry = self.tracer.metrics
-        key = (id(registry), name, label)
-        handle = self._bound_metrics.get(key)
-        if handle is None:
-            metric = getattr(registry, kind)(name, help_text)
-            handle = (
-                metric.labels(**{label[0]: label[1]})
-                if label is not None
-                else metric.labels()
-            )
-            self._bound_metrics[key] = handle
-        return handle
-
-    def _launch_metrics(self, model: str) -> tuple:
-        """``model``'s pre-bound ``(launch counter, launch-seconds
-        histogram)`` pair."""
-        handles = self._launch_metric_cache.get(model)
-        if handles is None:
-            handles = (
-                self._bm(
-                    "counter", "serve_launches_total",
-                    "batch/step launches", ("model", model),
-                ),
-                self._bm(
-                    "histogram", "serve_launch_seconds",
-                    "modeled GPU seconds per launch", ("model", model),
-                ),
-            )
-            self._launch_metric_cache[model] = handles
-        return handles
-
-    def _site_metric(
-        self, cache: dict, value: str, kind: str, name: str,
-        help_text: str, label: str,
-    ):
-        """:meth:`_bm` for ``(label, value)`` behind one call site's
-        ``cache``, keyed by the value alone."""
-        handle = cache.get(value)
-        if handle is None:
-            handle = self._bm(kind, name, help_text, (label, value))
-            cache[value] = handle
-        return handle
-
     def _cached_plan(self, cache: PlanCache, device: int, entry: ModelEntry,
                      handle: SparseHandle, padded_rows: int):
         """One plan-cache lookup, surfaced (when tracing) as a
-        ``plan_cache.hit``/``plan_cache.miss`` event plus a counter —
-        the outcome read off the cache's own stats delta, so the event
-        stream and ``plan_cache_stats`` can never disagree."""
+        ``plan_cache.hit``/``plan_cache.miss`` event — the outcome read
+        off the cache's own stats delta, so the event stream and
+        ``plan_cache_stats`` can never disagree."""
         tr = self.tracer
         if tr is None:
             return cache.lookup(entry.name, entry.op, handle, padded_rows)
         hits_before = cache.stats.hits
         plan_entry = cache.lookup(entry.name, entry.op, handle, padded_rows)
-        outcome = "hit" if cache.stats.hits > hits_before else "miss"
-        self._site_metric(
-            self._plan_metric_cache, outcome, "counter",
-            "serve_plan_cache_total", "plan-cache lookups by outcome",
-            "outcome",
-        ).inc()
         if tr.sample():  # skip attr building on dropped traces
+            outcome = "hit" if cache.stats.hits > hits_before else "miss"
             tr.event(
                 f"plan_cache.{outcome}",
                 track="engine",
@@ -961,13 +892,9 @@ class InferenceServer:
         ``(flops, ldg_bytes, stg_bytes)`` — scaled by ``steps`` —
         which ``trace attribute`` places on the roofline offline;
         ``device_ids`` names each shard's physical device."""
-        launches, launch_seconds = self._launch_metrics(model)
-        launches.inc()
-        launch_seconds.observe(steps * modeled_s)
         launch_end = start_s + steps * modeled_s
         if parent is not None and not parent.sampled:
-            # metrics above are sampling-independent; the span tree of
-            # an unsampled trace is never built.
+            # The span tree of an unsampled trace is never built.
             tr.advance(launch_end)
             return
         launch = tr.add_span(
@@ -995,39 +922,27 @@ class InferenceServer:
 
     def _trace_queue_wait(
         self, tr: Tracer, request: InferenceRequest, started_s: float,
-        queue: str, keep: "bool | None" = None,
-        finished_s: "float | None" = None,
+        queue: str, finished_s: float,
     ) -> None:
-        """One request's time-in-queue as a span on the ``queue``
-        track (admission to service start) plus a wait histogram.
-        ``keep`` ties the span to its batch's sampling decision (the
-        histogram records regardless — metrics never sample).
-
-        ``finished_s`` additionally emits a ``request.complete`` event
-        at the request's completion time: together with ``queue.wait``
-        it bounds the request's end-to-end interval, which the
+        """One sampled request's time-in-queue as a span on the
+        ``queue`` track (admission to service start), then a
+        ``request.complete`` event at ``finished_s``: together they
+        bound the request's end-to-end interval, which the
         critical-path analyzer decomposes into queue / compute / comm
         / paging / retry-backoff buckets offline."""
-        self._site_metric(
-            self._qwait_metric_cache, queue, "histogram",
-            "serve_queue_wait_seconds", "queue wait per request", "queue",
-        ).observe(started_s - request.arrival_s)
-        if keep is False:
-            return
         tr.add_span(
             "queue.wait", request.arrival_s, started_s,
-            track="queue", parent=None, keep=keep,
+            track="queue", parent=None, keep=True,
             request_id=request.request_id, model=request.model,
             priority=request.priority, queue=queue,
         )
-        if finished_s is not None:
-            tr.event(
-                "request.complete", t_s=finished_s, track="queue",
-                keep=keep, request_id=request.request_id,
-                model=request.model, priority=request.priority,
-                queue=queue, started_s=started_s,
-                arrival_s=request.arrival_s,
-            )
+        tr.event(
+            "request.complete", t_s=finished_s, track="queue",
+            keep=True, request_id=request.request_id,
+            model=request.model, priority=request.priority,
+            queue=queue, started_s=started_s,
+            arrival_s=request.arrival_s,
+        )
 
     def _execute_batch(self, entry: ModelEntry, batch, plan) -> list:
         """Run one batch's numerics and split per-request outputs."""
@@ -1132,9 +1047,6 @@ class InferenceServer:
                 device=fail_device, streak=streak,
                 permanent=res.breaker_cooldown_s is None,
             )
-            tr.metrics.counter(
-                "serve_circuit_opens_total", "circuit-breaker openings"
-            ).inc()
         if res.breaker_cooldown_s is not None:
             state.breaker_down[fail_device] = t_s + res.breaker_cooldown_s
             return 0.0
@@ -1233,12 +1145,6 @@ class InferenceServer:
             recovery_s = (
                 payload / n / self.link.bytes_per_s + self.link.latency_s
             )
-            state.metrics.add_reshard(
-                ReshardRecord(
-                    model=name, failed_device=device, survivors=n,
-                    at_s=blocked, recovery_s=recovery_s,
-                )
-            )
             if tr is not None:
                 tr.add_span(
                     "reshard", blocked, blocked + recovery_s,
@@ -1249,14 +1155,18 @@ class InferenceServer:
                     "reshard", t_s=blocked, track="engine", model=name,
                     failed_device=device, survivors=n,
                 )
-                tr.metrics.counter(
-                    "serve_reshards_total", "health-driven re-shards"
-                ).inc(model=name)
-            blocked += recovery_s
+            evicted = 0
             if entry.executor is not None:
-                self._evict_model_residents(
-                    name, blocked, state, reason="reshard"
+                evicted = self._evict_model_residents(
+                    name, blocked + recovery_s, state
                 )
+            state.metrics.add_reshard(
+                ReshardRecord(
+                    model=name, failed_device=device, survivors=n,
+                    at_s=blocked, recovery_s=recovery_s, kv_evicted=evicted,
+                )
+            )
+            blocked += recovery_s
         if state.memory is not None and self.devices > 1:
             # The survivors' aggregate HBM is smaller; evicted KV was
             # released above, and sequences that can no longer fit at
@@ -1272,7 +1182,7 @@ class InferenceServer:
         return blocked
 
     def _evict_model_residents(
-        self, name: str, t_s: float, state: _RunState, *, reason: str
+        self, name: str, t_s: float, state: _RunState
     ) -> int:
         """Preempt every resident sequence of model-mode ``name`` and
         release its KV bytes (device death: the re-shard invalidates
@@ -1283,20 +1193,16 @@ class InferenceServer:
             return 0
         victims = list(cb.resident)
         cb.preempt_entries(victims)
-        for inflight in victims:
-            if state.memory is not None:
-                state.memory.release_kv(inflight.request.request_id, t_s)
         if state.memory is not None:
+            for inflight in victims:
+                state.memory.release_kv(inflight.request.request_id, t_s)
             state.memory.kv_evictions += len(victims)
         tr = self.tracer
         if tr is not None:
             tr.event(
                 "kv.evict", t_s=t_s, track="engine", model=name,
-                count=len(victims), reason=reason,
+                count=len(victims), reason="reshard",
             )
-            tr.metrics.counter(
-                "serve_kv_evictions_total", "memory-pressure evictions"
-            ).inc(len(victims), model=name, reason=reason)
         return len(victims)
 
     def _drop(
@@ -1305,16 +1211,21 @@ class InferenceServer:
         outcome: str,
         at_s: float,
         state: _RunState,
+        kv_evicted: int = 0,
         **attrs,
     ) -> None:
         """Terminate ``request`` without completion: record the drop
-        (reconciliation counts it) and emit the matching event."""
+        (reconciliation counts it, and the record keeps the event's
+        ``reason``/``where``) and emit the matching event."""
         state.metrics.add_drop(
             DropRecord(
                 request=request,
                 outcome=outcome,
                 at_s=at_s,
                 retries=state.attempts.get(request.request_id, 0),
+                reason=attrs.get("reason"),
+                where=attrs.get("where"),
+                kv_evicted=kv_evicted,
             )
         )
         tr = self.tracer
@@ -1330,9 +1241,6 @@ class InferenceServer:
             request_id=request.request_id, model=request.model,
             priority=request.priority, **attrs,
         )
-        tr.metrics.counter(
-            "serve_drops_total", "dropped requests by outcome"
-        ).inc(outcome=outcome)
 
     def _spend_attempt(
         self, request: InferenceRequest, t_s: float, state: _RunState
@@ -1383,9 +1291,6 @@ class InferenceServer:
                     request_id=request_id, model=request.model,
                     attempt=state.attempts.get(request_id, 0),
                 )
-                tr.metrics.counter(
-                    "serve_retries_total", "launch-failure retries"
-                ).inc(model=request.model)
 
     def _cancel_timed_out(
         self,
@@ -1594,25 +1499,18 @@ class InferenceServer:
                     )
                     continue
                 target.push(request)
-                if tracer is not None:
-                    queue_name = "decode" if decode else "prefill"
-                    self._site_metric(
-                        self._admit_metric_cache, queue_name, "counter",
-                        "serve_requests_admitted_total", "admitted requests",
-                        "queue",
-                    ).inc()
-                    if tracer.sample():
-                        tracer.event(
-                            "request.admit",
-                            t_s=request.arrival_s,
-                            track="queue",
-                            keep=True,
-                            request_id=request.request_id,
-                            model=request.model,
-                            queue=queue_name,
-                            priority=request.priority,
-                            rows=request.rows,
-                        )
+                if tracer is not None and tracer.sample():
+                    tracer.event(
+                        "request.admit",
+                        t_s=request.arrival_s,
+                        track="queue",
+                        keep=True,
+                        request_id=request.request_id,
+                        model=request.model,
+                        queue="decode" if decode else "prefill",
+                        priority=request.priority,
+                        rows=request.rows,
+                    )
             drain = i >= n
             # (sort key, kind, model): the most urgent launchable work
             # wins; model name and kind break exact ties.
@@ -1698,21 +1596,23 @@ class InferenceServer:
             # the next run starts from the registered entries again.
             for cache in self.plan_caches:
                 cache.clear()
-        metrics.request_records.sort(key=lambda r: r.request.request_id)
         if state.memory is not None:
             # Drain invariant: every KV byte released, ledgers clean.
             state.memory.reconcile()
             metrics.memory = state.memory.summary()
-            if self.tracer is not None:
-                self.tracer.metrics.gauge(
-                    "serve_kv_bytes", "resident KV-cache bytes"
-                ).set(0.0)
+        plan_cache_stats = self._plan_cache_stats_since(stats_before)
+        if tracer is not None:
+            fill_registry(
+                tracer.metrics, metrics, plan_cache_stats,
+                lambda request: self._is_decode(request, run_policy),
+            )
+        metrics.request_records.sort(key=lambda r: r.request.request_id)
         metrics.reconcile()
         chaos = self.faults is not None and not self.faults.empty
         return ServingReport(
             metrics=metrics,
             policy=run_policy,
-            plan_cache_stats=self._plan_cache_stats_since(stats_before),
+            plan_cache_stats=plan_cache_stats,
             model_names=self.model_names,
             numerics=self.execute_numerics,
             backend=self.backend,
@@ -1787,11 +1687,11 @@ class InferenceServer:
                 steps=steps, **({"failed": True} if failed else {}),
                 **batch.trace_attrs(),
             )
-            if not failed:
+            if keep:
                 for request in batch.requests:
                     self._trace_queue_wait(
-                        tr, request, start_s, "prefill", keep=keep,
-                        finished_s=start_s + request.steps * step_s,
+                        tr, request, start_s, "prefill",
+                        start_s + request.steps * step_s,
                     )
             self._trace_launch(
                 tr, batch_span, start_s, steps, modeled_s, per_device,
@@ -1953,6 +1853,7 @@ class InferenceServer:
                 for inflight in cb.resident:
                     mem.grow_kv(inflight.request.request_id, bpt, finished_s)
             evicted = len(finished)
+        retry = failed and res is not None and cb.has_work
 
         if tr is not None:
             # A failed step draws its sampling decision in add_span.
@@ -1991,29 +1892,23 @@ class InferenceServer:
                     model=name, count=evicted,
                     **({"reason": "failed"} if failed else {}),
                 )
-            if failed and res is not None and cb.has_work:
+            if retry:
                 tr.event(
                     "retry.attempt", t_s=finished_s, track="engine",
                     model=name, count=len(cb.resident),
                     attempt=state.cb_streak.get(name, 0),
                 )
-                tr.metrics.counter(
-                    "serve_retries_total", "launch-failure retries"
-                ).inc(model=name)
-            for _, inflight in finished:
-                self._trace_queue_wait(
-                    tr, inflight.request, inflight.joined_s, "decode",
-                    keep=keep, finished_s=finished_s,
-                )
-            if walks and not failed:
-                # Each layer already has its own gpu.launch span.
-                launches, launch_seconds = self._launch_metrics(name)
-                launches.inc()
-                launch_seconds.observe(modeled_gpu_s)
-            else:
+            if keep:
+                for _, inflight in finished:
+                    self._trace_queue_wait(
+                        tr, inflight.request, inflight.joined_s, "decode",
+                        finished_s,
+                    )
+            # A model step's layers already have their own gpu.launch
+            # spans; a failed model step is one launch span with its
+            # walks' layer costs summed.
+            if not walks or failed:
                 if walks:
-                    # A failed model step is one launch span: its walks'
-                    # layer costs summed.
                     costs = [c for *_, spans in walks for *_, c in spans]
                     cost = tuple(sum(c[i] for c in costs) for i in range(3))
                 self._trace_launch(
@@ -2033,11 +1928,6 @@ class InferenceServer:
                 # freed their KV there already.
                 for rid in sorted(dropped):
                     mem.release_kv(rid, finished_s)
-        if tr is not None and ex is not None:
-            self._site_metric(
-                self._kv_gauge_cache, name, "gauge", "serve_kv_bytes",
-                "resident KV-cache bytes", "model",
-            ).set(float(mem.kv_bytes))
         for idx, inflight in finished:
             self._complete(
                 inflight.request, batch.batch_id, inflight.joined_s,
@@ -2059,10 +1949,11 @@ class InferenceServer:
                 per_device_gpu_s=per_device,
                 comm_s=comm_s,
                 failed=failed,
+                retry=retry,
                 prefill_s=prefill_s,
                 thrash_s=thrash_s,
                 kv_evicted=kv_evicted,
-                kv_bytes=0 if ex is None else mem.kv_bytes,
+                kv_bytes=None if ex is None else mem.kv_bytes,
             )
         )
         return end_s
@@ -2263,10 +2154,6 @@ class InferenceServer:
                             request_id=victim.request.request_id,
                             reason="memory-pressure",
                         )
-                        tr.metrics.counter(
-                            "serve_kv_evictions_total",
-                            "memory-pressure evictions",
-                        ).inc(model=name, reason="memory-pressure")
                 else:
                     # A lone resident that can no longer grow — only
                     # possible after a budget shrink (admission proved
@@ -2279,7 +2166,7 @@ class InferenceServer:
                     mem.release_kv(lone.request.request_id, start_s)
                     self._drop(
                         lone.request, "failed", start_s, state,
-                        reason="kv-overflow",
+                        kv_evicted=kv_evicted, reason="kv-overflow",
                     )
                 growth -= bpt
         if not cb.resident:

@@ -832,7 +832,7 @@ def fill_registry(
     def queue(request: object) -> str:
         return "decode" if is_decode(request) else "prefill"
 
-    #: (counter name, label pairs) -> this run's total
+    # (counter name, label pairs) -> this run's total
     counts: Counter = Counter()
     launches = sorted(
         [(b.batch_id, b.model, b.modeled_gpu_s) for b in metrics.batch_records]

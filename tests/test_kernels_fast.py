@@ -1,8 +1,11 @@
 """Equivalence and contract tests for the fast gather-GEMM kernel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.kernels.fast as fast_module
 from repro.errors import ShapeError
 from repro.kernels.blocked import nm_spmm_blocked
 from repro.kernels.fast import nm_spmm_fast
@@ -103,8 +106,6 @@ class TestFastEquivalence:
         """Forcing the window loop down to one-window chunks must give
         bitwise-identical output (chunking only bounds the gather
         buffer, never changes the per-window GEMMs)."""
-        import repro.kernels.fast as fast_module
-
         a, comp, _ = _setup(pattern, 24, 4 * pattern.padded_n(8), 2 * pattern.m)
         unchunked = nm_spmm_fast(a, comp)
         monkeypatch.setattr(fast_module, "GATHER_BUFFER_ELEMENTS", 1)
@@ -140,8 +141,6 @@ class TestWindowGroupBlocking:
         """One window per group, the default L2-sized groups and one
         group for the whole layer give bitwise-identical output: the
         bound only decides which windows share a batched matmul."""
-        import repro.kernels.fast as fast_module
-
         a, comp, _ = _setup(pattern, m, n, k)
         layout = build_gather_layout(comp)
         default_group = fast_module.GATHER_BUFFER_ELEMENTS // (layout.w * m)
@@ -198,4 +197,89 @@ class TestFunctionalOversizeRegression:
         a, comp, gold = _setup(pattern, 8, 16, 16)
         np.testing.assert_allclose(
             nm_spmm_functional(a, comp), gold, rtol=RTOL, atol=ATOL
+        )
+
+
+# ----------------------------------------------------------------------
+# Differential test: the kernel against a frozen copy of the window-group
+# loop that fancy-indexed the gather and set-item'd each group's product
+# through a transposed view of the output.
+# ----------------------------------------------------------------------
+def _reference_group_loop(a, layout, bound):
+    """Frozen fancy-index gather-GEMM: the bit oracle for the kernel."""
+    a = np.asarray(a, dtype=np.float32)
+    m_rows = a.shape[0]
+    ell = layout.pattern.vector_length
+    q, w = layout.q, layout.w
+    at = np.ascontiguousarray(a.T)
+    chunk_q = max(1, min(q, bound // max(1, w * m_rows)))
+    out = np.empty((m_rows, q * ell), dtype=np.float32)
+    out3 = out.reshape(m_rows, q, ell)
+    for j0 in range(0, q, chunk_q):
+        j1 = min(j0 + chunk_q, q)
+        ar_t = at[layout.rows[j0:j1].reshape(-1)]
+        prod = np.matmul(
+            ar_t.reshape(j1 - j0, w, m_rows).transpose(0, 2, 1),
+            layout.values[j0:j1],
+        )
+        out3[:, j0:j1] = prod.transpose(1, 0, 2)
+    return out
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.flags["C_CONTIGUOUS"]
+    assert actual.tobytes() == expected.tobytes()
+
+
+DIFFERENTIAL_MS = [0, 1, 3, 4, 16, 256]
+
+
+def _differential_case(pattern, m):
+    """A layer whose q the default group size does not divide at m=256,
+    so the last window group there is partial."""
+    k = 4 * pattern.m
+    w = pattern.compressed_rows(k)
+    chunk = fast_module.GATHER_BUFFER_ELEMENTS // (w * 256)
+    q = chunk + chunk // 2 + 1
+    a, comp, _ = _setup(pattern, max(m, 1), q * pattern.vector_length, k, seed=m)
+    layout = build_gather_layout(comp)
+    a = a[:m]  # m=0: an empty batch still returns an (0, n) product
+    assert layout.q == q and 1 < chunk < q and q % chunk != 0
+    return a, layout
+
+
+@pytest.mark.parametrize("m", DIFFERENTIAL_MS)
+@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.label())
+class TestMatchesFrozenGroupLoop:
+    def test_bitwise(self, pattern, m):
+        a, layout = _differential_case(pattern, m)
+        _assert_bitwise(
+            nm_spmm_fast(a, layout),
+            _reference_group_loop(a, layout, fast_module.GATHER_BUFFER_ELEMENTS),
+        )
+
+    def test_fortran_ordered_a(self, pattern, m):
+        a, layout = _differential_case(pattern, m)
+        _assert_bitwise(
+            nm_spmm_fast(np.asfortranarray(a), layout),
+            _reference_group_loop(a, layout, fast_module.GATHER_BUFFER_ELEMENTS),
+        )
+
+    def test_int64_rows(self, pattern, m):
+        a, layout = _differential_case(pattern, m)
+        assert layout.rows.dtype == np.int32
+        wide = dataclasses.replace(layout, rows=layout.rows.astype(np.int64))
+        _assert_bitwise(
+            nm_spmm_fast(a, wide),
+            _reference_group_loop(a, layout, fast_module.GATHER_BUFFER_ELEMENTS),
+        )
+
+    @pytest.mark.parametrize("bound", [1, 1 << 30], ids=["one-window", "one-group"])
+    def test_group_bounds(self, pattern, m, bound, monkeypatch):
+        a, layout = _differential_case(pattern, m)
+        monkeypatch.setattr(fast_module, "GATHER_BUFFER_ELEMENTS", bound)
+        _assert_bitwise(
+            nm_spmm_fast(a, layout), _reference_group_loop(a, layout, bound)
         )

@@ -6,7 +6,7 @@ this kernel consumes a precomputed
 :class:`~repro.sparsity.gather.GatherLayout` and evaluates windows in
 cache-sized groups, one batched ``matmul`` per group: gather ``A`` into
 ``(cq, m, w)`` blocks, multiply against the layout's ``(cq, w, L)``
-value blocks, and interleave the ``(cq, m, L)`` results into ``(m, n)``.
+value blocks, and write the ``(cq, m, L)`` results into ``(m, n)``.
 This is the §III-B2 observation applied end to end — after the offline
 layout conversion the product is dense-GEMM-shaped work that BLAS runs
 at full rate — which is why ``execute(backend="fast")`` is the default.
@@ -69,24 +69,24 @@ def nm_spmm_fast(
     pattern = layout.pattern
     ell = pattern.vector_length
     q, w = layout.q, layout.w
-    # Gather from A^T so every gathered element pulls a contiguous
-    # m-row instead of a strided column — one fancy-index per window
-    # group builds the windows' Ar^T as a contiguous (cq, w, m) block.
-    # matmul broadcasts over the leading window axis (Ar^T is consumed
-    # transposed, which BLAS handles without a copy), so the per-window
-    # GEMMs of a group run in a single batched call.
+    # Gather from A^T so each gathered row is a contiguous m-vector: one
+    # ``take`` per window group builds the (cq, w, m) block of Ar^T (a
+    # fancy index copies the same rows but pays a fixed cost per row,
+    # which dominates at decode m).  One batched matmul then runs the
+    # group's per-window GEMMs and writes each (m, L) product straight
+    # into ``out`` through its (q, m, L) view; BLAS takes the row stride.
     at = np.ascontiguousarray(a.T)
     chunk_q = max(1, min(q, GATHER_BUFFER_ELEMENTS // max(1, w * m_rows)))
     out = np.empty((m_rows, q * ell), dtype=np.float32)
-    out3 = out.reshape(m_rows, q, ell)
+    out_t = out.reshape(m_rows, q, ell).transpose(1, 0, 2)
     for j0 in range(0, q, chunk_q):
         j1 = min(j0 + chunk_q, q)
-        ar_t = at[layout.rows[j0:j1].reshape(-1)]
-        prod = np.matmul(
+        ar_t = np.take(at, layout.rows[j0:j1].reshape(-1), axis=0)
+        np.matmul(
             ar_t.reshape(j1 - j0, w, m_rows).transpose(0, 2, 1),
             layout.values[j0:j1],
-        )  # (cq, m, L)
-        out3[:, j0:j1] = prod.transpose(1, 0, 2)
+            out=out_t[j0:j1],
+        )
     if rescale:
         out *= np.float32(pattern.m / pattern.n)
     return out

@@ -127,7 +127,7 @@ def build_gather_layout(compressed: NMCompressedMatrix) -> GatherLayout:
     pattern = compressed.pattern
     ell = pattern.vector_length
     # (w, q) absolute rows -> window-major (q, w), each window's gather
-    # list contiguous for the fancy-index in the fast kernel.  Row
+    # list contiguous for the fast kernel's per-group ``take``.  Row
     # indices live in [0, k), so int32 suffices unless k overflows it;
     # the narrower dtype halves the layout's resident index bytes.
     rows_dtype = (

@@ -7,7 +7,8 @@ registry** (:mod:`repro.backends`, with the opt-in ``sharded``
 backend registered first) through the real ``execute()`` facade — so
 a newly registered backend lands in the tracked numbers without
 touching this file.  The grid covers small/medium/large shapes
-and a low- (2:4) and high-sparsity (8:32) pattern, and writes
+and a low- (2:4) and high-sparsity (8:32) pattern, plus decode-shaped
+(m <= 16) Llama-7B/8 projections at 2:8, and writes
 ``BENCH_kernels.json`` at the repo root so the kernel perf trajectory
 accrues across PRs.  These are the substrate's own numbers (host CPU
 BLAS), not the GPU model's.
@@ -81,6 +82,7 @@ SHAPES: tuple[tuple[str, tuple[int, int, int]], ...] = (
 )
 SMOKE_SHAPES: tuple[tuple[str, tuple[int, int, int]], ...] = (
     ("small", (32, 64, 64)),
+    ("decode", (1, 64, 64)),
 )
 
 PATTERNS: tuple[NMPattern, ...] = (
@@ -100,6 +102,16 @@ FUNCBENCH_NAME = "medium-funcbench"
 FUNCBENCH_SHAPE = (256, 512, 512)
 FUNCBENCH_PATTERN = NMPattern(8, 32, vector_length=32)
 FUNCBENCH_PARAMS = TileParams(ms=32, ns=64, mr=32, nr=32, mt=8, nt=4, ks=128)
+
+#: Decode-shaped rows: the Llama-7B/8 ``lm-head`` (n=4000, k=512) and
+#: ``attn-qkvo`` (512x512) projections perfbench's forward-decode runs,
+#: at 2:8 L=8 and the skinny batches a decode step sees.
+DECODE_PATTERN = NMPattern(2, 8, vector_length=8)
+DECODE_SHAPES: tuple[tuple[str, tuple[int, int, int]], ...] = tuple(
+    (f"{layer}-m{m}", (m, n, k))
+    for layer, (n, k) in (("lm-head", (4000, 512)), ("attn-qkvo", (512, 512)))
+    for m in (1, 4, 16)
+)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -263,6 +275,10 @@ def run_kernel_bench(
                 repeats=repeats,
             )
         )
+        configs.extend(
+            run_config(name, shape, DECODE_PATTERN, repeats=repeats)
+            for name, shape in DECODE_SHAPES
+        )
     return {
         "schema": SCHEMA,
         "meta": bench_meta(
@@ -272,6 +288,10 @@ def run_kernel_bench(
                 "patterns": [p.label() for p in PATTERNS],
                 "repeats": repeats,
                 "funcbench": not smoke,
+                "decode_shapes": [
+                    [name, list(shape)]
+                    for name, shape in (() if smoke else DECODE_SHAPES)
+                ],
             },
             generated_at=generated_at,
         ),
@@ -328,7 +348,9 @@ def test_bench_kernel_backends(benchmark, emit):
     emit("kernel_backends", render_results(result) + f"\n\nwrote {path}")
 
     assert result["schema"] == SCHEMA
-    assert len(result["configs"]) == len(SHAPES) * len(PATTERNS) + 1
+    assert len(result["configs"]) == (
+        len(SHAPES) * len(PATTERNS) + 1 + len(DECODE_SHAPES)
+    )
     for config in result["configs"]:
         # The builtin registry rows must be present alongside the raw
         # baselines (they always support these requests and meet
@@ -401,11 +423,19 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"({small['fast']['gflops']:.1f} GFLOP/s) on small-2:4"
             )
             return 1
+        # The decode rows are reported, not gated: at m <= 16 the
+        # facade's fixed per-call cost is a large share of a call that
+        # takes tens of microseconds.
+        decode = {
+            f"{name}-{DECODE_PATTERN.n}:{DECODE_PATTERN.m}"
+            for name, _ in DECODE_SHAPES
+        }
         worst = max(
             (
                 c["fast_facade_overhead"]
                 for c in result["configs"]
                 if c["fast_facade_overhead"] is not None
+                and c["name"] not in decode
             ),
             default=None,
         )

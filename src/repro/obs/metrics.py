@@ -23,9 +23,6 @@ from repro.errors import ObsError
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS",
-    "BoundCounter",
-    "BoundGauge",
-    "BoundHistogram",
     "Counter",
     "Gauge",
     "Histogram",
@@ -73,35 +70,11 @@ class Counter:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
-    def labels(self, **labels: object) -> "BoundCounter":
-        """Resolve one label set once; the returned handle's ``inc``
-        skips label normalization (the per-launch hot path)."""
-        return BoundCounter(self, _label_key(labels))
-
     def value(self, **labels: object) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
     def samples(self) -> list[tuple[LabelKey, float]]:
         return sorted(self._values.items())
-
-
-class BoundCounter:
-    """A :class:`Counter` pre-bound to one label set."""
-
-    __slots__ = ("_metric", "_key")
-
-    def __init__(self, metric: Counter, key: LabelKey) -> None:
-        self._metric = metric
-        self._key = key
-
-    def inc(self, value: float = 1.0) -> None:
-        if value < 0:
-            raise ObsError(
-                f"counter {self._metric.name!r} cannot decrease "
-                f"(inc({value}))"
-            )
-        values = self._metric._values
-        values[self._key] = values.get(self._key, 0.0) + value
 
 
 @dataclass
@@ -120,33 +93,11 @@ class Gauge:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
-    def labels(self, **labels: object) -> "BoundGauge":
-        """Resolve one label set once; the returned handle's ``set`` /
-        ``inc`` skip label normalization."""
-        return BoundGauge(self, _label_key(labels))
-
     def value(self, **labels: object) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
     def samples(self) -> list[tuple[LabelKey, float]]:
         return sorted(self._values.items())
-
-
-class BoundGauge:
-    """A :class:`Gauge` pre-bound to one label set."""
-
-    __slots__ = ("_metric", "_key")
-
-    def __init__(self, metric: Gauge, key: LabelKey) -> None:
-        self._metric = metric
-        self._key = key
-
-    def set(self, value: float) -> None:
-        self._metric._values[self._key] = float(value)
-
-    def inc(self, value: float = 1.0) -> None:
-        values = self._metric._values
-        values[self._key] = values.get(self._key, 0.0) + value
 
 
 @dataclass
@@ -180,13 +131,6 @@ class Histogram:
         counts[bisect.bisect_left(self.buckets, value)] += 1
         self._sums[key] = self._sums.get(key, 0.0) + float(value)
 
-    def labels(self, **labels: object) -> "BoundHistogram":
-        """Resolve one label set once; the returned handle's
-        ``observe`` skips label normalization."""
-        key = _label_key(labels)
-        counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
-        return BoundHistogram(self, key, counts)
-
     def count(self, **labels: object) -> int:
         counts = self._counts.get(_label_key(labels))
         return sum(counts) if counts else 0
@@ -201,26 +145,6 @@ class Histogram:
             (key, list(itertools.accumulate(counts)), self._sums[key])
             for key, counts in self._counts.items()
         )
-
-
-class BoundHistogram:
-    """A :class:`Histogram` pre-bound to one label set."""
-
-    __slots__ = ("_metric", "_key", "_counts")
-
-    def __init__(
-        self, metric: Histogram, key: LabelKey, counts: list[int]
-    ) -> None:
-        self._metric = metric
-        self._key = key
-        self._counts = counts
-
-    def observe(self, value: float) -> None:
-        self._counts[
-            bisect.bisect_left(self._metric.buckets, value)
-        ] += 1
-        sums = self._metric._sums
-        sums[self._key] = sums.get(self._key, 0.0) + float(value)
 
 
 #: Any of the three metric kinds a registry can hold.

@@ -55,7 +55,10 @@ class DenseScatterBackend(AnalyticTraceBackend):
         return True
 
     def _compute(self, request: ExecutionRequest) -> np.ndarray:
-        return request.a @ decompress(request.handle.compressed)
+        # BLAS may sum a transposed (F-ordered) A in another order, so
+        # the SGEMM always reads a row-major copy: same bits either way.
+        a = np.ascontiguousarray(request.a)
+        return a @ decompress(request.handle.compressed)
 
     def _fill_trace(self, request: ExecutionRequest):
         """Account the backend's *real* memory events — the scatter

@@ -31,7 +31,7 @@ from repro.sparsity.colinfo import ColumnInfo, preprocess_offline
 from repro.sparsity.compress import NMCompressedMatrix, compress
 from repro.sparsity.config import NMPattern
 from repro.sparsity.gather import GatherLayout, build_gather_layout
-from repro.utils.arrays import as_f32
+from repro.utils.arrays import as_f32_any_order
 from repro.utils.cache import LRUCache
 from repro.utils.validation import check_matrix
 
@@ -266,7 +266,10 @@ class NMSpMM:
         """Validate operands and bundle one execution's inputs into an
         :class:`~repro.backends.base.ExecutionRequest`.
 
-        ``A`` may have either the handle's logical ``k`` (the original
+        ``A`` becomes float32 in its own order when it is F-contiguous
+        (an F-ordered float32 ``A``, a view of a row-major A^T, is not
+        copied) and C-contiguous otherwise.  It may have either the
+        handle's logical ``k`` (the original
         weights' row count — zero-padded here, matching the padding
         compression applied to the weights) or the padded ``k``.  An
         explicit ``plan`` must match the operand shapes and the
@@ -277,7 +280,7 @@ class NMSpMM:
         (:class:`~repro.obs.tracer.Tracer`) rides along on the request
         so dispatch and selection report spans/events.
         """
-        a = as_f32(check_matrix("a", a))
+        a = as_f32_any_order(check_matrix("a", a))
         if a.shape[1] == handle.k_logical and handle.k_logical != handle.k:
             pad = np.zeros(
                 (a.shape[0], handle.k - a.shape[1]), dtype=np.float32
@@ -409,6 +412,10 @@ class NMSpMM:
         * ``"fast"`` — the batched gather-GEMM kernel over the handle's
           precomputed :class:`~repro.sparsity.gather.GatherLayout`; a
           requested ``trace`` is filled *analytically* from the plan.
+          Its output order follows the input's: an F-contiguous ``a``
+          with more than one row (a view of a row-major A^T) runs the
+          feature-major kernel and returns an F-ordered C, any other
+          ``a`` a C-ordered one, with the same bits either way.
         * ``"dense_scatter"`` — scatter the compressed values back to a
           dense B and run one SGEMM; wins below the gather-GEMM's
           vector-length efficiency crossover (e.g. 2:4 with L=4).

@@ -12,7 +12,7 @@ import numpy as np
 from repro.core.api import NMSpMM, SparseHandle
 from repro.errors import ShapeError
 from repro.sparsity.config import NMPattern
-from repro.utils.arrays import as_f32
+from repro.utils.arrays import as_f32, as_f32_any_order
 from repro.utils.validation import check_matrix
 
 __all__ = ["Linear", "NMSparseLinear"]
@@ -132,7 +132,7 @@ class NMSparseLinear:
         return self.original_n
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = as_f32(check_matrix("x", x))
+        x = as_f32_any_order(check_matrix("x", x))
         if x.shape[1] != self.original_k:
             raise ShapeError(
                 f"input has {x.shape[1]} features, layer expects "

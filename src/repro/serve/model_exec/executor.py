@@ -184,6 +184,10 @@ class ModelExecutor:
 
     def kv_bytes(self, tokens: int) -> int:
         """KV footprint of one sequence with ``tokens`` cached."""
+        if isinstance(tokens, bool) or not isinstance(tokens, (int, np.integer)):
+            raise ServeError(
+                f"tokens must be an int, got {type(tokens).__name__}"
+            )
         if tokens < 0:
             raise ServeError(f"tokens must be >= 0, got {tokens}")
         return tokens * self.kv_bytes_per_token
@@ -204,16 +208,28 @@ class ModelExecutor:
         return x
 
     def hidden_states(self, x: np.ndarray) -> np.ndarray:
-        """Walk every transformer block: ``(m, hidden) -> (m, hidden)``."""
-        x = np.ascontiguousarray(x, dtype=np.float32)
+        """Walk every transformer block: ``(m, hidden) -> (m, hidden)``.
+
+        The residual stream is feature-major: the input is made
+        F-ordered once, so every layer's fast kernel gathers the
+        ``(hidden, m)`` A^T in place and hands back F-ordered output
+        that the residual adds, ``relu`` and the ``qkv[:, :h]`` slice
+        keep in F order.  The result is C-contiguous again.
+        """
+        x = np.asarray(x)  # no dtype: validate before converting
+        if x.dtype.kind not in "iuf":
+            raise ServeError(
+                f"activations must be real numbers, got dtype {x.dtype}"
+            )
         if x.ndim != 2 or x.shape[1] != self.model.hidden:
             raise ServeError(
                 f"activations must be (m, {self.model.hidden}), "
                 f"got {x.shape}"
             )
+        x = np.asfortranarray(x, dtype=np.float32)
         for b in range(self.blocks):
             x = self._block_forward(x, b)
-        return x
+        return np.ascontiguousarray(x)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Full forward: blocks then LM head, ``(m, vocab)`` logits."""

@@ -15,13 +15,34 @@ import numpy as np
 from repro.utils.intmath import ceil_div, round_up
 from repro.utils.validation import check_matrix, check_positive_int
 
-__all__ = ["pad_to_multiple", "iter_tiles", "tile_count", "split_into_windows", "as_f32"]
+__all__ = [
+    "pad_to_multiple",
+    "iter_tiles",
+    "tile_count",
+    "split_into_windows",
+    "as_f32",
+    "as_f32_any_order",
+]
 
 
 def as_f32(array: np.ndarray) -> np.ndarray:
     """Return ``array`` as a C-contiguous float32 matrix (no copy when
     already in that form)."""
     return np.ascontiguousarray(array, dtype=np.float32)
+
+
+def as_f32_any_order(array: np.ndarray) -> np.ndarray:
+    """Return ``array`` as a C- or F-contiguous float32 matrix.
+
+    Like :func:`as_f32`, except that an F-contiguous input keeps its
+    order: an F-ordered float32 matrix comes back as is (a feature-major
+    ``(m, k)`` view of a ``(k, m)`` A^T is not copied), and one of
+    another dtype is converted in F order.  Anything else goes through
+    :func:`as_f32`.
+    """
+    if array.flags.f_contiguous:
+        return np.asfortranarray(array, dtype=np.float32)
+    return as_f32(array)
 
 
 def pad_to_multiple(

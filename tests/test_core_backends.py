@@ -278,3 +278,68 @@ class TestLinearBackend:
         np.testing.assert_allclose(
             sparse_fast(x), sparse_structural(x), rtol=RTOL, atol=ATOL
         )
+
+
+#: The library's supported-pattern grid (mirrors the kernel suites).
+PATTERNS = [
+    NMPattern(2, 4, vector_length=4),
+    NMPattern(1, 4, vector_length=2),
+    NMPattern(3, 8, vector_length=4),
+    NMPattern(4, 8, vector_length=8),
+    NMPattern(8, 32, vector_length=32),
+    NMPattern(4, 32, vector_length=16),
+    NMPattern(4, 4, vector_length=4),  # dense degenerate
+]
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.label())
+class TestInputOrder:
+    """An F-ordered ``(m, k)`` A (a view of a row-major A^T) gives the
+    bits of its C-ordered copy on the numerics backends, and ``fast``
+    hands back the order it was given: F iff F-contiguous with m > 1."""
+
+    MS = (1, 2, 5, 64)
+
+    def _prepared(self, pattern, rng, *, trim=0):
+        op = NMSpMM(pattern)
+        # With ``trim`` columns short of a window multiple, execute()
+        # trims the padding off the product.
+        handle = op.prepare(
+            random_dense(5 * pattern.m, 7 * pattern.vector_length - trim, rng)
+        )
+        return op, handle
+
+    @pytest.mark.parametrize("backend", ["fast", "dense_scatter"])
+    def test_same_bits_for_both_orders(self, pattern, backend, rng):
+        op, handle = self._prepared(pattern, rng, trim=1)
+        for m in self.MS:
+            a = random_dense(m, handle.k, rng)
+            c_out = op.execute(a, handle, backend=backend)
+            f_out = op.execute(np.asfortranarray(a), handle, backend=backend)
+            assert f_out.shape == c_out.shape == (m, handle.n_logical)
+            assert (
+                np.ascontiguousarray(f_out).tobytes()
+                == np.ascontiguousarray(c_out).tobytes()
+            )
+
+    @pytest.mark.parametrize("trim", [0, 1], ids=["exact-n", "trimmed-n"])
+    def test_fast_output_order_follows_input(self, pattern, trim, rng):
+        op, handle = self._prepared(pattern, rng, trim=trim)
+        for m in self.MS:
+            a = random_dense(m, handle.k, rng)
+            c_out = op.execute(a, handle, backend="fast")
+            f_out = op.execute(np.asfortranarray(a), handle, backend="fast")
+            # Row-major C stays row-major, and trimming the padded
+            # columns off an F product keeps it F-contiguous.
+            assert c_out.strides[1] == c_out.itemsize
+            if m == 1:
+                # Both orders at once: the row-major call runs.
+                assert f_out.strides == c_out.strides
+            else:
+                assert f_out.flags["F_CONTIGUOUS"]
+                assert not f_out.flags["C_CONTIGUOUS"]
+
+    def test_fortran_input_is_not_copied(self, pattern, rng):
+        op, handle = self._prepared(pattern, rng)
+        a = np.asfortranarray(random_dense(4, handle.k, rng))
+        assert op.build_request(a, handle).a is a

@@ -183,6 +183,37 @@ class TestShardedCorrectness:
             out, op.execute(a, handle, backend="fast")
         )
 
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.label())
+    @pytest.mark.parametrize("devices", DEVICE_COUNTS)
+    def test_fortran_ordered_a_column_mode_is_exactly_fast(
+        self, pattern, devices, rng
+    ):
+        """Column shards run disjoint windows through the same kernel,
+        so an F-ordered A (the feature-major walk's layout) gives the
+        single-device fast bits."""
+        op, handle, a = _prepared(pattern, rng)
+        out = sharded_execute(
+            np.asfortranarray(a), shard_handle(handle, devices, "column")
+        )
+        assert out.tobytes() == (
+            np.ascontiguousarray(op.execute(a, handle, backend="fast")).tobytes()
+        )
+
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.label())
+    @pytest.mark.parametrize("devices", DEVICE_COUNTS)
+    def test_fortran_ordered_a_row_mode_keeps_its_bits(
+        self, pattern, devices, rng
+    ):
+        """Row mode sums per-device partials, so it matches one device
+        only to rounding; the order of A must not move a bit of it."""
+        op, handle, a = _prepared(pattern, rng)
+        sharded = shard_handle(handle, devices, "row")
+        out = sharded_execute(np.asfortranarray(a), sharded)
+        assert out.tobytes() == sharded_execute(a, sharded).tobytes()
+        np.testing.assert_allclose(
+            out, op.execute(a, handle, backend="fast"), rtol=RTOL, atol=ATOL
+        )
+
     def test_combine_rejects_wrong_arity(self, pattern_2_4, rng):
         _, handle, a = _prepared(pattern_2_4, rng)
         sharded = shard_handle(handle, 2, "column")

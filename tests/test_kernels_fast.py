@@ -8,7 +8,7 @@ import pytest
 import repro.kernels.fast as fast_module
 from repro.errors import ShapeError
 from repro.kernels.blocked import nm_spmm_blocked
-from repro.kernels.fast import nm_spmm_fast
+from repro.kernels.fast import nm_spmm_fast, nm_spmm_fast_t
 from repro.kernels.functional import nm_spmm_functional
 from repro.kernels.packed import nm_spmm_packed
 from repro.kernels.reference import nm_spmm_reference
@@ -282,4 +282,42 @@ class TestMatchesFrozenGroupLoop:
         monkeypatch.setattr(fast_module, "GATHER_BUFFER_ELEMENTS", bound)
         _assert_bitwise(
             nm_spmm_fast(a, layout), _reference_group_loop(a, layout, bound)
+        )
+
+
+@pytest.mark.parametrize("m", DIFFERENTIAL_MS)
+@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.label())
+class TestFeatureMajorEntry:
+    """``nm_spmm_fast_t`` runs the same group loop with the product
+    transposed: its C^T is the frozen loop's C, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "bound", [None, 1, 1 << 30], ids=["default", "one-window", "one-group"]
+    )
+    def test_transpose_of_frozen_loop(self, pattern, m, bound, monkeypatch):
+        a, layout = _differential_case(pattern, m)
+        if bound is not None:
+            monkeypatch.setattr(fast_module, "GATHER_BUFFER_ELEMENTS", bound)
+        ct = nm_spmm_fast_t(np.ascontiguousarray(a.T), layout)
+        assert ct.flags["C_CONTIGUOUS"]
+        assert ct.shape == (layout.n, m)
+        _assert_bitwise(
+            np.ascontiguousarray(ct.T),
+            _reference_group_loop(a, layout, fast_module.GATHER_BUFFER_ELEMENTS),
+        )
+
+
+class TestFeatureMajorContract:
+    def setup_method(self):
+        self.pattern = NMPattern(2, 8, vector_length=4)
+        self.a, self.comp, _ = _setup(self.pattern, 8, 16, 16)
+
+    def test_wrong_k_rejected(self):
+        with pytest.raises(ShapeError, match="expects"):
+            nm_spmm_fast_t(np.ascontiguousarray(self.a.T)[:-1], self.comp)
+
+    def test_rescale_matches_row_major(self):
+        ct = nm_spmm_fast_t(self.a.T, self.comp, rescale=True)
+        np.testing.assert_array_equal(
+            ct.T, nm_spmm_fast(self.a, self.comp, rescale=True)
         )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServeError
+from repro.nn.linear import NMSparseLinear
 from repro.serve.batcher import BatchingPolicy
 from repro.serve.model_exec import DeviceMemoryModel, ModelExecutor
 from repro.serve.model_exec.executor import (
@@ -83,6 +84,31 @@ class TestNumerics:
         with pytest.raises(ServeError, match="activations"):
             executor.hidden_states(np.ones((2, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "abc",
+            np.full((2, 32), "x"),
+            np.ones((2, 32), dtype=np.complex64),
+            np.ones((2, 32), dtype=bool),
+            np.empty((2, 32), dtype=object),
+        ],
+        ids=["str", "str-array", "complex", "bool", "object"],
+    )
+    def test_non_real_activations_rejected(self, executor, bad):
+        """Validated before any float32 conversion: no NumPy parse
+        error, no silent ComplexWarning truncation."""
+        for call in (executor.hidden_states, executor.logits):
+            with pytest.raises(ServeError, match="real numbers") as info:
+                call(bad)
+            assert "\n" not in str(info.value)
+
+    def test_integer_activations_accepted(self, executor):
+        x = np.ones((2, executor.hidden), dtype=np.int64)
+        np.testing.assert_array_equal(
+            executor.logits(x), executor.logits(x.astype(np.float32))
+        )
+
     def test_seeded_weights_are_deterministic(self):
         a = ModelExecutor("llama-7b", scale=16, blocks=1, seed=3)
         b = ModelExecutor("llama-7b", scale=16, blocks=1, seed=3)
@@ -107,6 +133,14 @@ class TestFootprints:
         assert executor.kv_bytes(0) == 0
         with pytest.raises(ServeError, match="tokens"):
             executor.kv_bytes(-1)
+
+    @pytest.mark.parametrize("tokens", [2.5, 3.0, True, "4", None])
+    def test_kv_bytes_rejects_non_int_tokens(self, executor, tokens):
+        with pytest.raises(ServeError, match="tokens must be an int"):
+            executor.kv_bytes(tokens)
+
+    def test_kv_bytes_accepts_numpy_ints(self, executor):
+        assert executor.kv_bytes(np.int64(5)) == executor.kv_bytes(5)
 
     def test_denser_pattern_costs_more_bytes(self):
         sparse = ModelExecutor(
@@ -206,3 +240,70 @@ class TestDeviceMemoryModel:
             DeviceMemoryModel(100, admission="magic")
         with pytest.raises(ServeError, match="budget"):
             DeviceMemoryModel(0)
+
+
+def _row_major_walk(executor, x):
+    """Frozen copy of the row-major walk the feature-major one replaced:
+    every layer input made C-contiguous, as its ``as_f32`` did, so each
+    layer runs the row-major kernel.  Returns ``(hidden, logits)``."""
+
+    def call(name, a):
+        return executor.layer(name).layer(np.ascontiguousarray(a))
+
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    h = executor.hidden
+    for b in range(executor.blocks):
+        qkv = call(f"block{b}/attn-qkv-fused", x)
+        x = x + call(f"block{b}/attn-qkvo", qkv[:, :h])
+        up = call(f"block{b}/mlp-gate-up", x)
+        x = x + call(f"block{b}/mlp-down", np.maximum(up, 0.0))
+    return x, call(HEAD_LAYER_KIND, x)
+
+
+class TestFeatureMajorWalk:
+    """The feature-major walk gives the row-major walk's bits on the
+    benchmark's executor (Llama-7B/8, 2 blocks, 2:8 with L=8)."""
+
+    @pytest.fixture(scope="class", params=[0, 4242], ids=["seed0", "seed4242"])
+    def bench_executor(self, request):
+        return request.param, ModelExecutor(
+            "llama-7b",
+            scale=8,
+            blocks=2,
+            pattern=NMPattern(2, 8, vector_length=8),
+            seed=request.param,
+        )
+
+    @pytest.mark.parametrize("m", [1, 4, 16, 256])
+    def test_bitwise_equal_to_row_major_walk(self, bench_executor, m):
+        seed, executor = bench_executor
+        x = (
+            np.random.default_rng([seed, m])
+            .standard_normal((m, executor.hidden))
+            .astype(np.float32)
+        )
+        hidden, logits = _row_major_walk(executor, x)
+        for got, want in (
+            (executor.hidden_states(x), hidden),
+            (executor.logits(x), logits),
+        ):
+            assert got.flags["C_CONTIGUOUS"]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_block_layers_see_feature_major_input(self, bench_executor, monkeypatch):
+        """Every block layer is handed the F-ordered stream and hands
+        back F-ordered output; the LM head runs row-major."""
+        _, executor = bench_executor
+        seen = []
+        call = NMSparseLinear.__call__
+
+        def spy(layer, x):
+            out = call(layer, x)
+            seen.append((x.flags["F_CONTIGUOUS"], out.flags["F_CONTIGUOUS"]))
+            return out
+
+        monkeypatch.setattr(NMSparseLinear, "__call__", spy)
+        executor.logits(np.ones((16, executor.hidden), dtype=np.float32))
+        blocks = len(executor.layers) - 1
+        assert seen == [(True, True)] * blocks + [(False, False)]

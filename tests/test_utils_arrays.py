@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.utils.arrays import (
     as_f32,
+    as_f32_any_order,
     iter_tiles,
     pad_to_multiple,
     split_into_windows,
@@ -27,6 +28,27 @@ class TestAsF32:
         arr = np.zeros((4, 4), dtype=np.float32)[::2]
         out = as_f32(arr)
         assert out.flags["C_CONTIGUOUS"]
+
+
+class TestAsF32AnyOrder:
+    def test_fortran_float32_is_not_copied(self):
+        arr = np.asfortranarray(np.zeros((3, 4), dtype=np.float32))
+        assert as_f32_any_order(arr) is arr
+
+    def test_c_float32_is_not_copied(self):
+        arr = np.zeros((3, 4), dtype=np.float32)
+        assert as_f32_any_order(arr) is arr
+
+    def test_fortran_other_dtype_converts_in_f_order(self):
+        out = as_f32_any_order(np.asfortranarray(np.ones((3, 4))))
+        assert out.dtype == np.float32
+        assert out.flags["F_CONTIGUOUS"] and not out.flags["C_CONTIGUOUS"]
+
+    def test_strided_input_becomes_c_contiguous(self):
+        arr = np.zeros((4, 6), dtype=np.float32)[::2, ::2]
+        out = as_f32_any_order(arr)
+        assert out.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(out, arr)
 
 
 class TestPadToMultiple:

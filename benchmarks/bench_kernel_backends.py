@@ -3,10 +3,9 @@
 Times raw-kernel baselines (dense BLAS, the vectorized functional
 kernel, the structural blocked/packed executors with explicit blocking
 parameters) plus **every backend registered in the execution-backend
-registry** (:mod:`repro.backends`, with the opt-in ``sharded``
-backend registered first) through the real ``execute()`` facade — so
-a newly registered backend lands in the tracked numbers without
-touching this file.  The grid covers small/medium/large shapes
+registry** (:mod:`repro.backends`) through the real ``execute()``
+facade — so a newly registered backend lands in the tracked numbers
+without touching this file.  The grid covers small/medium/large shapes
 and a low- (2:4) and high-sparsity (8:32) pattern, plus decode-shaped
 (m <= 16) Llama-7B/8 projections at 2:8, and writes
 ``BENCH_kernels.json`` at the repo root so the kernel perf trajectory
@@ -49,12 +48,7 @@ import time
 
 import numpy as np
 
-from repro.backends import (
-    ShardedBackend,
-    available_backends,
-    backend_names,
-    register_backend,
-)
+from repro.backends import available_backends
 from repro.core.api import NMSpMM, SparseHandle
 from repro.gpu.catalog import resolve_gpu
 from repro.kernels.blocked import nm_spmm_blocked
@@ -254,10 +248,6 @@ def run_kernel_bench(
 ) -> dict:
     """Run the full grid (or the CI smoke slice) and return the
     schema-shaped result."""
-    # `sharded` is opt-in (not registered on import); the tracked grid
-    # keeps its column.
-    if "sharded" not in backend_names():
-        register_backend(ShardedBackend())
     shapes = SMOKE_SHAPES if smoke else SHAPES
     repeats = 1 if smoke else 5
     configs = [

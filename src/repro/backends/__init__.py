@@ -20,12 +20,8 @@ The execution layer's public API:
 Importing this package registers the builtin host backends in display
 order: ``fast`` (batched gather-GEMM), ``structural`` (recorded-trace
 executors) and ``dense_scatter`` (scatter-to-dense + SGEMM for the
-tiny-L regime).  :class:`~repro.distributed.sharded.ShardedBackend`
-(tensor-parallel execution across a simulated device group) is
-re-exported but opt-in: its cost prices a modeled multi-GPU split that
-``run()`` executes serially on the host, so it would win ``auto``'s
-race without being faster.  Callers who want ``backend="sharded"``
-register it with ``register_backend(ShardedBackend())``.
+tiny-L regime).  Tensor-parallel execution is not a backend: the
+serving engine runs it through :mod:`repro.distributed`.
 """
 
 from repro.backends.auto import (
@@ -72,13 +68,7 @@ __all__ = [
     "FastBackend",
     "StructuralBackend",
     "DenseScatterBackend",
-    "ShardedBackend",
 ]
-
-# Re-exported, not registered.  Imported last: repro.distributed
-# consumes this package's already-bound base/registry/auto modules,
-# which is safe mid-init.
-from repro.distributed.sharded import ShardedBackend  # noqa: E402
 
 # Builtin registrations (module initialization runs once per process).
 for _backend in (FastBackend(), StructuralBackend(), DenseScatterBackend()):

@@ -401,6 +401,5 @@ class AutoSelector:
             "scatter-to-dense SGEMM (k * (1 + "
             f"{self.scatter_macs_per_element:g}/m)), ties to the "
             "sparse path; registered backends exposing estimated_cost "
-            "(e.g. an opt-in sharded) join the race; decisions "
-            "memoized per (handle, m-bucket)"
+            "join the race; decisions memoized per (handle, m-bucket)"
         )

@@ -121,8 +121,7 @@ def backend_trace_vocabulary(name: str) -> tuple[str, ...]:
     (the ``trace_vocabulary`` capability) — empty for backends whose
     traces are purely plan-derived.  Trace consumers use this to
     interpret per-backend events (``dense_scatter`` speaks
-    scatter/SGEMM, ``sharded`` speaks device-compute/ring-collective)
-    without hardcoding backend knowledge."""
+    scatter/SGEMM) without hardcoding backend knowledge."""
     backend = get_backend(name)
     capabilities = getattr(backend, "capabilities", None)
     if capabilities is None:

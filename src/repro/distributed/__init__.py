@@ -14,13 +14,10 @@ communication model):
   partials) partitioners that slice the compressed ``(B', D)`` pair at
   window boundaries so every shard stays a legal N:M layout;
 * :mod:`repro.distributed.sharded` — :func:`sharded_execute` (real
-  per-device numerics via the fast gather-GEMM kernel),
-  :func:`modeled_step` (per-device plan simulation + collective on the
-  simulated clock) and :class:`ShardedBackend`, the registry face.  It
-  is opt-in: ``register_backend(ShardedBackend())`` makes
-  ``backend="sharded"`` selectable and enters it in ``auto``'s race
-  (its ``estimated_cost`` prices the modeled multi-GPU split, while
-  ``run()`` executes the shards serially on the host).
+  per-device numerics via the fast gather-GEMM kernel) and
+  :class:`DistributedStep`, the one composition of per-device modeled
+  seconds with the collective on the simulated clock
+  (:func:`modeled_shape_step` builds one from shapes alone).
 
 Serving integration lives in :class:`repro.serve.InferenceServer`
 (``devices=``/``shard=``/``link=``) and ``python -m repro serve-sim
@@ -38,11 +35,8 @@ from repro.distributed.shard import (
     shard_shapes,
 )
 from repro.distributed.sharded import (
-    DEFAULT_DEVICES,
     DistributedStep,
-    ShardedBackend,
     modeled_shape_step,
-    modeled_step,
     sharded_execute,
 )
 from repro.distributed.topology import (
@@ -69,8 +63,5 @@ __all__ = [
     "shard_shapes",
     "DistributedStep",
     "sharded_execute",
-    "modeled_step",
     "modeled_shape_step",
-    "ShardedBackend",
-    "DEFAULT_DEVICES",
 ]

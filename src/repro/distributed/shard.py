@@ -40,6 +40,7 @@ from repro.constants import FP32_BYTES
 from repro.errors import ShardError
 from repro.sparsity.compress import NMCompressedMatrix
 from repro.sparsity.config import NMPattern
+from repro.utils.validation import is_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import SparseHandle
@@ -68,8 +69,8 @@ def mode_collective(
     output pays under ``mode``: all-gather of the ``(m, n)`` fp32
     output slabs for column parallelism, all-reduce of the full-width
     partials for row parallelism.  The single source of the
-    payload/collective mapping — the serving clock, the auto-race
-    estimate, and the benchmark all price communication through it."""
+    payload/collective mapping — the serving clock and the benchmark
+    both price communication through it."""
     _check_mode(mode)
     payload = m * n * FP32_BYTES
     if mode == "column":
@@ -85,6 +86,13 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _check_devices(devices: int) -> None:
+    if not is_int(devices):
+        raise ShardError(f"devices must be an integer, got {devices!r}")
+    if devices < 1:
+        raise ShardError(f"devices must be >= 1, got {devices}")
+
+
 def shard_extents(windows: int, devices: int) -> list[tuple[int, int]]:
     """Contiguous ``[start, end)`` window ranges dealing ``windows``
     as evenly as possible across ``devices`` (first ``windows %
@@ -93,8 +101,7 @@ def shard_extents(windows: int, devices: int) -> list[tuple[int, int]]:
     >>> shard_extents(7, 3)
     [(0, 3), (3, 5), (5, 7)]
     """
-    if devices < 1:
-        raise ShardError(f"devices must be >= 1, got {devices}")
+    _check_devices(devices)
     if windows < devices:
         raise ShardError(
             f"cannot shard {windows} window(s) across {devices} devices; "
@@ -309,6 +316,7 @@ def shard_handle(
     handle (sharding slices arrays and builds per-shard gather layouts;
     serving must not re-pay that per step)."""
     _check_mode(mode)
+    _check_devices(devices)  # before the cache: True == 1 as a key
     cache = getattr(handle, "_shard_cache", None)
     if cache is None:
         cache = {}

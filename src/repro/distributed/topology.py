@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.gpu.catalog import resolve_gpu
 from repro.gpu.spec import GPUSpec
+from repro.utils.validation import is_int
 
 __all__ = [
     "Link",
@@ -111,8 +112,7 @@ class CommEvent:
 
     def trace_attrs(self) -> dict:
         """The attributes a ``comm.<collective>`` trace span carries
-        (consumed by the serving engine's tracer and by
-        :meth:`~repro.kernels.blocked.KernelTrace.add_comm` callers)."""
+        (consumed by the serving engine's tracer)."""
         return {
             "collective": self.collective,
             "payload_bytes": self.payload_bytes,
@@ -139,6 +139,10 @@ class DeviceGroup:
     link: Link
 
     def __post_init__(self) -> None:
+        if not is_int(self.devices):
+            raise ConfigurationError(
+                f"device count must be an integer, got {self.devices!r}"
+            )
         if self.devices < 1:
             raise ConfigurationError(
                 f"a device group needs >= 1 device, got {self.devices}"

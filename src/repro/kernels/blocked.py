@@ -46,13 +46,6 @@ class KernelTrace:
     excluded from equality: the analytic-equals-recorded assertions
     compare event accounting while the tag still distinguishes e.g.
     ``dense_scatter``'s own-event trace from a structural recording.
-
-    Distributed backends additionally account their collectives via
-    :meth:`add_comm`: ``comm_payload_bytes`` is the logical tensor
-    moved, ``comm_wire_bytes`` the per-device ring traffic actually
-    shipped, and ``comm_collectives`` the collective names in issue
-    order.  Single-device traces leave all comm fields at zero, so the
-    analytic==recorded equalities are untouched.
     """
 
     blocks: int = 0
@@ -65,10 +58,6 @@ class KernelTrace:
     lds_bytes: int = 0
     fma_ops: int = 0
     stg_bytes: int = 0
-    comm_payload_bytes: int = 0
-    comm_wire_bytes: int = 0
-    comm_seconds: float = 0.0
-    comm_collectives: list[str] = field(default_factory=list)
     packed_widths: list[int] = field(default_factory=list)
     backend: str = field(default="", compare=False)
 
@@ -92,20 +81,6 @@ class KernelTrace:
         bytes_total = self.ldg_bytes + self.stg_bytes
         return self.flops / bytes_total if bytes_total else 0.0
 
-    def add_comm(
-        self,
-        collective: str,
-        payload_bytes: int,
-        wire_bytes: int,
-        seconds: float = 0.0,
-    ) -> None:
-        """Account one modeled collective (see
-        :class:`~repro.distributed.topology.CommEvent`)."""
-        self.comm_collectives.append(str(collective))
-        self.comm_payload_bytes += int(payload_bytes)
-        self.comm_wire_bytes += int(wire_bytes)
-        self.comm_seconds += float(seconds)
-
     def tag_backend(self, name: str) -> None:
         """Stamp the originating backend; traces accumulated from
         different origins degrade to ``"mixed"`` rather than lying."""
@@ -128,10 +103,6 @@ class KernelTrace:
         self.lds_bytes += other.lds_bytes
         self.fma_ops += other.fma_ops
         self.stg_bytes += other.stg_bytes
-        self.comm_payload_bytes += other.comm_payload_bytes
-        self.comm_wire_bytes += other.comm_wire_bytes
-        self.comm_seconds += other.comm_seconds
-        self.comm_collectives.extend(other.comm_collectives)
         self.packed_widths.extend(other.packed_widths)
 
 

@@ -62,7 +62,7 @@ import numpy as np
 from repro.backends.registry import backend_names
 from repro.core.api import NMSpMM, SparseHandle
 from repro.distributed.shard import SHARD_MODES, ShardedHandle, shard_handle
-from repro.distributed.sharded import sharded_execute
+from repro.distributed.sharded import DistributedStep, sharded_execute
 from repro.distributed.topology import CommEvent, DeviceGroup, Link, get_link
 from repro.errors import ServeError
 from repro.faults import FaultInjector, FaultPlan, parse_fault_spec
@@ -88,6 +88,7 @@ from repro.serve.request import InferenceRequest, RequestRecord
 from repro.serve.resilience import ResiliencePolicy
 from repro.serve.scheduling import SchedulingPolicy, request_order_key
 from repro.sparsity.config import NMPattern
+from repro.utils.validation import is_int
 
 __all__ = ["ModelEntry", "ServingReport", "InferenceServer"]
 
@@ -494,8 +495,8 @@ class InferenceServer:
                 f"unknown backend {backend!r}; expected one of "
                 f"{backend_names()}"
             )
-        if devices < 1:
-            raise ServeError(f"devices must be >= 1, got {devices}")
+        if not is_int(devices) or devices < 1:
+            raise ServeError(f"devices must be an int >= 1, got {devices!r}")
         if shard not in SHARD_MODES:
             raise ServeError(
                 f"unknown shard mode {shard!r}; expected one of "
@@ -807,19 +808,17 @@ class InferenceServer:
         over device shards) — the counts roofline attribution places
         against the GPU's peaks.
 
-        Single-device entries go through the shared plan cache exactly
-        as before (plan returned for the numerics path, no comm
-        event).  Distributed entries look up one plan per device shard
-        in that device's own cache; the launch's modeled time is the
-        slowest device plus the mode's ring collective, returned as
-        the full :class:`~repro.distributed.topology.CommEvent` so the
-        trace can attribute wire bytes, not just seconds.
+        Single-device entries read the shared plan cache (plan
+        returned for the numerics path, no comm event).  Distributed
+        entries look up one plan per device shard in that device's own
+        cache; a :class:`~repro.distributed.sharded.DistributedStep`
+        composes them with the mode's ring collective, whose full
+        ``CommEvent`` is returned so the trace can attribute wire bytes.
 
-        With a fault injector active, each device's modeled seconds is
-        multiplied by its straggler clock factor at ``t_s`` and the
-        collective is priced against the (possibly degraded) link — so
-        a slowdown on one device gates the whole tensor-parallel
-        launch, exactly as the topology model prescribes.
+        With a fault injector active, each device's seconds is scaled
+        by its straggler clock factor at ``t_s`` and the collective is
+        priced on the (possibly degraded) link, so one slow device
+        gates the whole tensor-parallel launch.
 
         ``lookup`` stands in for :meth:`_cached_plan` (same arguments)
         — the walk memo records a walk's plan-cache keys through it.
@@ -858,8 +857,9 @@ class InferenceServer:
         if injector is not None:
             group = injector.degraded_group(group, t_s)
         comm = entry.sharded.collective(group, padded_rows)
+        step = DistributedStep(tuple(per_device), comm)
         return (
-            max(per_device) + comm.seconds, tuple(per_device), comm, None,
+            step.seconds, step.per_device_seconds, comm, None,
             (flops, ldg_bytes, stg_bytes),
         )
 

@@ -12,6 +12,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ShapeError
 
 __all__ = [
+    "is_int",
     "check_positive_int",
     "check_non_negative_int",
     "check_in_range",
@@ -20,6 +21,11 @@ __all__ = [
     "check_matrix",
     "check_fraction",
 ]
+
+
+def is_int(value: object) -> bool:
+    """``value`` is a Python or NumPy integer (``bool`` excluded)."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def check_positive_int(name: str, value: object) -> int:

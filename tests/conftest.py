@@ -33,15 +33,6 @@ def registry_snapshot():
 
 
 @pytest.fixture
-def sharded_registered(registry_snapshot):
-    """Register the opt-in ``sharded`` backend for one test (the
-    default registry holds only the host backends)."""
-    from repro.backends import ShardedBackend, register_backend
-
-    return register_backend(ShardedBackend())
-
-
-@pytest.fixture
 def pattern_2_4() -> NMPattern:
     """The canonical Fig. 1 pattern: 2:4 with L=4."""
     return NMPattern(2, 4, vector_length=4)

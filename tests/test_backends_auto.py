@@ -11,7 +11,9 @@ import pytest
 
 from repro.backends import (
     AutoSelector,
+    ExecutionResult,
     SelectionDecision,
+    register_backend,
     unregister_backend,
 )
 from repro.core.api import NMSpMM
@@ -44,6 +46,35 @@ DECISION_TABLE = [
 #: Batch size the table is evaluated at (a batched serving shape; the
 #: decode regime m=1 is covered separately below).
 TABLE_M = 256
+
+
+class Cheap:
+    """A third-party numerics backend that enters the cost race through
+    the ``estimated_cost`` hook at a settable price."""
+
+    name = "cheap"
+
+    def __init__(self):
+        self.cost = 0.5
+
+    def supports(self, request):
+        return True
+
+    def estimated_cost(self, request):
+        return self.cost
+
+    def run(self, request):
+        return ExecutionResult(
+            output=request.a @ request.handle.dense(),
+            backend=self.name,
+        )
+
+
+@pytest.fixture
+def numerics_backend():
+    backend = register_backend(Cheap())
+    yield backend
+    unregister_backend(backend.name)
 
 
 def _request(nm, ell, with_trace, rng, m=TABLE_M):
@@ -140,47 +171,36 @@ class TestLlamaLayerPicks:
             x = np.zeros((m, spec.layer.in_features), dtype=np.float32)
             decision = op.selector.explain_uncached(op.build_request(x, handle))
             assert decision.backend == "fast", (spec.name, decision.costs)
-            assert "sharded" not in decision.costs
-
-    def test_registered_sharded_matches_fast(
-        self, llama_executor, sharded_registered, rng
-    ):
-        for spec in llama_executor.layers[:4] + llama_executor.layers[-1:]:
-            op, handle = spec.layer.op, spec.layer.handle
-            x = random_dense(256, spec.layer.in_features, rng)
-            np.testing.assert_allclose(
-                op.execute(x, handle, backend="sharded"),
-                op.execute(x, handle, backend="fast"),
-                rtol=RTOL,
-                atol=ATOL,
-            )
+            assert set(decision.costs) == {"fast", "dense_scatter"}
 
 
 class TestExplainContents:
     def test_cost_race_exposes_costs_and_rejections(
-        self, sharded_registered, rng
+        self, numerics_backend, rng
     ):
+        numerics_backend.cost = 1e9
         op, _, request = _request((2, 4), 4, False, rng)
         decision = op.selector.explain(request)
         # The builtins race on the calibrated model; a registered
-        # `sharded` enters through its estimated_cost hook.
-        assert set(decision.costs) == {"fast", "dense_scatter", "sharded"}
+        # third-party backend enters through its estimated_cost hook.
+        assert set(decision.costs) == {"fast", "dense_scatter", "cheap"}
+        assert decision.costs["cheap"] == 1e9
         assert decision.costs["dense_scatter"] < decision.costs["fast"]
         builtin = op.selector.modeled_costs(request)
         assert all(decision.costs[name] == builtin[name] for name in builtin)
         rejected_names = {name for name, _ in decision.rejected}
-        assert "fast" in rejected_names
+        assert {"fast", "cheap"} <= rejected_names
         assert all(why.strip() for _, why in decision.rejected)
 
     def test_rejected_only_lists_registered_candidates(
-        self, sharded_registered, rng
+        self, registry_snapshot, numerics_backend, rng
     ):
         op, _, request = _request((2, 4), 4, True, rng)
         unregister_backend("dense_scatter")
         decision = op.selector.explain(request)
         rejected_names = {name for name, _ in decision.rejected}
         assert "dense_scatter" not in rejected_names
-        assert rejected_names == {"fast", "sharded"}
+        assert rejected_names == {"fast", "cheap"}
 
     def test_trace_decision_has_no_cost_race(self, rng):
         op, _, request = _request((2, 4), 4, True, rng)
@@ -196,32 +216,6 @@ class TestThirdPartyCostRace:
     """Registered backends enter auto-selection via the optional
     ``estimated_cost(request)`` hook; without it they are listed as
     rejected with that reason instead of being silently ignored."""
-
-    @pytest.fixture
-    def numerics_backend(self):
-        from repro.backends import ExecutionResult, register_backend
-
-        class Cheap:
-            name = "cheap"
-
-            def __init__(self):
-                self.cost = 0.5
-
-            def supports(self, request):
-                return True
-
-            def estimated_cost(self, request):
-                return self.cost
-
-            def run(self, request):
-                return ExecutionResult(
-                    output=request.a @ request.handle.dense(),
-                    backend=self.name,
-                )
-
-        backend = register_backend(Cheap())
-        yield backend
-        unregister_backend(backend.name)
 
     def test_cheapest_estimate_wins_the_race(self, numerics_backend, rng):
         op, handle, request = _request((8, 32), 32, False, rng)
@@ -246,8 +240,6 @@ class TestThirdPartyCostRace:
     def test_refusing_backend_never_wins_the_race(self, rng):
         """A candidate whose supports() declines the request is routed
         around (with its reason in rejected), not crashed into."""
-        from repro.backends import ExecutionResult, register_backend
-
         class CheapButPicky:
             name = "picky-cheap"
 
@@ -273,8 +265,6 @@ class TestThirdPartyCostRace:
             unregister_backend("picky-cheap")
 
     def test_hookless_backend_listed_as_out_of_race(self, rng):
-        from repro.backends import ExecutionResult, register_backend
-
         class NoHook:
             name = "nohook"
 
@@ -349,8 +339,6 @@ class TestDecisionMemo:
         assert op.selector.memo_stats.misses == 2
 
     def test_registration_invalidates(self, registry_snapshot, rng):
-        from repro.backends import ExecutionResult, register_backend
-
         op, handle, request = _request((8, 32), 32, False, rng)
         assert op.selector.explain(request).backend == "fast"
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro.backends.fast as fast_backend_module
-from repro.backends import ShardedBackend, backend_names, register_backend
+from repro.backends import backend_names
 from repro.core.api import NMSpMM, nm_spmm
 from repro.errors import ConfigurationError, ServeError
 from repro.kernels.blocked import KernelTrace
@@ -48,12 +48,8 @@ class TestBackendSelection:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             op.execute(a, handle, backend="turbo")
 
-    @pytest.mark.parametrize("backend", (*backend_names(), "sharded"))
-    def test_all_backends_agree_with_dense(
-        self, op_handle, rng, backend, registry_snapshot
-    ):
-        if backend == "sharded":
-            register_backend(ShardedBackend())
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_all_backends_agree_with_dense(self, op_handle, rng, backend):
         op, handle = op_handle
         a = random_dense(16, handle.k, rng)
         gold = a @ handle.dense()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.distributed import modeled_shape_step
 from repro.errors import ServeError, ShardError
 from repro.serve import BatchingPolicy, InferenceServer, TrafficSource
 from repro.serve.loadgen import generate_requests
@@ -42,6 +43,15 @@ class TestConstruction:
     def test_invalid_devices_rejected(self):
         with pytest.raises(ServeError, match="devices"):
             InferenceServer(devices=0)
+
+    @pytest.mark.parametrize("devices", [2.5, 2.0, True, "2"])
+    def test_non_integer_devices_rejected(self, devices):
+        with pytest.raises(ServeError, match="devices must be an int"):
+            InferenceServer(devices=devices)
+
+    def test_numpy_integer_devices_accepted(self):
+        entry = _server(devices=np.int64(2)).model("m/layer")
+        assert entry.sharded.devices == 2
 
     def test_invalid_shard_mode_rejected(self):
         with pytest.raises(ServeError, match="shard mode"):
@@ -89,6 +99,29 @@ class TestDistributedSimulation:
             single.request_records, distributed.request_records, strict=True
         ):
             assert one.request.request_id == many.request.request_id
+            np.testing.assert_allclose(
+                one.output, many.output, rtol=2e-5, atol=2e-5
+            )
+
+    def test_logical_shapes_trimmed(self):
+        """Weights that are not pattern multiples pad internally; each
+        request's sharded output is trimmed to its logical n."""
+        weights = np.random.default_rng(3).standard_normal((30, 29))
+        trace = generate_requests(
+            [TrafficSource(model="odd", k=30)], qps=300.0, duration_s=0.1,
+            seed=1,
+        )
+        reports = []
+        for devices in (1, 2):
+            server = InferenceServer(devices=devices, shard="row")
+            server.register_model("odd", weights.astype(np.float32), PATTERN)
+            reports.append(server.simulate(trace))
+        single, sharded = reports
+        assert sharded.metrics.completed == single.metrics.completed > 0
+        for one, many in zip(
+            single.request_records, sharded.request_records, strict=True
+        ):
+            assert many.output.shape == (one.request.rows, 29)
             np.testing.assert_allclose(
                 one.output, many.output, rtol=2e-5, atol=2e-5
             )
@@ -166,6 +199,30 @@ class TestDistributedSimulation:
         for step in report.metrics.step_records:
             assert step.per_device_gpu_s
             assert step.comm_s > 0
+
+
+class TestLaunchPrice:
+    """The engine's tensor-parallel launch price equals the benchmark's
+    shape-only price exactly: the same per-device plans, the same ring
+    collective, one :class:`DistributedStep` composition."""
+
+    @pytest.mark.parametrize("shard", ["column", "row"])
+    @pytest.mark.parametrize("devices", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 16, 64])
+    def test_engine_matches_modeled_shape_step(self, shard, devices, rows):
+        server = _server(devices=devices, shard=shard)
+        entry = server.model("m/layer")
+        seconds, per_device, comm, _, _ = server._modeled_launch(entry, rows)
+        handle = entry.handle
+        step = modeled_shape_step(
+            rows, handle.n, handle.k, handle.pattern, entry.group, shard
+        )
+        assert per_device == step.per_device_seconds
+        assert comm == step.comm
+        assert seconds == step.seconds
+        # The composition rule itself: the slowest device gates the ring.
+        assert seconds == max(per_device) + comm.seconds
+        assert 0 < step.comm_fraction < 1
 
 
 class TestScenarioIntegration:

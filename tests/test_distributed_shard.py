@@ -16,6 +16,7 @@ from repro.distributed.shard import (
 )
 from repro.distributed.sharded import sharded_execute
 from repro.errors import ShardError
+from repro.serve.model_exec.executor import ModelExecutor
 from repro.sparsity.config import NMPattern
 from repro.workloads.synthetic import random_dense
 
@@ -37,6 +38,14 @@ PATTERNS = [
 #: Device counts chosen so window counts divide unevenly somewhere
 #: (every pattern below yields >= 5 windows on both axes).
 DEVICE_COUNTS = (2, 3, 5)
+
+
+@pytest.fixture(scope="module")
+def llama_executor():
+    """The perfbench forward executor: Llama-7B/8, two blocks, 2:8 L=8."""
+    return ModelExecutor(
+        "llama-7b", scale=8, blocks=2, pattern=NMPattern(2, 8, vector_length=8)
+    )
 
 
 def _prepared(pattern, rng, *, k_windows=5, n_windows=7, m=9):
@@ -74,6 +83,14 @@ class TestShardExtents:
     def test_invalid_devices_rejected(self):
         with pytest.raises(ShardError, match=">= 1"):
             shard_extents(4, 0)
+
+    @pytest.mark.parametrize("devices", [True, 2.5, 2.0, "2"])
+    def test_non_integer_devices_rejected(self, devices):
+        with pytest.raises(ShardError, match="must be an integer"):
+            shard_extents(4, devices)
+
+    def test_numpy_integer_devices_accepted(self):
+        assert shard_extents(7, np.int64(3)) == shard_extents(7, 3)
 
 
 class TestShardLegality:
@@ -132,6 +149,13 @@ class TestShardLegality:
         with pytest.raises(ShardError, match="unknown shard mode"):
             shard_handle(handle, 2, "diagonal")
 
+    def test_bool_devices_rejected_past_the_memo(self, pattern_2_4, rng):
+        """``True == 1`` as a memo key, so the check runs before it."""
+        _, handle, _ = _prepared(pattern_2_4, rng)
+        shard_handle(handle, 1, "column")
+        with pytest.raises(ShardError, match="must be an integer"):
+            shard_handle(handle, True, "column")
+
     def test_shard_handle_memoizes_on_the_handle(self, pattern_2_4, rng):
         _, handle, _ = _prepared(pattern_2_4, rng)
         first = shard_handle(handle, 2, "column")
@@ -152,18 +176,52 @@ class TestShardLegality:
 
 
 class TestShardedCorrectness:
-    """Sharded execution allclose to single-device execute(): the
-    7-pattern grid x {column, row} x uneven device counts."""
+    """Sharded execution against single-device execute(): the 7-pattern
+    grid x {column, row} x uneven device counts.  Column shards run
+    disjoint windows through the same kernel, so they give the fast
+    bits exactly; row shards sum partials, so they match to rounding."""
 
     @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.label())
     @pytest.mark.parametrize("mode", ["column", "row"])
     @pytest.mark.parametrize("devices", DEVICE_COUNTS)
     def test_matches_single_device(self, pattern, mode, devices, rng):
-        op, handle, a = _prepared(pattern, rng)
-        gold = op.execute(a, handle, backend="fast")
+        op, handle, _ = _prepared(pattern, rng)
         sharded = shard_handle(handle, devices, mode)
-        out = sharded_execute(a, sharded)
-        np.testing.assert_allclose(gold, out, rtol=RTOL, atol=ATOL)
+        for m in (1, 9, 64):
+            a = random_dense(m, handle.k, rng)
+            gold = op.execute(a, handle, backend="fast")
+            out = sharded_execute(a, sharded)
+            if mode == "column":
+                assert out.tobytes() == gold.tobytes(), m
+            else:
+                np.testing.assert_allclose(gold, out, rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("m", [1, 256])
+    @pytest.mark.parametrize("devices", [2, 3])
+    def test_llama_layers_match_single_device(
+        self, llama_executor, m, devices
+    ):
+        """Every layer of the Llama-7B/8 executor: column mode is
+        bit-identical to the single-device fast path, row mode
+        allclose."""
+        rng = np.random.default_rng(m * 10 + devices)
+        for spec in llama_executor.layers:
+            op, handle = spec.layer.op, spec.layer.handle
+            a = random_dense(m, handle.k, rng)
+            gold = op.execute(a, handle, backend="fast")
+            column = sharded_execute(a, shard_handle(handle, devices, "column"))
+            assert column.tobytes() == gold.tobytes(), spec.name
+            row = sharded_execute(a, shard_handle(handle, devices, "row"))
+            np.testing.assert_allclose(gold, row, rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("mode", ["column", "row"])
+    def test_short_activation_reports_the_weights_k(
+        self, pattern_2_4, mode, rng
+    ):
+        _, handle, a = _prepared(pattern_2_4, rng, k_windows=64)
+        sharded = shard_handle(handle, 2, mode)
+        with pytest.raises(ShardError, match=f"k={handle.k}"):
+            sharded_execute(a[:, : handle.k // 2], sharded)
 
     @pytest.mark.parametrize("mode", ["column", "row"])
     def test_matches_dense_reference(self, mode, rng):

@@ -1,5 +1,6 @@
 """Device groups, links, and the ring-modeled collectives."""
 
+import numpy as np
 import pytest
 
 from repro.distributed.topology import (
@@ -60,6 +61,17 @@ class TestDeviceGroup:
     def test_invalid_device_count_rejected(self):
         with pytest.raises(ConfigurationError, match=">= 1"):
             DeviceGroup.build("A100", devices=0)
+
+    @pytest.mark.parametrize("devices", [2.5, 2.0, True, False])
+    def test_non_integer_device_count_rejected(self, devices):
+        """A fractional group would price fractional ring steps; a bool
+        is not a count."""
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            DeviceGroup.build("A100", devices=devices)
+
+    def test_numpy_integer_device_count_accepted(self):
+        group = DeviceGroup.build("A100", devices=np.int64(4))
+        assert group.all_reduce(1024).steps == 6
 
     def test_native_link_resolution(self):
         """link=None picks the part's catalogued interconnect: NVLink

@@ -256,7 +256,10 @@ def check_acceptance(result: dict) -> "str | None":
 def test_bench_distributed(benchmark, emit):
     result = benchmark.pedantic(run_distributed_bench, rounds=1, iterations=1)
     path = write_results(result)
-    emit("distributed", render_results(result) + f"\n\nwrote {path}")
+    emit(
+        "distributed",
+        render_results(result) + f"\n\nwrote {path.relative_to(REPO_ROOT)}",
+    )
 
     assert result["schema"] == SCHEMA
     assert len(result["configs"]) == len(SHAPES)

@@ -223,7 +223,10 @@ def test_bench_model_serving(benchmark, emit):
         run_model_serving_bench, rounds=1, iterations=1
     )
     path = write_results(result)
-    emit("model_serving", render_results(result) + f"\n\nwrote {path}")
+    emit(
+        "model_serving",
+        render_results(result) + f"\n\nwrote {path.relative_to(REPO_ROOT)}",
+    )
 
     assert result["schema"] == SCHEMA
     assert len(result["configs"]) == len(SCENARIOS)

@@ -210,7 +210,10 @@ def render_results(result: dict) -> str:
 def test_bench_resilience(benchmark, emit):
     result = benchmark.pedantic(run_resilience_bench, rounds=1, iterations=1)
     path = write_results(result)
-    emit("resilience", render_results(result) + f"\n\nwrote {path}")
+    emit(
+        "resilience",
+        render_results(result) + f"\n\nwrote {path.relative_to(REPO_ROOT)}",
+    )
     check_acceptance(result)
 
 

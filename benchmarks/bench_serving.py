@@ -252,7 +252,10 @@ def render_results(result: dict) -> str:
 def test_bench_serving(benchmark, emit):
     result = benchmark.pedantic(run_serving_bench, rounds=1, iterations=1)
     path = write_results(result)
-    emit("serving", render_results(result) + f"\n\nwrote {path}")
+    emit(
+        "serving",
+        render_results(result) + f"\n\nwrote {path.relative_to(REPO_ROOT)}",
+    )
 
     assert result["schema"] == SCHEMA
     assert len(result["configs"]) == len(SCENARIOS)

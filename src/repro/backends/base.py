@@ -66,16 +66,15 @@ class ExecutionRequest:
     params:
         Optional explicit blocking parameters for plan construction.
     plan:
-        Optional precomputed :class:`~repro.core.plan.ExecutionPlan`;
-        resolved lazily via :meth:`resolve_plan` when a backend needs
-        one (the fast paths never do unless a trace is demanded).
+        Optional precomputed :class:`~repro.core.plan.ExecutionPlan`
+        (the one way to reuse a plan across executions); otherwise
+        built lazily via :meth:`resolve_plan` when a backend needs one
+        (the fast paths never do unless a trace is demanded).
     trace:
         The trace policy: ``None`` means pure numerics; a
         :class:`~repro.kernels.blocked.KernelTrace` asks the backend to
         account the launch's memory/compute events into it (recorded by
         the structural executors, analytic everywhere else).
-    use_plan_cache:
-        Whether plan resolution may read/warm the handle's plan cache.
     backend:
         The backend name the caller asked for (``"auto"`` for
         selector-driven choice) — kept for provenance.
@@ -95,7 +94,6 @@ class ExecutionRequest:
     params: "TileParams | None" = None
     plan: "ExecutionPlan | None" = None
     trace: "KernelTrace | None" = None
-    use_plan_cache: bool = False
     backend: str = "auto"
     planner: "Callable[[ExecutionRequest], ExecutionPlan] | None" = None
     tracer: "Any | None" = None

@@ -32,29 +32,19 @@ from repro.sparsity.compress import NMCompressedMatrix, compress
 from repro.sparsity.config import NMPattern
 from repro.sparsity.gather import GatherLayout, build_gather_layout
 from repro.utils.arrays import as_f32_any_order
-from repro.utils.cache import LRUCache
 from repro.utils.validation import check_matrix
 
 __all__ = ["SparseHandle", "NMSpMM", "nm_spmm"]
-
-
-#: Key under which a plan is cached on a handle:
-#: ``(m, gpu_name, version, explicit_params)``.
-PlanKey = tuple[int, str, str, "TileParams | None"]
-
-#: Bound on per-handle cached plans; beyond this the least recently
-#: used entry is dropped so a long-lived handle served with
-#: ever-varying batch sizes cannot grow without limit (serving-scale
-#: reuse should go through :class:`repro.serve.cache.PlanCache` plus
-#: row bucketing).
-PLAN_CACHE_CAPACITY = 128
 
 
 @dataclass
 class SparseHandle:
     """Prepared weights: the compressed matrix plus cached offline
     pre-processing results (one :class:`ColumnInfo` per block shape and
-    one :class:`ExecutionPlan` per launch geometry).
+    the fast backend's :class:`GatherLayout`).  Launch plans are not
+    cached here: serving keeps them in
+    :class:`repro.serve.cache.PlanCache`, and a caller reusing one
+    passes it as ``plan=``.
 
     ``logical_k``/``logical_n`` are the dense weights' dimensions
     *before* compression padded them to pattern multiples; they default
@@ -66,9 +56,6 @@ class SparseHandle:
     logical_k: "int | None" = None
     logical_n: "int | None" = None
     _colinfo_cache: dict[tuple[int, int], ColumnInfo] = field(default_factory=dict)
-    _plan_cache: LRUCache = field(
-        default_factory=lambda: LRUCache(PLAN_CACHE_CAPACITY)
-    )
     _gather_layout: "GatherLayout | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -127,23 +114,6 @@ class SparseHandle:
         if self._gather_layout is None:
             self._gather_layout = build_gather_layout(self.compressed)
         return self._gather_layout
-
-    def cached_plan(self, key: PlanKey) -> "ExecutionPlan | None":
-        """A previously stored plan for this launch geometry, if any."""
-        return self._plan_cache.get(key)  # type: ignore[return-value]
-
-    def store_plan(self, key: PlanKey, plan: ExecutionPlan) -> None:
-        """Remember a plan so repeat launches skip plan construction
-        (bounded LRU: the least recently used entry falls out past
-        :data:`PLAN_CACHE_CAPACITY`)."""
-        self._plan_cache.put(key, plan)
-
-    @property
-    def plan_cache_size(self) -> int:
-        return len(self._plan_cache)
-
-    def clear_plan_cache(self) -> None:
-        self._plan_cache.clear()
 
     def dense(self) -> np.ndarray:
         """The pruned dense weights (for verification)."""
@@ -224,21 +194,11 @@ class NMSpMM:
         m: int,
         handle: SparseHandle,
         params: TileParams | None = None,
-        *,
-        use_cache: bool = False,
     ) -> ExecutionPlan:
-        """The launch plan for batch size ``m`` against these weights.
-
-        With ``use_cache`` the plan is memoized on the handle keyed by
-        ``(m, gpu, version, params)`` — the serving runtime's fast path,
-        where the same launch geometry recurs for every batch.
-        """
-        key: PlanKey = (m, self.gpu.name, self.version.value, params)
-        if use_cache:
-            cached = handle.cached_plan(key)
-            if cached is not None:
-                return cached
-        plan = build_plan(
+        """A freshly built launch plan for batch size ``m`` against
+        these weights.  Nothing is cached: pass the plan back as
+        :meth:`execute`'s ``plan=`` to reuse it."""
+        return build_plan(
             m,
             handle.n,
             handle.k,
@@ -247,9 +207,6 @@ class NMSpMM:
             version=self.version,
             params=params,
         )
-        if use_cache:
-            handle.store_plan(key, plan)
-        return plan
 
     def build_request(
         self,
@@ -259,7 +216,6 @@ class NMSpMM:
         params: TileParams | None = None,
         trace: KernelTrace | None = None,
         plan: ExecutionPlan | None = None,
-        use_plan_cache: bool = False,
         backend: str = AUTO_BACKEND,
         tracer=None,
     ) -> ExecutionRequest:
@@ -274,9 +230,9 @@ class NMSpMM:
         compression applied to the weights) or the padded ``k``.  An
         explicit ``plan`` must match the operand shapes and the
         handle's pattern; when none is given the request carries a
-        planner so backends that need one (the structural executors,
-        analytic traces) can build it lazily — trace-less fast paths
-        never pay plan construction.  A ``tracer``
+        planner (:meth:`plan_for`) so backends that need one (the
+        structural executors, analytic traces) build it lazily —
+        trace-less fast paths never pay plan construction.  A ``tracer``
         (:class:`~repro.obs.tracer.Tracer`) rides along on the request
         so dispatch and selection report spans/events.
         """
@@ -309,24 +265,16 @@ class NMSpMM:
                     f"plan pattern {plan.pattern.label()} does not match "
                     f"the handle's pattern {handle.pattern.label()}"
                 )
-        request = ExecutionRequest(
+        return ExecutionRequest(
             a=a,
             handle=handle,
             params=params,
             plan=plan,
             trace=trace,
-            use_plan_cache=use_plan_cache,
             backend=backend,
-            planner=lambda req: self.plan_for(
-                req.m, req.handle, req.params, use_cache=req.use_plan_cache
-            ),
+            planner=lambda req: self.plan_for(req.m, req.handle, req.params),
             tracer=tracer,
         )
-        if use_plan_cache and plan is None:
-            # The caller explicitly wants the handle's plan cache warmed
-            # even on backends that never consult the plan.
-            request.resolve_plan()
-        return request
 
     def run(self, request: ExecutionRequest) -> ExecutionResult:
         """Dispatch a request to its backend and return the full
@@ -392,7 +340,6 @@ class NMSpMM:
         params: TileParams | None = None,
         trace: KernelTrace | None = None,
         plan: ExecutionPlan | None = None,
-        use_plan_cache: bool = False,
         backend: str = AUTO_BACKEND,
         tracer=None,
     ) -> np.ndarray:
@@ -434,7 +381,6 @@ class NMSpMM:
             params=params,
             trace=trace,
             plan=plan,
-            use_plan_cache=use_plan_cache,
             backend=backend,
             tracer=tracer,
         )

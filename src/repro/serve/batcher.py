@@ -479,32 +479,34 @@ class ContinuousBatcher:
             joined += 1
         return joined, preempted
 
+    def eviction_order(
+        self, below_priority: "int | None" = None
+    ) -> list[InFlightEntry]:
+        """Resident sequences in eviction order: lowest priority first,
+        then cheapest recompute cost, latest-joined breaking exact ties
+        — so a nearly-finished long decode is spared whenever a cheaper
+        victim frees the same rows.  With ``below_priority`` only
+        entries of strictly lower priority are listed.  Prices each
+        listed entry once."""
+        ranked = [
+            (entry.request.priority, self.recompute_cost(entry), -index, entry)
+            for index, entry in enumerate(self._inflight)
+            if below_priority is None or entry.request.priority < below_priority
+        ]
+        ranked.sort(key=lambda item: item[:3])
+        return [item[3] for item in ranked]
+
     def _preemption_victims(
         self, candidate: InferenceRequest
     ) -> "list[InFlightEntry] | None":
-        """The resident set whose eviction admits ``candidate``:
-        strictly-lower-priority entries only, lowest priority first,
-        then cheapest recompute cost (latest-joined breaks exact ties)
-        — so a nearly-finished long decode is spared whenever a cheaper
-        victim frees the same rows.  ``None`` when even evicting all of
-        them would not make the candidate fit."""
-        displaceable = sorted(
-            (
-                (
-                    entry.request.priority,
-                    self.recompute_cost(entry),
-                    -index,
-                    entry,
-                )
-                for index, entry in enumerate(self._inflight)
-                if entry.request.priority < candidate.priority
-            ),
-            key=lambda item: item[:3],
-        )
+        """The resident set whose eviction admits ``candidate``: a
+        prefix of the strictly-lower-priority :meth:`eviction_order`.
+        ``None`` when even evicting all of them would not make the
+        candidate fit."""
         rows = self.resident_rows
         count = len(self._inflight)
         victims: list[InFlightEntry] = []
-        for _, _, _, entry in displaceable:
+        for entry in self.eviction_order(candidate.priority):
             victims.append(entry)
             rows -= entry.request.rows
             count -= 1

@@ -91,9 +91,8 @@ class PlanCache:
         key = self.key(model, op, m)
 
         def build() -> PlanEntry:
-            # Deliberately NOT handle-level caching (use_cache): this
-            # LRU is the single bounded owner of serving plans, so
-            # evicting an entry really frees it.
+            # This LRU is the single owner of serving plans (handles
+            # cache none), so evicting an entry really frees it.
             plan = op.plan_for(m, handle)
             col_info = (
                 handle.col_info(plan.ws, plan.params.ns)

@@ -251,9 +251,7 @@ class ModelExecutor:
             return cached
         total = 0.0
         for spec in self.layers:
-            plan = spec.layer.op.plan_for(
-                padded_rows, spec.layer.handle, use_cache=True
-            )
+            plan = spec.layer.op.plan_for(padded_rows, spec.layer.handle)
             total += plan.simulate().seconds
         self._stack_seconds[padded_rows] = total
         return total

@@ -212,8 +212,12 @@ class _RunState:
     attempts: dict = field(default_factory=dict)
     #: (ready_s, request_id, request) backoff heap of pending retries.
     retry_heap: list = field(default_factory=list)
-    #: request_id -> absolute cancellation deadline.
+    #: request_id -> absolute cancellation deadline of every request
+    #: not yet completed or dropped (``_complete``/``_drop`` delete it).
     deadlines: dict = field(default_factory=dict)
+    #: (deadline, request_id) min-heap over ``deadlines``, built once
+    #: per run; entries of finished requests are popped lazily.
+    deadline_heap: list = field(default_factory=list)
     #: model -> consecutive failed continuous steps.
     cb_streak: dict = field(default_factory=dict)
     #: model -> no continuous step before this time (decode backoff).
@@ -1216,7 +1220,9 @@ class InferenceServer:
     ) -> None:
         """Terminate ``request`` without completion: record the drop
         (reconciliation counts it, and the record keeps the event's
-        ``reason``/``where``) and emit the matching event."""
+        ``reason``/``where``), forget its deadline and emit the
+        matching event."""
+        state.deadlines.pop(request.request_id, None)
         state.metrics.add_drop(
             DropRecord(
                 request=request,
@@ -1292,6 +1298,27 @@ class InferenceServer:
                     attempt=state.attempts.get(request_id, 0),
                 )
 
+    @staticmethod
+    def _earliest_deadline(
+        state: _RunState, after_s: float = float("-inf")
+    ) -> "float | None":
+        """The earliest deadline strictly after ``after_s`` of a request
+        not yet completed or dropped, or ``None``.  Finished requests'
+        heap entries are popped on the way.  A live top at or before
+        ``after_s`` (a request admitted after this turn's cancel pass,
+        which the next turn cancels) falls back to a heap scan."""
+        heap = state.deadline_heap
+        while heap and heap[0][1] not in state.deadlines:
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        if heap[0][0] > after_s:
+            return heap[0][0]
+        return min(
+            (d for d, rid in heap if d > after_s and rid in state.deadlines),
+            default=None,
+        )
+
     def _cancel_timed_out(
         self,
         t_s: float,
@@ -1304,8 +1331,12 @@ class InferenceServer:
         wherever it lives: queued, backing off in the retry heap, or
         resident in (or preempted out of) the rolling decode batch.
         Queue and continuous-batch row accounting unwinds through the
-        dedicated removal paths."""
-        if state.resilience is None or not state.deadlines:
+        dedicated removal paths.  Nothing is scanned unless the
+        earliest live deadline has passed."""
+        if not state.deadline_heap:
+            return
+        earliest = self._earliest_deadline(state)
+        if earliest is None or earliest > t_s:
             return
 
         def expired(request: InferenceRequest) -> bool:
@@ -1323,18 +1354,20 @@ class InferenceServer:
                         state.deadlines[request.request_id],
                         state, where=where,
                     )
-        if any(expired(item[2]) for item in state.retry_heap):
-            for item in state.retry_heap:
-                if expired(item[2]):
-                    self._drop(
-                        item[2], "timed-out",
-                        state.deadlines[item[2].request_id],
-                        state, where="retry",
-                    )
+        # Split before dropping: a drop forgets the deadline, after
+        # which ``expired`` no longer recognises the entry.
+        gone = [item for item in state.retry_heap if expired(item[2])]
+        if gone:
             state.retry_heap = [
                 item for item in state.retry_heap if not expired(item[2])
             ]
             heapq.heapify(state.retry_heap)
+            for item in gone:
+                self._drop(
+                    item[2], "timed-out",
+                    state.deadlines[item[2].request_id],
+                    state, where="retry",
+                )
         tr = self.tracer
         for name, cb in continuous.items():
             cancelled = cb.cancel_where(expired)
@@ -1354,40 +1387,6 @@ class InferenceServer:
                     "cb.evict", t_s=t_s, track="engine", model=name,
                     count=len(cancelled), reason="timeout",
                 )
-
-    def _next_timeout_deadline(
-        self,
-        t_s: float,
-        prefill_queues: dict,
-        decode_queues: dict,
-        continuous: dict,
-        state: _RunState,
-    ) -> "float | None":
-        """The earliest pending cancellation deadline strictly after
-        ``t_s`` among live (queued / retrying / resident) requests, so
-        an idle engine wakes up to cancel on time."""
-        if state.resilience is None or not state.deadlines:
-            return None
-        best: "float | None" = None
-
-        def consider(request: InferenceRequest) -> None:
-            nonlocal best
-            deadline = state.deadlines.get(request.request_id)
-            if deadline is not None and deadline > t_s:
-                best = deadline if best is None else min(best, deadline)
-
-        for queues in (prefill_queues, decode_queues):
-            for queue in queues.values():
-                for request in queue.iter_requests():
-                    consider(request)
-        for item in state.retry_heap:
-            consider(item[2])
-        for cb in continuous.values():
-            for entry in cb.resident:
-                consider(entry.request)
-            for entry in cb.preempted:
-                consider(entry.request)
-        return best
 
     # ------------------------------------------------------------------
     # Simulation
@@ -1460,6 +1459,10 @@ class InferenceServer:
                 deadline = state.resilience.deadline_s(request)
                 if deadline is not None:
                     state.deadlines[request.request_id] = deadline
+            # A sorted list is already a valid heap.
+            state.deadline_heap = sorted(
+                (deadline, rid) for rid, deadline in state.deadlines.items()
+            )
         tracer = self.tracer
         i, n = 0, len(pending)
         clock_s = 0.0
@@ -1580,9 +1583,7 @@ class InferenceServer:
                     decode_queues[name] or continuous[name].has_work
                 ):
                     events.append(until)
-            timeout_at = self._next_timeout_deadline(
-                t, prefill_queues, decode_queues, continuous, state
-            )
+            timeout_at = self._earliest_deadline(state, t)
             if timeout_at is not None:
                 events.append(timeout_at)
             if not events:
@@ -1739,7 +1740,9 @@ class InferenceServer:
         state: _RunState,
     ) -> None:
         """Record ``request``'s completion (its output is slice ``idx``
-        of the launch's ``outputs`` when numerics ran)."""
+        of the launch's ``outputs`` when numerics ran) and forget its
+        deadline."""
+        state.deadlines.pop(request.request_id, None)
         state.metrics.add_request(
             RequestRecord(
                 request=request,
@@ -2061,9 +2064,10 @@ class InferenceServer:
         2. reserve KV for residents that need (re)prefill;
         3. memory-pressure eviction: while the coming growth (one
            token per resident, ``bpt`` bytes each) would overflow the
-           budget, preempt the victim with the lowest priority and
-           cheapest modeled re-prefill — resident bytes never exceed
-           the budget.
+           budget, preempt the head of the batcher's
+           :meth:`~ContinuousBatcher.eviction_order` (lowest priority,
+           then cheapest modeled re-prefill) — resident bytes never
+           exceed the budget.
 
         Returns ``(joined, preempted, kv_evicted)``, or ``None`` when
         nothing is left resident to step (a model that still has work
@@ -2135,14 +2139,7 @@ class InferenceServer:
             growth = len(cb.resident) * bpt
             while mem.resident_bytes + growth > mem.budget_bytes:
                 if len(cb.resident) > 1:
-                    victim = min(
-                        enumerate(cb.resident),
-                        key=lambda item: (
-                            item[1].request.priority,
-                            cb.recompute_cost(item[1]),
-                            -item[0],
-                        ),
-                    )[1]
+                    victim = cb.eviction_order()[0]
                     cb.preempt_entries([victim])
                     mem.release_kv(victim.request.request_id, start_s)
                     mem.kv_evictions += 1

@@ -1,9 +1,9 @@
 """A small bounded LRU cache with hit/miss/eviction stats.
 
 Shared by the serving runtime's plan cache
-(:mod:`repro.serve.cache`) and the per-handle plan cache on
-:class:`~repro.core.api.SparseHandle`, so the codebase has exactly one
-bounded-cache implementation.
+(:class:`repro.serve.cache.PlanCache`) and the auto-selector's decision
+memo (:class:`repro.backends.auto.AutoSelector`), so the codebase has
+exactly one bounded-cache implementation.
 """
 
 from __future__ import annotations

@@ -149,15 +149,6 @@ class TestAnalyticTraceThroughExecute:
 
 
 class TestBackendPlanCacheInteraction:
-    def test_use_plan_cache_warms_cache_on_fast_path(self, op_handle, rng):
-        op, handle = op_handle
-        handle.clear_plan_cache()
-        a = random_dense(16, handle.k, rng)
-        op.execute(a, handle, use_plan_cache=True)
-        assert handle.plan_cache_size == 1
-        op.execute(a, handle, use_plan_cache=True)
-        assert handle.plan_cache_size == 1
-
     def test_explicit_plan_accepted_by_fast(self, op_handle, rng):
         op, handle = op_handle
         a = random_dense(16, handle.k, rng)

@@ -266,37 +266,6 @@ class TestHandlePlanCache:
         handle = op.prepare(random_dense(64, 48, rng))
         return op, handle
 
-    def test_plan_for_cache(self, op_and_handle):
-        op, handle = op_and_handle
-        assert handle.plan_cache_size == 0
-        first = op.plan_for(16, handle, use_cache=True)
-        assert handle.plan_cache_size == 1
-        assert op.plan_for(16, handle, use_cache=True) is first
-        # Uncached calls build fresh plans and do not populate.
-        assert op.plan_for(16, handle) is not first
-        assert handle.plan_cache_size == 1
-
-    def test_distinct_m_distinct_entries(self, op_and_handle):
-        op, handle = op_and_handle
-        op.plan_for(16, handle, use_cache=True)
-        op.plan_for(32, handle, use_cache=True)
-        assert handle.plan_cache_size == 2
-        handle.clear_plan_cache()
-        assert handle.plan_cache_size == 0
-
-    def test_plan_cache_bounded(self, op_and_handle):
-        from repro.core.api import PLAN_CACHE_CAPACITY
-
-        op, handle = op_and_handle
-        for m in range(1, PLAN_CACHE_CAPACITY + 10):
-            op.plan_for(m, handle, use_cache=True)
-        assert handle.plan_cache_size == PLAN_CACHE_CAPACITY
-        # Newest entries survive; the oldest fell out.
-        key_new = (PLAN_CACHE_CAPACITY + 9, op.gpu.name, op.version.value, None)
-        key_old = (1, op.gpu.name, op.version.value, None)
-        assert handle.cached_plan(key_new) is not None
-        assert handle.cached_plan(key_old) is None
-
     def test_execute_with_plan(self, op_and_handle, rng):
         op, handle = op_and_handle
         a = random_dense(16, 64, rng)
@@ -304,12 +273,6 @@ class TestHandlePlanCache:
         np.testing.assert_array_equal(
             op.execute(a, handle, plan=plan), op.execute(a, handle)
         )
-
-    def test_execute_use_plan_cache(self, op_and_handle, rng):
-        op, handle = op_and_handle
-        a = random_dense(16, 64, rng)
-        op.execute(a, handle, use_plan_cache=True)
-        assert handle.plan_cache_size == 1
 
     def test_execute_rejects_mismatched_plan(self, op_and_handle, rng):
         op, handle = op_and_handle

@@ -577,16 +577,6 @@ class TestEngine:
         assert second.plan_cache_stats["misses"] == 0
         assert second.plan_cache_stats["hit_rate"] == 1.0
 
-    def test_serving_does_not_leak_into_handle_cache(self, rng):
-        """The bounded LRU is the single owner of serving plans; the
-        handle-level cache stays an explicit opt-in API."""
-        server = build_two_model_server(rng)
-        trace = [
-            make_request(i, "narrow", 1, 64, 0.001 * i, rng) for i in range(10)
-        ]
-        server.simulate(trace)
-        assert server.model("narrow").handle.plan_cache_size == 0
-
     def test_batched_outputs_match_per_request_execute_exactly(self, rng):
         """End-to-end numerics: every request's output slice equals the
         one-shot execute of its own activation, bitwise (integer data

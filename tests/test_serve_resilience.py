@@ -306,6 +306,87 @@ class TestTimeouts:
         assert any(e.attrs.get("reason") == "timeout" for e in evicts)
         assert sum(counts.values()) == m.submitted
 
+    def test_unexpired_deadlines_scan_nothing(self, monkeypatch):
+        # Every request carries a deadline and none expires: the
+        # deadline heap keeps the cancel pass from scanning any queue
+        # or rolling batch.
+        calls = {"remove_where": 0, "cancel_where": 0}
+        for cls, name in (
+            (RequestQueue, "remove_where"),
+            (ContinuousBatcher, "cancel_where"),
+        ):
+            original = getattr(cls, name)
+
+            def counted(self, predicate, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, predicate)
+
+            monkeypatch.setattr(cls, name, counted)
+        policy = ResiliencePolicy(timeout_slo_multiplier=100.0)
+        server = make_server(
+            resilience=policy, continuous_batching=True,
+            host_overhead_s=1e-4,
+        )
+        requests = [
+            meta_request(i, rows=1 + i % 8, arrival_s=i * 2e-4,
+                         slo_ms=50.0, steps=1 + i % 3)
+            for i in range(60)
+        ]
+        assert all(policy.deadline_s(r) is not None for r in requests)
+        report = server.simulate(requests)
+        m = report.metrics
+        assert m.completed == m.submitted == 60
+        assert m.drop_records == []
+        assert m.step_records and m.batch_records
+        assert calls == {"remove_where": 0, "cancel_where": 0}
+
+    def test_idle_engine_wakes_at_a_queued_deadline(self):
+        # One queued prefill request cannot flush before its deadline
+        # (long max wait, a later arrival pending, so no drain): the idle
+        # engine must wake at the deadline itself and cancel it there.
+        policy = ResiliencePolicy(timeout_slo_multiplier=2.0)
+        server = make_server(
+            resilience=policy, policy=BatchingPolicy(max_wait_s=1.0),
+        )
+        early = meta_request(0, rows=32, arrival_s=0.0, slo_ms=5.0)
+        late = meta_request(1, rows=32, arrival_s=0.5, slo_ms=5.0)
+        report = server.simulate([early, late])
+        (drop,) = report.metrics.drop_records
+        assert drop.request.request_id == 0
+        assert drop.outcome == "timed-out"
+        assert drop.where == "prefill"
+        assert drop.at_s == policy.deadline_s(early)
+        assert report.metrics.completed == 1
+
+    def test_idle_wake_passes_over_a_deadline_admitted_expired(self):
+        # X arrives while a full batch holds the GPU and is admitted
+        # with its deadline already passed.  The idle engine must still
+        # wake at Y's deadline, the first one after now: cancelling X
+        # and Y there, and Z at its own deadline, keeps the drop order
+        # X, Y, Z (one pass at the next arrival would drop Z first, its
+        # model's queue being scanned first).
+        policy = ResiliencePolicy(timeout_slo_multiplier=1.0)
+        server = make_server(
+            resilience=policy, host_overhead_s=0.01,
+            policy=BatchingPolicy(max_wait_s=1.0, max_batch_rows=64),
+        )
+        server.register_model(
+            "n", np.ones((64, 128), dtype=np.float32), NMPattern(2, 4)
+        )
+        full = meta_request(0, rows=64, arrival_s=0.0, slo_ms=1000.0)
+        x = meta_request(1, model="n", arrival_s=0.001, slo_ms=2.0)
+        z = meta_request(2, arrival_s=0.002, slo_ms=30.0)
+        y = meta_request(3, model="n", arrival_s=0.003, slo_ms=20.0)
+        late = meta_request(4, arrival_s=0.5, slo_ms=1000.0)
+        report = server.simulate([full, x, z, y, late])
+        drops = report.metrics.drop_records
+        assert [d.request.request_id for d in drops] == [1, 3, 2]
+        assert all(d.outcome == "timed-out" for d in drops)
+        assert [d.at_s for d in drops] == [
+            policy.deadline_s(r) for r in (x, y, z)
+        ]
+        assert report.metrics.completed == 2
+
 
 # ---------------------------------------------------------------------------
 # Engine end-to-end: circuit breaker

@@ -480,6 +480,18 @@ class TestWalkMemoAfterReshard:
             entry, 64, fresh_state, 0.0
         ) == first
 
+    @pytest.mark.parametrize("rows", [1, 4, 16, 64, 256, 1024])
+    def test_stack_seconds_equals_single_device_walk(self, rows):
+        # The executor's own stack price (fresh plans, no cache) and the
+        # engine's plan-cached walk are one quantity on one device.
+        # Sharded walks add the split and the collective, so they differ.
+        scenario = long_context_summarization(duration_s=0.3, seed=0)
+        server, _ = scenario.build_server()
+        entry = server.model(scenario.model.lower())
+        state = server._new_run_state(None)
+        walk_s = server._modeled_model_walk(entry, rows, state, 0.0)[0]
+        assert entry.executor.stack_seconds(rows) == walk_s
+
 
 def _failed_counts(name: str) -> "tuple[int, int]":
     """``(failed steps, failed batches)`` of one case's run."""

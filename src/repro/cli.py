@@ -361,6 +361,24 @@ def run_lint(args: argparse.Namespace) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    from repro.errors import ReproError
+
+    try:
+        return _run(args)
+    except ReproError as exc:
+        command = " ".join(
+            part for part in (
+                args.experiment,
+                getattr(args, "trace_command", None),
+                getattr(args, "bench_command", None),
+            ) if part
+        )
+        raise SystemExit(f"{command}: {exc}") from exc
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run one parsed subcommand; library errors propagate to
+    :func:`main`, which turns them into a one-line exit."""
     # Imports are deferred so `--help` stays fast.
     from repro.bench import (
         render_fig10,
@@ -392,8 +410,10 @@ def main(argv: "list[str] | None" = None) -> int:
         shapes = []
         for spec_str in args.shapes:
             parts = spec_str.lower().split("x")
-            if len(parts) != 3:
-                raise SystemExit(f"bad shape {spec_str!r}; expected MxNxK")
+            if len(parts) != 3 or not all(p.isdigit() for p in parts):
+                raise SystemExit(
+                    f"sweep: bad shape {spec_str!r}; expected MxNxK"
+                )
             shapes.append(tuple(int(p) for p in parts))
         patterns = [
             NMPattern.from_sparsity(s, m=32, vector_length=args.vector_length)
@@ -434,12 +454,12 @@ def main(argv: "list[str] | None" = None) -> int:
                 tracer = Tracer(sink=stream_writer)
             else:
                 tracer = Tracer()
-        policy = BatchingPolicy(
-            max_batch_requests=args.max_batch_requests,
-            max_batch_rows=args.max_batch_rows,
-            max_wait_s=args.max_wait_ms * 1e-3,
-        )
         try:
+            policy = BatchingPolicy(
+                max_batch_requests=args.max_batch_requests,
+                max_batch_rows=args.max_batch_rows,
+                max_wait_s=args.max_wait_ms * 1e-3,
+            )
             if args.model_mode:
                 from repro.serve.model_exec import ModelServingScenario
 
@@ -504,10 +524,10 @@ def main(argv: "list[str] | None" = None) -> int:
                     resilience=args.resilience or None,
                 )
             report = scenario.run()
-        except ReproError as exc:
+        except (ReproError, SystemExit):
             if stream_writer is not None:
                 stream_writer.close()
-            raise SystemExit(f"serve-sim: {exc}") from exc
+            raise
         print(report.render(title=f"serve-sim: {scenario.describe()}"))
         if args.json:
             with open(args.json, "w") as fh:

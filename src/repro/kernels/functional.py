@@ -1,4 +1,11 @@
-"""Fast vectorized NM-SpMM (the library's default execution path).
+"""Vectorized per-window NM-SpMM: a layout-free cross-check kernel.
+
+The online path (``execute()``, serving, ``backend="fast"``) is
+:func:`repro.kernels.fast.nm_spmm_fast`, which batches windows over a
+precomputed gather layout.  This kernel re-derives the gather rows
+from ``D`` on every call and loops over windows in Python, so it needs
+no offline layout; the equivalence tests and
+``benchmarks/bench_functional_kernels.py`` compare against it.
 
 Per column window ``jq`` the retained vectors of every compressed row
 select one A column each (``absolute_rows[:, jq]``); gathering those

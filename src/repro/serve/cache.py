@@ -15,10 +15,11 @@ built at most once per block shape.
 
 A model-mode layer walk is priced once per run (see
 ``InferenceServer._modeled_model_walk``): in an untraced run with no
-fault plan, later walks at the same geometry replay their lookups
-through :meth:`PlanCache.refresh`, so the stats still count one hit
-per layer launch and the LRU recency is what the per-layer lookups
-would have left.
+fault plan, later walks of the same model at the same padded row count
+(memoized on the model's run-local lane, which a re-shard clears)
+replay their lookups through :meth:`PlanCache.refresh`, so the stats
+still count one hit per layer launch and the LRU recency is what the
+per-layer lookups would have left.
 """
 
 from __future__ import annotations

@@ -113,7 +113,8 @@ def _add_per_device(
 class ModelEntry:
     """One registered weight matrix and its operator.
 
-    On a distributed server (``devices > 1``) the entry additionally
+    ``devices`` holds the physical device ids the entry occupies, in
+    shard-slot order.  On two or more devices the entry additionally
     carries the tensor-parallel partition of its weights and the device
     group they execute on; single-device entries leave both ``None``.
     """
@@ -121,27 +122,20 @@ class ModelEntry:
     name: str
     op: NMSpMM
     handle: SparseHandle
+    devices: "tuple[int, ...]" = (0,)
     sharded: "ShardedHandle | None" = None
     group: "DeviceGroup | None" = None
     #: Model-mode: the whole-model executor this entry serves, plus
     #: one per-layer sub-entry per hosted layer (each with its own
-    #: handle, shards, and plan-cache key).  Plain matmul entries
-    #: leave both unset.
+    #: handle, shards, and plan-cache key, on the same ``devices``).
+    #: Plain matmul entries leave both unset.
     executor: "ModelExecutor | None" = None
     layers: "tuple[ModelEntry, ...]" = ()
-    #: Whether launches shard over a device group (any layer sharded,
-    #: for a model-mode entry).  Set once at construction — entries
-    #: are immutable and this sits on every launch's hot path.
-    distributed: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.layers:
-            distributed = any(
-                layer.sharded is not None for layer in self.layers
-            )
-        else:
-            distributed = self.sharded is not None
-        object.__setattr__(self, "distributed", distributed)
+    @property
+    def distributed(self) -> bool:
+        """Whether launches shard over a device group."""
+        return len(self.devices) > 1
 
     @property
     def k(self) -> int:
@@ -182,13 +176,35 @@ class ModelEntry:
 
 
 @dataclass
-class _RunState:
-    """Chaos/resilience state of one ``simulate()`` call.
+class _Lane:
+    """One registered model's share of a ``simulate()`` run."""
 
-    Everything fault-related is run-local: the injector is rebuilt (and
-    its seeded stream rewound) per run, re-sharded model entries live in
-    an overlay over the immutable registry, and breaker/retry/timeout
-    bookkeeping starts empty — so back-to-back runs of the same trace
+    #: The entry launches execute with: the registered one, or its
+    #: re-sharded replacement after a fail-stop.
+    entry: ModelEntry
+    prefill: RequestQueue
+    #: The rolling decode batch and its queue (continuous batching only).
+    decode: "RequestQueue | None" = None
+    cb: "ContinuousBatcher | None" = None
+    #: No continuous step before this time (decode backoff).
+    holdoff_s: float = 0.0
+    #: Consecutive failed continuous steps.
+    cb_streak: int = 0
+    #: padded_rows -> _WalkMemo: each model-mode layer walk of
+    #: ``entry`` priced once per untraced, fault-free run (a re-shard
+    #: replaces ``entry`` and clears this).
+    walks: dict = field(default_factory=dict)
+
+
+@dataclass
+class _RunState:
+    """Run-local state of one ``simulate()`` call.
+
+    Everything that changes during a run lives here: one lane per model
+    (queues, batcher, and the entry a fail-stop may re-shard), the
+    injector (rebuilt, its seeded stream rewound, per run), and
+    breaker/retry/timeout bookkeeping that starts empty — so the
+    registry stays immutable and back-to-back runs of the same trace
     stay byte-identical.
     """
 
@@ -196,10 +212,8 @@ class _RunState:
     injector: "FaultInjector | None" = None
     resilience: "ResiliencePolicy | None" = None
     rng: "np.random.Generator | None" = None  # backoff jitter stream
-    #: model -> re-sharded ModelEntry (shadowing the registry).
-    overlay: dict = field(default_factory=dict)
-    #: model -> tuple of *physical* device ids its shards run on.
-    device_map: dict = field(default_factory=dict)
+    #: model -> _Lane, in registration order.
+    lanes: dict = field(default_factory=dict)
     #: fail-stopped physical devices (plan-scheduled, or breaker-opened
     #: permanently under ``breaker_cooldown_s=None``).
     dead: set = field(default_factory=set)
@@ -218,10 +232,6 @@ class _RunState:
     #: (deadline, request_id) min-heap over ``deadlines``, built once
     #: per run; entries of finished requests are popped lazily.
     deadline_heap: list = field(default_factory=list)
-    #: model -> consecutive failed continuous steps.
-    cb_streak: dict = field(default_factory=dict)
-    #: model -> no continuous step before this time (decode backoff).
-    holdoff: dict = field(default_factory=dict)
     resharded: bool = False
     #: Simulated HBM pool of the run (set when any registered model
     #: carries a ModelExecutor).
@@ -229,12 +239,6 @@ class _RunState:
     #: The run's aggregate HBM budget at full device count — the base
     #: a fail-stop's survivor budget is scaled from.
     hbm_base_budget: int = 0
-    #: The run's model -> ContinuousBatcher map (device-death handling
-    #: must evict model-mode residents outside the step path).
-    continuous: "dict | None" = None
-    #: (id(entry), padded_rows, physical devices) -> _WalkMemo: each
-    #: model-mode layer walk priced once per untraced, fault-free run.
-    walk_memo: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -249,13 +253,11 @@ class _WalkMemo:
     recency are exactly what the per-layer lookups would have left.
     Only runs with neither a tracer nor a fault injector keep memos
     (see ``InferenceServer._modeled_model_walk``), so a ``walk`` is
-    always priced on healthy devices with no events to emit.
+    always priced on healthy devices with no events to emit.  Memos
+    live on the walked entry's lane (:attr:`_Lane.walks`), which a
+    re-shard clears along with installing the new entry.
     """
 
-    #: The walked entry.  Keeping it alive keeps ``id(entry)`` — part
-    #: of the memo key — unique for the run, so a re-shard overlay
-    #: entry can never pick up the registered entry's price.
-    entry: ModelEntry
     #: ``(plan cache, generation, keys in walk order)`` per cache.
     caches: tuple
     #: The priced ``(total_s, layer_spans, per_device_s, comm_s)``.
@@ -525,6 +527,14 @@ class InferenceServer:
         self.tracer = tracer
         if isinstance(faults, str):
             faults = parse_fault_spec(faults)
+        if faults is not None:
+            # launch:device= is reduced modulo the group width instead.
+            for fault in (*faults.device_failures, *faults.slowdowns):
+                if fault.device >= devices:
+                    raise ServeError(
+                        f"fault plan names device {fault.device}, but the "
+                        f"server has {devices} device(s)"
+                    )
         self.faults = faults
         if resilience is True:
             resilience = ResiliencePolicy()
@@ -574,7 +584,7 @@ class InferenceServer:
             raise ServeError("model name must be nonempty")
         if name in self._models:
             raise ServeError(f"model {name!r} is already registered")
-        entry = self._placed(name, op, handle, self.devices)
+        entry = self._placed(name, op, handle, tuple(range(self.devices)))
         self._models[name] = entry
         return entry
 
@@ -603,36 +613,47 @@ class InferenceServer:
                 "model-mode serving decodes through the rolling batch; "
                 "build the server with continuous_batching=True"
             )
-        layers = tuple(
-            self._placed(
-                f"{name}/{spec.name}", spec.layer.op, spec.layer.handle,
-                self.devices,
-            )
-            for spec in executor.layers
-        )
-        entry = ModelEntry(
-            name=name,
-            op=executor.layers[0].layer.op,
-            handle=executor.layers[0].layer.handle,
-            executor=executor,
-            layers=layers,
+        first = executor.layers[0].layer
+        entry = self._placed(
+            name, first.op, first.handle, tuple(range(self.devices)),
+            executor,
         )
         self._models[name] = entry
         return entry
 
     def _placed(
-        self, name: str, op: NMSpMM, handle: SparseHandle, devices: int
+        self,
+        name: str,
+        op: NMSpMM,
+        handle: SparseHandle,
+        devices: "tuple[int, ...]",
+        executor: "ModelExecutor | None" = None,
     ) -> ModelEntry:
-        """A plain entry for ``handle`` placed on ``devices`` devices:
-        sharded tensor-parallel over a device group when there are at
-        least two, else a single-device entry (no partition, no
-        group)."""
-        if devices < 2:
-            return ModelEntry(name=name, op=op, handle=handle)
+        """An entry for ``handle`` placed on the physical ``devices``
+        (shard-slot order): sharded tensor-parallel over a device group
+        when there are at least two, else a single-device entry (no
+        partition, no group).  With an ``executor`` the entry is a
+        model entry whose every hosted layer is placed the same way."""
+        if executor is not None:
+            layers = tuple(
+                self._placed(
+                    f"{name}/{spec.name}", spec.layer.op, spec.layer.handle,
+                    devices,
+                )
+                for spec in executor.layers
+            )
+            return ModelEntry(
+                name=name, op=op, handle=handle, devices=devices,
+                executor=executor, layers=layers,
+            )
+        if len(devices) < 2:
+            return ModelEntry(name=name, op=op, handle=handle, devices=devices)
         return ModelEntry(
-            name=name, op=op, handle=handle,
-            sharded=shard_handle(handle, devices, self.shard),
-            group=DeviceGroup(gpu=op.gpu, devices=devices, link=self.link),
+            name=name, op=op, handle=handle, devices=devices,
+            sharded=shard_handle(handle, len(devices), self.shard),
+            group=DeviceGroup(
+                gpu=op.gpu, devices=len(devices), link=self.link
+            ),
         )
 
     @property
@@ -646,25 +667,6 @@ class InferenceServer:
             raise ServeError(
                 f"unknown model {name!r}; registered: {self.model_names}"
             ) from None
-
-    def _entry(self, name: str, state: "_RunState | None") -> ModelEntry:
-        """The model entry a launch executes with: the run-local
-        re-sharded overlay entry when a fail-stop re-partitioned the
-        model, else the registered one."""
-        if state is not None and name in state.overlay:
-            return state.overlay[name]
-        return self.model(name)
-
-    def _phys_devices(
-        self, entry: ModelEntry, state: "_RunState | None"
-    ) -> tuple[int, ...]:
-        """The physical device ids ``entry`` occupies, in shard-slot
-        order.  Identity until a re-shard maps the survivors."""
-        if state is not None and entry.name in state.device_map:
-            return state.device_map[entry.name]
-        if entry.distributed:
-            return tuple(range(self.devices))
-        return (0,)
 
     # ------------------------------------------------------------------
     # Request intake
@@ -828,7 +830,7 @@ class InferenceServer:
         — the walk memo records a walk's plan-cache keys through it.
         """
         injector = None if state is None else state.injector
-        phys = self._phys_devices(entry, state)
+        phys = entry.devices
         if lookup is None:
             lookup = self._cached_plan
         if not entry.distributed:
@@ -980,7 +982,14 @@ class InferenceServer:
     # ------------------------------------------------------------------
     # Chaos & resilience
     # ------------------------------------------------------------------
-    def _new_run_state(self, metrics: ServingMetrics) -> _RunState:
+    def _new_run_state(
+        self,
+        metrics: ServingMetrics,
+        policy: "BatchingPolicy | None" = None,
+    ) -> _RunState:
+        """A run's fresh state: one lane per registered model (in
+        registration order) with empty queues and, under continuous
+        batching, an empty rolling batch cut by ``policy``."""
         plan = self.faults
         injector = None
         if plan is not None and not plan.empty:
@@ -989,11 +998,35 @@ class InferenceServer:
         # injector's fault schedule never shifts when retries happen.
         seed = plan.seed if plan is not None else 0
         rng = np.random.default_rng([seed, 0xB0])
+        policy = policy or self.policy
+        lanes = {}
+        for name, entry in self._models.items():
+            lane = _Lane(entry, RequestQueue(name, self.scheduling))
+            if self.continuous_batching:
+                recompute_cost = None
+                if entry.executor is not None:
+                    # Preemption cost = the victim's modeled re-prefill
+                    # (prompt + progress walked through every layer).
+                    def recompute_cost(
+                        inflight, _ex=entry.executor, _policy=policy
+                    ):
+                        return _ex.modeled_prefill_s(
+                            inflight.request.prompt_len
+                            + inflight.completed_steps,
+                            _policy,
+                        )
+
+                lane.decode = RequestQueue(name, self.scheduling)
+                lane.cb = ContinuousBatcher(
+                    policy, self.scheduling, recompute_cost=recompute_cost
+                )
+            lanes[name] = lane
         return _RunState(
             metrics=metrics,
             injector=injector,
             resilience=self.resilience,
             rng=rng,
+            lanes=lanes,
         )
 
     def _launch_fault(
@@ -1004,21 +1037,20 @@ class InferenceServer:
         off), or a transient injected failure — or ``None``."""
         if state.injector is None:
             return None
-        phys = self._phys_devices(entry, state)
-        for device in phys:
+        for device in entry.devices:
             if device in state.dead:
                 return device
             if state.breaker_down.get(device, 0.0) > t_s:
                 return device
-        slot = state.injector.launch_fails(entry.name, t_s, len(phys))
+        slot = state.injector.launch_fails(entry.name, t_s, len(entry.devices))
         if slot is None:
             return None
-        return phys[slot]
+        return entry.devices[slot]
 
     def _note_launch_ok(self, entry: ModelEntry, state: _RunState) -> None:
         if state.injector is None:
             return
-        for device in self._phys_devices(entry, state):
+        for device in entry.devices:
             state.breaker_streak[device] = 0
 
     def _note_launch_failed(
@@ -1075,7 +1107,7 @@ class InferenceServer:
         """When every half-open device ``entry`` touches has revived
         (``t_s`` when it is launchable now)."""
         until = t_s
-        for device in self._phys_devices(entry, state):
+        for device in entry.devices:
             until = max(until, state.breaker_down.get(device, 0.0))
         return until
 
@@ -1122,30 +1154,21 @@ class InferenceServer:
         n = len(survivors)
         tr = self.tracer
         blocked = t_s
-        for name in sorted(self._models):
-            entry = self._entry(name, state)
-            if not entry.distributed:
-                continue
-            if device not in self._phys_devices(entry, state):
+        for name in sorted(state.lanes):
+            lane = state.lanes[name]
+            entry = lane.entry
+            if not entry.distributed or device not in entry.devices:
                 continue
             if entry.executor is not None:
-                # Each layer re-partitions its own handle.
-                layers = tuple(
-                    self._placed(sub.name, sub.op, sub.handle, n)
-                    for sub in entry.layers
-                )
-                state.device_map.update((sub.name, survivors) for sub in layers)
-                new_entry = ModelEntry(
-                    name=name, op=entry.op, handle=entry.handle,
-                    executor=entry.executor, layers=layers,
-                )
                 payload = entry.executor.weight_bytes
             else:
-                new_entry = self._placed(name, entry.op, entry.handle, n)
                 compressed = entry.handle.compressed
                 payload = compressed.values.nbytes + compressed.indices.nbytes
-            state.overlay[name] = new_entry
-            state.device_map[name] = survivors
+            # A model entry re-partitions each layer's own handle.
+            lane.entry = self._placed(
+                name, entry.op, entry.handle, survivors, entry.executor
+            )
+            lane.walks.clear()
             recovery_s = (
                 payload / n / self.link.bytes_per_s + self.link.latency_s
             )
@@ -1162,7 +1185,7 @@ class InferenceServer:
             evicted = 0
             if entry.executor is not None:
                 evicted = self._evict_model_residents(
-                    name, blocked + recovery_s, state
+                    lane, blocked + recovery_s, state
                 )
             state.metrics.add_reshard(
                 ReshardRecord(
@@ -1186,15 +1209,16 @@ class InferenceServer:
         return blocked
 
     def _evict_model_residents(
-        self, name: str, t_s: float, state: _RunState
+        self, lane: _Lane, t_s: float, state: _RunState
     ) -> int:
-        """Preempt every resident sequence of model-mode ``name`` and
+        """Preempt every resident sequence of model-mode ``lane`` and
         release its KV bytes (device death: the re-shard invalidates
         resident caches; victims keep their progress and re-prefill on
         the survivors when they rejoin)."""
-        cb = None if state.continuous is None else state.continuous.get(name)
-        if cb is None or not cb.resident:
+        cb = lane.cb
+        if not cb.resident:
             return 0
+        name = lane.entry.name
         victims = list(cb.resident)
         cb.preempt_entries(victims)
         if state.memory is not None:
@@ -1277,20 +1301,17 @@ class InferenceServer:
             )
 
     def _admit_retries(
-        self,
-        t_s: float,
-        prefill_queues: dict,
-        decode_queues: dict,
-        run_policy: BatchingPolicy,
-        state: _RunState,
+        self, t_s: float, run_policy: BatchingPolicy, state: _RunState
     ) -> None:
         """Re-queue every retry whose backoff expired by ``t_s``."""
         tr = self.tracer
         while state.retry_heap and state.retry_heap[0][0] <= t_s:
             _, request_id, request = heapq.heappop(state.retry_heap)
-            decode = self._is_decode(request, run_policy)
-            queues = decode_queues if decode else prefill_queues
-            queues[request.model].requeue(request)
+            lane = state.lanes[request.model]
+            if self._is_decode(request, run_policy):
+                lane.decode.requeue(request)
+            else:
+                lane.prefill.requeue(request)
             if tr is not None:
                 tr.event(
                     "retry.attempt", t_s=t_s, track="queue",
@@ -1319,14 +1340,7 @@ class InferenceServer:
             default=None,
         )
 
-    def _cancel_timed_out(
-        self,
-        t_s: float,
-        prefill_queues: dict,
-        decode_queues: dict,
-        continuous: dict,
-        state: _RunState,
-    ) -> None:
+    def _cancel_timed_out(self, t_s: float, state: _RunState) -> None:
         """Cancel every request whose deadline passed by ``t_s``,
         wherever it lives: queued, backing off in the retry heap, or
         resident in (or preempted out of) the rolling decode batch.
@@ -1343,11 +1357,12 @@ class InferenceServer:
             deadline = state.deadlines.get(request.request_id)
             return deadline is not None and deadline <= t_s
 
+        lanes = state.lanes.values()
         for queues, where in (
-            (prefill_queues, "prefill"),
-            (decode_queues, "decode"),
+            ([lane.prefill for lane in lanes], "prefill"),
+            ([lane.decode for lane in lanes if lane.cb is not None], "decode"),
         ):
-            for queue in queues.values():
+            for queue in queues:
                 for request in queue.remove_where(expired):
                     self._drop(
                         request, "timed-out",
@@ -1369,8 +1384,10 @@ class InferenceServer:
                     state, where="retry",
                 )
         tr = self.tracer
-        for name, cb in continuous.items():
-            cancelled = cb.cancel_where(expired)
+        for name, lane in state.lanes.items():
+            if lane.cb is None:
+                continue
+            cancelled = lane.cb.cancel_where(expired)
             state.metrics.cancelled_evictions += len(cancelled)
             for inflight in cancelled:
                 if state.memory is not None:
@@ -1410,37 +1427,9 @@ class InferenceServer:
         stats_before = self._plan_cache_snapshot()
         batcher = DynamicBatcher(policy or self.policy)
         run_policy = batcher.policy
-        prefill_queues = {
-            name: RequestQueue(name, self.scheduling) for name in self._models
-        }
-        decode_queues: dict[str, RequestQueue] = {}
-        continuous: dict[str, ContinuousBatcher] = {}
-        if self.continuous_batching:
-            decode_queues = {
-                name: RequestQueue(name, self.scheduling)
-                for name in self._models
-            }
-            for name, entry in self._models.items():
-                recompute_cost = None
-                if entry.executor is not None:
-                    # Preemption cost = the victim's modeled re-prefill
-                    # (prompt + progress walked through every layer).
-                    def recompute_cost(
-                        inflight, _ex=entry.executor, _policy=run_policy
-                    ):
-                        return _ex.modeled_prefill_s(
-                            inflight.request.prompt_len
-                            + inflight.completed_steps,
-                            _policy,
-                        )
-
-                continuous[name] = ContinuousBatcher(
-                    run_policy, self.scheduling,
-                    recompute_cost=recompute_cost,
-                )
         metrics = ServingMetrics(submitted=len(pending))
-        state = self._new_run_state(metrics)
-        state.continuous = continuous
+        state = self._new_run_state(metrics, run_policy)
+        lanes = state.lanes
         executor_entries = sorted(
             name for name, e in self._models.items() if e.executor is not None
         )
@@ -1481,18 +1470,14 @@ class InferenceServer:
                 gpu_free_s = blocked
                 t = max(clock_s, gpu_free_s)
             self._revive_devices(t, state)
-            self._cancel_timed_out(
-                t, prefill_queues, decode_queues, continuous, state
-            )
-            self._admit_retries(
-                t, prefill_queues, decode_queues, run_policy, state
-            )
+            self._cancel_timed_out(t, state)
+            self._admit_retries(t, run_policy, state)
             while i < n and pending[i].arrival_s <= t:
                 request = pending[i]
                 i += 1
                 decode = self._is_decode(request, run_policy)
-                queues = decode_queues if decode else prefill_queues
-                target = queues[request.model]
+                lane = lanes[request.model]
+                target = lane.decode if decode else lane.prefill
                 if state.resilience is not None and state.resilience.shed(
                     request, target.total_rows
                 ):
@@ -1515,48 +1500,39 @@ class InferenceServer:
                         rows=request.rows,
                     )
             drain = i >= n
-            # (sort key, kind, model): the most urgent launchable work
+            # (sort key, kind, lane): the most urgent launchable work
             # wins; model name and kind break exact ties.
-            candidates: list[tuple[tuple, str, str]] = []
-            for name in self._models:
+            candidates: list[tuple[tuple, str, _Lane]] = []
+            for name, lane in lanes.items():
                 # A model touching a half-open (breaker-cooldown)
                 # device holds its launches until the circuit closes.
                 launchable = (
                     not state.breaker_down
-                    or self._down_until(self._entry(name, state), t, state)
-                    <= t
+                    or self._down_until(lane.entry, t, state) <= t
                 )
-                queue = prefill_queues[name]
+                queue = lane.prefill
                 if launchable and batcher.should_flush(
                     queue, t, drain=drain
                 ):
                     candidates.append(
-                        (self._queue_key(queue) + (name, 0), "prefill", name)
+                        (self._queue_key(queue) + (name, 0), "prefill", lane)
                     )
-                if self.continuous_batching:
-                    dq = decode_queues[name]
-                    cb = continuous[name]
-                    if (
-                        launchable
-                        and (dq or cb.has_work)
-                        and t >= state.holdoff.get(name, 0.0)
-                    ):
-                        candidates.append(
-                            (self._decode_key(dq, cb) + (name, 1),
-                             "decode", name)
-                        )
+                dq, cb = lane.decode, lane.cb
+                if (
+                    cb is not None
+                    and launchable
+                    and (dq or cb.has_work)
+                    and t >= lane.holdoff_s
+                ):
+                    candidates.append(
+                        (self._decode_key(dq, cb) + (name, 1), "decode", lane)
+                    )
             if candidates:
-                candidates.sort(key=lambda c: c[0])
-                _, kind, name = candidates[0]
+                _, kind, lane = min(candidates, key=lambda c: c[0])
                 if kind == "prefill":
-                    gpu_free_s = self._launch(
-                        prefill_queues[name], batcher, t, state
-                    )
+                    gpu_free_s = self._launch(lane, batcher, t, state)
                 else:
-                    gpu_free_s = self._step(
-                        name, decode_queues[name], continuous[name],
-                        batcher, t, state,
-                    )
+                    gpu_free_s = self._step(lane, batcher, t, state)
                 clock_s = t
                 continue
             # Nothing to launch: advance to the next event — arrival,
@@ -1566,22 +1542,19 @@ class InferenceServer:
             events = []
             if i < n:
                 events.append(pending[i].arrival_s)
-            for queue in prefill_queues.values():
-                deadline = batcher.deadline_s(queue)
+            for lane in lanes.values():
+                deadline = batcher.deadline_s(lane.prefill)
                 # A due-but-held queue (its model waiting out a
                 # half-open breaker) wakes at the circuit-close event
                 # instead; a deadline <= t here would stall the clock.
                 if deadline is not None and deadline > t:
                     events.append(deadline)
+                if lane.holdoff_s > t and (lane.decode or lane.cb.has_work):
+                    events.append(lane.holdoff_s)
             if state.retry_heap:
                 events.append(state.retry_heap[0][0])
             for until in state.breaker_down.values():
                 if until > t:
-                    events.append(until)
-            for name, until in state.holdoff.items():
-                if until > t and (
-                    decode_queues[name] or continuous[name].has_work
-                ):
                     events.append(until)
             timeout_at = self._earliest_deadline(state, t)
             if timeout_at is not None:
@@ -1631,13 +1604,13 @@ class InferenceServer:
 
     def _launch(
         self,
-        queue: RequestQueue,
+        lane: _Lane,
         batcher: DynamicBatcher,
         start_s: float,
         state: _RunState,
     ) -> float:
-        """Form a dynamic batch from ``queue``, execute it at
-        ``start_s``, record per-request and per-batch results, and
+        """Form a dynamic batch from ``lane``'s prefill queue, execute it
+        at ``start_s``, record per-request and per-batch results, and
         return when the GPU frees up.
 
         The batch geometry is fixed at the cut: a multi-step request
@@ -1651,21 +1624,21 @@ class InferenceServer:
         first step), no request completes, and every member retries
         with backoff or fails terminally."""
         metrics = state.metrics
-        entry = self._entry(queue.model, state)
+        entry = lane.entry
         tr = self.tracer
         if tr is not None:
             tr.advance(start_s)
         # Stack directly at the weights' padded k so execute() consumes
         # the block without another copy.
         batch = batcher.form_batch(
-            queue, stack=self.execute_numerics, pad_to_k=entry.handle.k
+            lane.prefill, stack=self.execute_numerics, pad_to_k=entry.handle.k
         )
         modeled_s, per_device, comm, plan, cost = self._modeled_launch(
             entry, batch.padded_rows, state, start_s
         )
         comm_s = 0.0 if comm is None else comm.seconds
         step_s = modeled_s + self.host_overhead_s
-        device_ids = self._phys_devices(entry, state)
+        device_ids = entry.devices
 
         fail_device = self._launch_fault(entry, start_s, state)
         failed = fail_device is not None
@@ -1756,14 +1729,12 @@ class InferenceServer:
 
     def _step(
         self,
-        name: str,
-        queue: RequestQueue,
-        cb: ContinuousBatcher,
+        lane: _Lane,
         batcher: DynamicBatcher,
         start_s: float,
         state: _RunState,
     ) -> float:
-        """Run one continuous-batching engine step for ``name`` at
+        """Run one continuous-batching engine step for ``lane`` at
         ``start_s`` and return when the GPU frees up.  Plain and model
         entries run the same sequence on the simulated clock:
 
@@ -1776,13 +1747,14 @@ class InferenceServer:
         5. on a fault no sequence advances (the GPU time is still
            spent): every resident burns an attempt, the retry-exhausted
            ones are evicted and failed, the rest stay resident (their
-           prefills re-run) and the model backs off (``holdoff``).
+           prefills re-run) and the model backs off (``holdoff_s``).
            Otherwise finished sequences leave and free their KV and
            survivors' KV grows a token.  Spans, request records and
            the step record follow either way.
         """
         metrics = state.metrics
-        entry = self._entry(name, state)
+        entry, cb = lane.entry, lane.cb
+        name = entry.name
         ex = entry.executor
         mem = state.memory
         tr = self.tracer
@@ -1790,11 +1762,9 @@ class InferenceServer:
             tr.advance(start_s)
         kv_evicted = 0
         if ex is None:
-            joined, preempted = cb.refill(queue, start_s)
+            joined, preempted = cb.refill(lane.decode, start_s)
         else:
-            refilled = self._refill_kv(
-                name, queue, cb, ex.kv_bytes_per_token, start_s, state
-            )
+            refilled = self._refill_kv(lane, start_s, state)
             if refilled is None:
                 return start_s
             joined, preempted, kv_evicted = refilled
@@ -1814,10 +1784,10 @@ class InferenceServer:
             (
                 modeled_gpu_s, per_device, comm_s, walks, prefill_s,
                 thrash_s,
-            ) = self._price_model_step(entry, cb, batch, start_s, state)
+            ) = self._price_model_step(lane, batch, start_s, state)
             comm = plan = cost = None
         finished_s = start_s + modeled_gpu_s + self.host_overhead_s
-        device_ids = self._phys_devices(entry, state)
+        device_ids = entry.devices
 
         fail_device = self._launch_fault(entry, start_s, state)
         failed = fail_device is not None
@@ -1833,11 +1803,10 @@ class InferenceServer:
             if dropped:
                 cb.cancel_where(lambda r: r.request_id in dropped)
             if res is not None:
-                streak = state.cb_streak.get(name, 0) + 1
-                state.cb_streak[name] = streak
+                lane.cb_streak += 1
                 u = float(state.rng.random())
-                state.holdoff[name] = finished_s + res.backoff_s(
-                    min(streak, 6), u
+                lane.holdoff_s = finished_s + res.backoff_s(
+                    min(lane.cb_streak, 6), u
                 )
             # Nothing advanced: this step's prefills run again.
             for inflight, *_ in walks[:-1]:
@@ -1845,7 +1814,7 @@ class InferenceServer:
             evicted = len(dropped)
         else:
             self._note_launch_ok(entry, state)
-            state.cb_streak[name] = 0
+            lane.cb_streak = 0
             if self.execute_numerics:
                 outputs = self._execute_batch(entry, batch, plan)
             finished = cb.advance()
@@ -1899,7 +1868,7 @@ class InferenceServer:
                 tr.event(
                     "retry.attempt", t_s=finished_s, track="engine",
                     model=name, count=len(cb.resident),
-                    attempt=state.cb_streak.get(name, 0),
+                    attempt=lane.cb_streak,
                 )
             if keep:
                 for _, inflight in finished:
@@ -1966,12 +1935,12 @@ class InferenceServer:
     # ------------------------------------------------------------------
     def _modeled_model_walk(
         self,
-        entry: ModelEntry,
+        lane: _Lane,
         padded_rows: int,
         state: _RunState,
         t_s: float,
     ) -> "tuple[float, tuple, tuple[float, ...], float]":
-        """One walk of the whole layer stack at ``padded_rows`` rows:
+        """One walk of ``lane.entry``'s layer stack at ``padded_rows``:
         ``(total_s, layer_spans, per_device_s, comm_s)``, where
         ``layer_spans`` is ``(layer_name, start_offset, seconds,
         cost)`` per layer in walk order — layers execute back-to-back,
@@ -1981,19 +1950,20 @@ class InferenceServer:
         stg_bytes)`` for the per-layer ``gpu.launch`` span attrs.
 
         In a run with neither a tracer nor a fault injector, a walk is
-        priced once per ``(entry, padded_rows, physical devices)`` and
-        memoized (:class:`_WalkMemo`); later walks return the memoized
-        totals and replay their plan lookups as hits through
+        priced once per lane and ``padded_rows`` and memoized
+        (:class:`_WalkMemo`, on :attr:`_Lane.walks`, which a re-shard
+        clears when it replaces the entry); later walks return the
+        memoized totals and replay their plan lookups as hits through
         :meth:`PlanCache.refresh`, so plan-cache hits still count one
         per layer launch, with the recency the per-layer lookups would
         leave.  A traced or faulted run prices every walk layer by
         layer, so its events and fault factors are read as they
         always have been (and it keeps no memo it would never
         replay)."""
+        entry = lane.entry
         if self.tracer is not None or state.injector is not None:
             return self._walk_layers(entry, padded_rows, state, t_s)
-        key = (id(entry), padded_rows, self._phys_devices(entry, state))
-        memo = state.walk_memo.get(key)
+        memo = lane.walks.get(padded_rows)
         if memo is not None and memo.current():
             memo.refresh()
             return memo.walk
@@ -2012,8 +1982,7 @@ class InferenceServer:
         walk = self._walk_layers(
             entry, padded_rows, state, t_s, recording_lookup
         )
-        state.walk_memo[key] = _WalkMemo(
-            entry=entry,
+        lane.walks[padded_rows] = _WalkMemo(
             caches=tuple(
                 (self.plan_caches[device], generations[device], tuple(keys))
                 for device, keys in keys_by_device.items()
@@ -2048,15 +2017,9 @@ class InferenceServer:
         return total, tuple(spans), per_device, comm_total
 
     def _refill_kv(
-        self,
-        name: str,
-        queue: RequestQueue,
-        cb: ContinuousBatcher,
-        bpt: int,
-        start_s: float,
-        state: _RunState,
+        self, lane: _Lane, start_s: float, state: _RunState
     ) -> "tuple[int, int, int] | None":
-        """A model entry's refill, with its KV phase:
+        """A model lane's refill, with its KV phase:
 
         1. refill the rolling batch behind the KV admission gate
            (``kv-aware`` only) and release the KV of anything the
@@ -2072,6 +2035,9 @@ class InferenceServer:
         Returns ``(joined, preempted, kv_evicted)``, or ``None`` when
         nothing is left resident to step (a model that still has work
         then waits out a short holdoff)."""
+        queue, cb = lane.decode, lane.cb
+        name = lane.entry.name
+        bpt = lane.entry.executor.kv_bytes_per_token
         mem = state.memory
         tr = self.tracer
         gate = None
@@ -2168,19 +2134,12 @@ class InferenceServer:
                 growth -= bpt
         if not cb.resident:
             if queue or cb.has_work:
-                state.holdoff[name] = start_s + max(
-                    self.host_overhead_s, 1e-6
-                )
+                lane.holdoff_s = start_s + max(self.host_overhead_s, 1e-6)
             return None
         return joined, preempted, kv_evicted
 
     def _price_model_step(
-        self,
-        entry: ModelEntry,
-        cb: ContinuousBatcher,
-        batch,
-        start_s: float,
-        state: _RunState,
+        self, lane: _Lane, batch, start_s: float, state: _RunState
     ) -> "tuple[float, tuple[float, ...], float, list, float, float]":
         """Price one model-mode step: ``(modeled_gpu_s, per_device_s,
         comm_s, walks, prefill_s, thrash_s)``.
@@ -2193,6 +2152,7 @@ class InferenceServer:
         Under the ``none`` baseline, KV growth past the budget spills
         to host memory and reloads over the host link every step it
         stays oversubscribed (``thrash_s``)."""
+        cb = lane.cb
         mem = state.memory
         walks = []
         prefill_s = 0.0
@@ -2204,7 +2164,7 @@ class InferenceServer:
             tokens = inflight.request.prompt_len + inflight.completed_steps
             rows = cb.policy.bucket_rows(tokens)
             seconds, spans, pd, comm = self._modeled_model_walk(
-                entry, rows, state, start_s
+                lane, rows, state, start_s
             )
             walks.append((inflight, tokens, rows, seconds, spans))
             prefill_s += seconds
@@ -2212,7 +2172,7 @@ class InferenceServer:
             per_device = _add_per_device(per_device, pd)
             inflight.needs_prefill = False
         decode_s, spans, pd, comm = self._modeled_model_walk(
-            entry, batch.padded_rows, state, start_s
+            lane, batch.padded_rows, state, start_s
         )
         walks.append((None, batch.rows, batch.padded_rows, decode_s, spans))
         comm_s += comm
@@ -2221,7 +2181,7 @@ class InferenceServer:
         if not mem.enforce:
             overflow = (
                 mem.resident_bytes
-                + len(cb.resident) * entry.executor.kv_bytes_per_token
+                + len(cb.resident) * lane.entry.executor.kv_bytes_per_token
                 - mem.budget_bytes
             )
             if overflow > 0:

@@ -89,16 +89,6 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def get(self, key: Hashable) -> "object | None":
-        """The cached value (refreshing its recency), or None."""
-        value = self._data.get(key, _MISSING)
-        if value is _MISSING:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._data.move_to_end(key)
-        return value
-
     def put(self, key: Hashable, value: object) -> None:
         """Insert/refresh a value, evicting the least recently used
         entry past capacity."""
@@ -126,8 +116,8 @@ class LRUCache:
     def refresh(self, keys: "Sequence[Hashable]") -> None:
         """Replay a sequence of hits: move each key to the most-recent
         end in order and count ``len(keys)`` hits — the stats and
-        recency the same ``get`` calls would leave.  Every key must be
-        cached (a missing key raises ``KeyError``)."""
+        recency the same ``get_or_build`` hits would leave.  Every key
+        must be cached (a missing key raises ``KeyError``)."""
         move_to_end = self._data.move_to_end
         for key in keys:
             move_to_end(key)

@@ -79,3 +79,48 @@ class TestMain:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+
+class TestBadInput:
+    """A library error from any subcommand exits with one
+    ``<command>: <message>`` line instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-sim", "--max-batch-rows", "0"],
+            ["serve-sim", "--max-batch-requests", "0"],
+            ["serve-sim", "--max-wait-ms", "-1"],
+            ["sweep", "--shapes", "0x0x0"],
+            ["sweep", "--shapes", "axbxc"],
+            ["sweep", "--sparsities", "1.5"],
+            ["validate", "--n-ratio", "0"],
+            ["table1", "--max-block", "0"],
+        ],
+    )
+    def test_one_line_exit(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert message.startswith(f"{argv[0]}: ")
+        assert "\n" not in message
+
+    def test_bad_policy_closes_the_stream_writer(self, tmp_path, monkeypatch):
+        import repro.obs
+
+        writers = []
+
+        class Recording(repro.obs.StreamingJsonlWriter):
+            def __init__(self, path):
+                super().__init__(path)
+                writers.append(self)
+
+        monkeypatch.setattr(repro.obs, "StreamingJsonlWriter", Recording)
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit, match="^serve-sim: max_batch_rows"):
+            main([
+                "serve-sim", "--max-batch-rows", "0", "--trace", str(path),
+                "--trace-format", "jsonl-stream",
+            ])
+        (writer,) = writers
+        assert writer._fh is None

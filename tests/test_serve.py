@@ -275,10 +275,10 @@ class TestLRUCache:
 
     def test_get_put(self):
         cache = LRUCache(2)
-        assert cache.get("a") is None
+        assert "a" not in cache
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a"
+        assert cache.get_or_build("a", lambda: 0) == 1  # refreshes "a"
         cache.put("c", 3)  # evicts "b", the least recently used
         assert "a" in cache and "b" not in cache and "c" in cache
 

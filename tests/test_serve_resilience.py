@@ -463,6 +463,25 @@ class TestFailStopReshard:
         injected = events_named(tracer, "fault.inject")
         assert any(e.attrs["kind"] == "devfail" for e in injected)
 
+    @pytest.mark.parametrize(
+        "spec", ["devfail:device=2,at=0.01", "slow:device=2,factor=4"]
+    )
+    def test_fault_on_missing_device_rejected(self, spec):
+        with pytest.raises(ServeError, match="names device 2, but the "
+                           "server has 2 device"):
+            make_server(devices=2, faults=spec, resilience=True)
+
+    def test_fault_devices_in_range_accepted(self):
+        # The last real device is fine, and launch:device= is reduced
+        # modulo the group width, so it may name any device.
+        server = make_server(
+            devices=2, resilience=True,
+            faults="devfail:device=1,at=0.003;slow:device=1,factor=2;"
+            "launch:p=0.1,device=7",
+        )
+        report = server.simulate(spread_requests(10))
+        assert len(report.metrics.reshard_records) == 1
+
     def test_failstop_without_resilience_fails_requests(self):
         server = make_server(
             devices=2,

@@ -200,6 +200,28 @@ def _sha(payload: object) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _modeled_digest(m: ServingMetrics) -> str:
+    """Digest of everything the simulated clock decided in one run."""
+    return _sha(
+        {
+            "requests": [
+                (
+                    r.request.request_id, r.batch_id,
+                    repr(r.started_s), repr(r.finished_s), r.retries,
+                )
+                for r in m.request_records
+            ],
+            "drops": [
+                (d.request.request_id, d.outcome, d.retries)
+                for d in m.drop_records
+            ],
+            "launches": (len(m.batch_records), len(m.step_records)),
+            "gpu_busy_s": repr(m.gpu_busy_s),
+            "memory": m.memory,
+        }
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _run(name: str):
     """Run one case once per session: ``(scenario, report, tracer)``."""
@@ -214,24 +236,7 @@ def case_record(name: str) -> dict:
     _, report, tracer = _run(name)
     m = report.metrics
     record = {
-        "modeled_digest": _sha(
-            {
-                "requests": [
-                    (
-                        r.request.request_id, r.batch_id,
-                        repr(r.started_s), repr(r.finished_s), r.retries,
-                    )
-                    for r in m.request_records
-                ],
-                "drops": [
-                    (d.request.request_id, d.outcome, d.retries)
-                    for d in m.drop_records
-                ],
-                "launches": (len(m.batch_records), len(m.step_records)),
-                "gpu_busy_s": repr(m.gpu_busy_s),
-                "memory": m.memory,
-            }
-        ),
+        "modeled_digest": _modeled_digest(m),
         "plan_cache_stats": report.plan_cache_stats,
         "steps": len(m.step_records),
         "reshards": len(m.reshard_records),
@@ -341,7 +346,7 @@ class TestLRUCacheMemoSupport:
                 cache.put(key, key.upper())
         sequence = ["c", "a", "c", "d"]
         for key in sequence:
-            by_get.get(key)
+            by_get.get_or_build(key, lambda: pytest.fail("a hit builds"))
         by_refresh.refresh(sequence)
         assert by_refresh.stats == by_get.stats
         assert by_refresh.stats.hits == len(sequence)
@@ -357,8 +362,7 @@ class TestLRUCacheMemoSupport:
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.get("a")
-        cache.get("missing")
+        cache.get_or_build("a", lambda: 0)
         cache.refresh(["b"])
         cache.put("b", 3)  # overwrite in place: nothing leaves
         assert cache.generation == 0
@@ -379,10 +383,13 @@ class TestLRUCacheMemoSupport:
         assert cache.get_or_build("k", build) is None
         assert len(builds) == 1
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-        assert cache.get("k") is None
+        assert cache.get_or_build("k", build) is None
         assert (cache.stats.hits, cache.stats.misses) == (2, 1)
-        assert cache.get("absent") is None
-        assert (cache.stats.hits, cache.stats.misses) == (2, 2)
+        cache.refresh(["k"])  # a replayed hit counts like a real one
+        assert (cache.stats.hits, cache.stats.misses) == (3, 1)
+        assert cache.get_or_build("absent", build) is None
+        assert len(builds) == 2
+        assert (cache.stats.hits, cache.stats.misses) == (3, 2)
 
 
 class TestWalkMemoAfterReshard:
@@ -399,22 +406,23 @@ class TestWalkMemoAfterReshard:
         walked = []
         original = server._modeled_model_walk
 
-        def spy(entry, padded_rows, state, t_s):
-            result = original(entry, padded_rows, state, t_s)
-            walked.append((entry, padded_rows, t_s, result, state))
+        def spy(lane, padded_rows, state, t_s):
+            result = original(lane, padded_rows, state, t_s)
+            walked.append((lane.entry, padded_rows, t_s, result, state))
             return result
 
         server._modeled_model_walk = spy
         report = server.simulate(requests)
         assert len(report.metrics.reshard_records) == 1
         state = walked[-1][-1]
-        overlay = state.overlay[scenario.model.lower()]
+        lane = state.lanes[scenario.model.lower()]
+        resharded = lane.entry
         registered = server.model(scenario.model.lower())
-        assert not overlay.distributed and registered.distributed
+        assert not resharded.distributed and registered.distributed
         before = [w for w in walked if w[0] is registered]
-        after = [w for w in walked if w[0] is overlay]
+        after = [w for w in walked if w[0] is resharded]
         assert before and after
-        # The first overlay walk at each geometry is a fresh pricing:
+        # The first re-sharded walk at each geometry is a fresh pricing:
         # a single-device walk has no per-device split or collective,
         # unlike every registered (sharded) walk at the same rows.
         for _, _, _, (total, _, per_device, comm), _ in after:
@@ -422,11 +430,11 @@ class TestWalkMemoAfterReshard:
             assert total > 0
         assert all(w[3][2] for w in before)
         # A faulted run prices every walk and keeps no memo.
-        assert state.walk_memo == {}
+        assert lane.walks == {}
 
     def test_reshard_stales_the_memo_in_a_replaying_run(self):
         # No injector, so walks replay; a fail-stop handled mid-run
-        # clears the plan caches and installs an overlay entry.
+        # clears the plan caches and installs a re-sharded lane entry.
         scenario = long_context_summarization(
             duration_s=0.3, seed=0, devices=2, resilience=True
         )
@@ -434,50 +442,52 @@ class TestWalkMemoAfterReshard:
         state = server._new_run_state(ServingMetrics())
         assert state.injector is None
         name = scenario.model.lower()
-        registered = server._entry(name, state)
-        sharded = server._modeled_model_walk(registered, 64, state, 0.0)
+        lane = state.lanes[name]
+        registered = lane.entry
+        sharded = server._modeled_model_walk(lane, 64, state, 0.0)
         stats = server.plan_cache.stats.snapshot()
-        assert server._modeled_model_walk(registered, 64, state, 0.0) == (
+        assert server._modeled_model_walk(lane, 64, state, 0.0) == (
             sharded
         )
         assert server.plan_cache.stats.hits - stats.hits == len(
             registered.layers
         )
-        (memo,) = state.walk_memo.values()
+        (memo,) = lane.walks.values()
         state.dead.add(1)
         server._handle_device_death(1, 0.1, state)
         assert not memo.current()
-        overlay = server._entry(name, state)
-        assert overlay is not registered and not overlay.distributed
+        resharded = lane.entry
+        assert resharded is not registered and not resharded.distributed
         stats = server.plan_cache.stats.snapshot()
         total, _, per_device, comm = server._modeled_model_walk(
-            overlay, 64, state, 0.2
+            lane, 64, state, 0.2
         )
         # Priced afresh on the survivor: every layer misses the cleared
         # cache, and a single-device walk has no split or collective.
         assert server.plan_cache.stats.misses - stats.misses == len(
-            overlay.layers
+            resharded.layers
         )
         assert per_device == () and comm == 0.0 and total > 0
         assert sharded[2] and sharded[3] > 0.0
-        assert any(m.entry is overlay for m in state.walk_memo.values())
+        assert lane.walks[64] is not memo
 
     def test_repeat_walk_equals_fresh_pricing(self):
         # A replayed walk returns exactly what pricing the stack anew
         # through the per-layer launch path returns.
         scenario = long_context_summarization(duration_s=0.3, seed=0)
         server, _ = scenario.build_server()
-        entry = server.model(scenario.model.lower())
+        name = scenario.model.lower()
+        entry = server.model(name)
         state = server._new_run_state(None)
-        first = server._modeled_model_walk(entry, 64, state, 0.0)
+        first = server._modeled_model_walk(state.lanes[name], 64, state, 0.0)
         stats = server.plan_cache.stats.snapshot()
-        second = server._modeled_model_walk(entry, 64, state, 0.0)
+        second = server._modeled_model_walk(state.lanes[name], 64, state, 0.0)
         assert second == first
         assert server.plan_cache.stats.hits - stats.hits == len(entry.layers)
         fresh_state = server._new_run_state(None)
         server.plan_cache.clear()
         assert server._modeled_model_walk(
-            entry, 64, fresh_state, 0.0
+            fresh_state.lanes[name], 64, fresh_state, 0.0
         ) == first
 
     @pytest.mark.parametrize("rows", [1, 4, 16, 64, 256, 1024])
@@ -487,10 +497,75 @@ class TestWalkMemoAfterReshard:
         # Sharded walks add the split and the collective, so they differ.
         scenario = long_context_summarization(duration_s=0.3, seed=0)
         server, _ = scenario.build_server()
-        entry = server.model(scenario.model.lower())
+        name = scenario.model.lower()
+        entry = server.model(name)
         state = server._new_run_state(None)
-        walk_s = server._modeled_model_walk(entry, rows, state, 0.0)[0]
+        lane = state.lanes[name]
+        walk_s = server._modeled_model_walk(lane, rows, state, 0.0)[0]
         assert entry.executor.stack_seconds(rows) == walk_s
+
+
+class TestRunLocality:
+    """A fail-stop re-shards only the run's lanes: the same server
+    replays the same trace to the same figures, and its registry keeps
+    the full device group."""
+
+    @pytest.mark.parametrize(
+        "factory, overrides, survivors",
+        [
+            (
+                tiered,
+                dict(
+                    seed=0, duration_s=0.5, devices=3, shard="row",
+                    faults="launch:p=0.05;devfail:device=1,at=0.2;seed=3",
+                    resilience=True, execute_numerics=False,
+                ),
+                (0, 2),
+            ),
+            (
+                model,
+                dict(
+                    seed=0, duration_s=0.5, devices=2, resilience=True,
+                    faults="devfail:device=0,at=0.25",
+                ),
+                (1,),
+            ),
+        ],
+        ids=["plain-row3", "model-2dev"],
+    )
+    def test_rerun_after_failstop_is_identical(
+        self, factory, overrides, survivors
+    ):
+        scenario = factory(**overrides)
+        server, sources = scenario.build_server()
+        requests = generate_requests(
+            sources, scenario.qps, scenario.duration_s, seed=scenario.seed,
+            arrival=scenario.arrival, synthesize_activations=False,
+        )
+        states = []
+        original = server._handle_device_death
+
+        def spy(device, t_s, state):
+            states.append(state)
+            return original(device, t_s, state)
+
+        server._handle_device_death = spy
+        first = server.simulate(requests)
+        second = server.simulate(requests)
+        assert len(first.metrics.reshard_records) == 1
+        assert _modeled_digest(second.metrics) == _modeled_digest(
+            first.metrics
+        )
+        assert second.plan_cache_stats == first.plan_cache_stats
+        devices = overrides["devices"]
+        for name in server.model_names:
+            registered = server.model(name)
+            lane = states[-1].lanes[name]
+            assert lane.entry is not registered
+            for placed in (lane.entry, *lane.entry.layers):
+                assert placed.devices == survivors
+            for placed in (registered, *registered.layers):
+                assert placed.devices == tuple(range(devices))
 
 
 def _failed_counts(name: str) -> "tuple[int, int]":

@@ -15,6 +15,7 @@ from __future__ import annotations
 from enum import Enum
 
 from repro.core.strategy import LoadStrategy, select_strategy
+from repro.errors import ConfigurationError
 from repro.sparsity.config import NMPattern
 
 __all__ = ["OptimizationVersion"]
@@ -60,4 +61,11 @@ class OptimizationVersion(str, Enum):
     def parse(cls, value: "str | OptimizationVersion") -> "OptimizationVersion":
         if isinstance(value, cls):
             return value
-        return cls(str(value).upper())
+        try:
+            return cls(str(value).upper())
+        except ValueError:
+            names = ", ".join(v.value for v in cls)
+            raise ConfigurationError(
+                f"unknown optimization version {value!r}; expected one "
+                f"of {names}"
+            ) from None

@@ -13,13 +13,13 @@ few buckets, so the cache converges to near-100% hits after warm-up.
 — it lives on each model's :class:`~repro.core.api.SparseHandle` and is
 built at most once per block shape.
 
-A model-mode layer walk is priced once per run (see
-``InferenceServer._modeled_model_walk``): in an untraced run with no
-fault plan, later walks of the same model at the same padded row count
-(memoized on the model's run-local lane, which a re-shard clears)
-replay their lookups through :meth:`PlanCache.refresh`, so the stats
-still count one hit per layer launch and the LRU recency is what the
-per-layer lookups would have left.
+A walk of a model's stack (its layers, or a plain entry's one
+launch) is priced once per run (see ``InferenceServer._price``): in an
+untraced run with no fault plan, later walks of the same model at the
+same padded row count (memoized on the model's run-local lane, which a
+re-shard clears) replay their lookups through
+:meth:`PlanCache.refresh`, so the stats still count one hit per launch
+and device, and the LRU recency is what the lookups would have left.
 """
 
 from __future__ import annotations

@@ -15,11 +15,12 @@ The executor provides both views the simulator needs:
 
 * *numerics* — :meth:`hidden_states` / :meth:`logits` run the actual
   NumPy forward walk (tests compare it against a dense reference);
-* *modeled time* — :meth:`modeled_prefill_s` /
-  :meth:`modeled_decode_step_s` sum the per-layer perf-model seconds
-  at a padded row count, memoized per bucket.  The continuous
-  batcher's cost-of-recompute preemption model is exactly
-  ``modeled_prefill_s`` of the victim's restart.
+* *modeled time* — :meth:`stack_seconds` sums the per-layer
+  perf-model seconds at a padded row count, memoized per bucket, and
+  :meth:`modeled_prefill_s` is one such walk at a sequence's token
+  count: the continuous batcher's cost-of-recompute preemption model
+  for the victim's restart.  The serving engine prices its own prefill
+  and decode walks through its plan caches.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.errors import ServeError
 from repro.nn.linear import Linear, NMSparseLinear
 from repro.nn.mlp import relu
 from repro.sparsity.config import NMPattern
+from repro.utils.validation import is_int
 from repro.workloads.llama import (
     LlamaModel,
     get_llama_model,
@@ -99,8 +101,14 @@ class ModelExecutor:
         seed: int = 0,
         kv_dtype_bytes: int = 2,
     ):
+        if not is_int(blocks):
+            raise ServeError(f"blocks must be an int, got {blocks!r}")
         if blocks < 1:
             raise ServeError(f"blocks must be >= 1, got {blocks}")
+        if not is_int(kv_dtype_bytes):
+            raise ServeError(
+                f"kv_dtype_bytes must be an int, got {kv_dtype_bytes!r}"
+            )
         if kv_dtype_bytes < 1:
             raise ServeError(
                 f"kv_dtype_bytes must be >= 1, got {kv_dtype_bytes}"
@@ -265,14 +273,6 @@ class ModelExecutor:
             raise ServeError(f"tokens must be >= 1, got {tokens}")
         rows = policy.bucket_rows(tokens) if policy is not None else tokens
         return self.stack_seconds(rows)
-
-    def modeled_decode_step_s(self, rows: int, policy=None) -> float:
-        """Modeled seconds for one decode step of a ``rows``-sequence
-        rolling batch (one token per sequence)."""
-        if rows < 1:
-            raise ServeError(f"rows must be >= 1, got {rows}")
-        padded = policy.bucket_rows(rows) if policy is not None else rows
-        return self.stack_seconds(padded)
 
     def describe(self) -> dict:
         return {

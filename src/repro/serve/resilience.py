@@ -99,18 +99,20 @@ class ResiliencePolicy:
             raise ServeError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base_s < 0:
+        if not 0 <= self.backoff_base_s < math.inf:
             raise ServeError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
+                "backoff_base_s must be finite >= 0, got "
+                f"{self.backoff_base_s}"
             )
-        if self.backoff_multiplier < 1:
+        if not 1 <= self.backoff_multiplier < math.inf:
             raise ServeError(
-                "backoff_multiplier must be >= 1, got "
+                "backoff_multiplier must be finite >= 1, got "
                 f"{self.backoff_multiplier}"
             )
-        if self.backoff_jitter < 0:
+        if not 0 <= self.backoff_jitter < math.inf:
             raise ServeError(
-                f"backoff_jitter must be >= 0, got {self.backoff_jitter}"
+                "backoff_jitter must be finite >= 0, got "
+                f"{self.backoff_jitter}"
             )
         if self.timeout_slo_multiplier is not None and not (
             self.timeout_slo_multiplier > 0

@@ -29,8 +29,10 @@ with a discrete-event loop:
 * every continuous step — a single projection's or a whole model's —
   takes one path (``InferenceServer._step``): refill, form the batch,
   price it, draw the launch fault, then either the failed-step
-  accounting or advance, records and spans.  Only a model entry's KV
-  phase and its pricing (prefill and decode layer walks) differ.
+  accounting or advance, records and spans.  Every launch is priced
+  as a walk of the model's stack (``InferenceServer._price``; a plain
+  entry is a one-layer stack); only a model entry's KV phase and its
+  prefill walks differ.
 
 With a :class:`~repro.faults.FaultPlan` attached, the run is subjected
 to seeded chaos — transient launch failures, device fail-stop and
@@ -54,8 +56,8 @@ produce identical reports.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -69,7 +71,7 @@ from repro.faults import FaultInjector, FaultPlan, parse_fault_spec
 from repro.gpu.spec import GPUSpec
 from repro.obs.tracer import Tracer
 from repro.serve.batcher import BatchingPolicy, ContinuousBatcher, DynamicBatcher
-from repro.serve.cache import PlanCache, PlanEntry
+from repro.serve.cache import PlanCache
 from repro.serve.metrics import (
     BatchRecord,
     DropRecord,
@@ -190,9 +192,9 @@ class _Lane:
     holdoff_s: float = 0.0
     #: Consecutive failed continuous steps.
     cb_streak: int = 0
-    #: padded_rows -> _WalkMemo: each model-mode layer walk of
-    #: ``entry`` priced once per untraced, fault-free run (a re-shard
-    #: replaces ``entry`` and clears this).
+    #: padded_rows -> _WalkMemo: each walk of ``entry``'s stack (a
+    #: plain entry's is one launch) priced once per untraced,
+    #: fault-free run (a re-shard replaces ``entry`` and clears this).
     walks: dict = field(default_factory=dict)
 
 
@@ -243,17 +245,17 @@ class _RunState:
 
 @dataclass
 class _WalkMemo:
-    """One model-mode layer walk, priced once and replayed.
+    """One walk of a lane's stack, priced once and replayed.
 
     Valid while every plan cache the walk looked up in is still at the
     generation it was priced at: no key has left those caches since
     (and a plan cache only inserts on a miss), so each of the walk's
     lookups would hit and return the same plan entry.  A replay
     refreshes those keys in walk order, so the cache stats and LRU
-    recency are exactly what the per-layer lookups would have left.
+    recency are exactly what the per-launch lookups would have left.
     Only runs with neither a tracer nor a fault injector keep memos
-    (see ``InferenceServer._modeled_model_walk``), so a ``walk`` is
-    always priced on healthy devices with no events to emit.  Memos
+    (see ``InferenceServer._price``), so a ``walk`` is always priced
+    on healthy devices with no events to emit.  Memos
     live on the walked entry's lane (:attr:`_Lane.walks`), which a
     re-shard clears along with installing the new entry.
     """
@@ -480,20 +482,20 @@ class InferenceServer:
         kv_admission: str = "kv-aware",
         host_link_bytes_per_s: float = 16e9,
     ):
-        if host_overhead_s < 0:
+        if not 0 <= host_overhead_s < math.inf:
             raise ServeError(
-                f"host_overhead_s must be >= 0, got {host_overhead_s}"
+                f"host_overhead_s must be finite >= 0, got {host_overhead_s}"
             )
-        if hbm_bytes is not None and hbm_bytes <= 0:
-            raise ServeError(f"hbm_bytes must be > 0, got {hbm_bytes}")
+        if hbm_bytes is not None and not 0 < hbm_bytes < math.inf:
+            raise ServeError(f"hbm_bytes must be finite > 0, got {hbm_bytes}")
         if kv_admission not in KV_ADMISSION_MODES:
             raise ServeError(
                 f"unknown kv admission mode {kv_admission!r}; "
                 f"pick one of {KV_ADMISSION_MODES}"
             )
-        if host_link_bytes_per_s <= 0:
+        if not 0 < host_link_bytes_per_s < math.inf:
             raise ServeError(
-                "host_link_bytes_per_s must be > 0, got "
+                "host_link_bytes_per_s must be finite > 0, got "
                 f"{host_link_bytes_per_s}"
             )
         if backend not in backend_names():
@@ -802,7 +804,6 @@ class InferenceServer:
         padded_rows: int,
         state: "_RunState | None" = None,
         t_s: float = 0.0,
-        lookup: "Callable[..., PlanEntry] | None" = None,
     ) -> (
         "tuple[float, tuple[float, ...], CommEvent | None, object,"
         " tuple[int, int, int]]"
@@ -825,17 +826,12 @@ class InferenceServer:
         by its straggler clock factor at ``t_s`` and the collective is
         priced on the (possibly degraded) link, so one slow device
         gates the whole tensor-parallel launch.
-
-        ``lookup`` stands in for :meth:`_cached_plan` (same arguments)
-        — the walk memo records a walk's plan-cache keys through it.
         """
         injector = None if state is None else state.injector
         phys = entry.devices
-        if lookup is None:
-            lookup = self._cached_plan
         if not entry.distributed:
             device = phys[0]
-            plan_entry = lookup(
+            plan_entry = self._cached_plan(
                 self.plan_caches[device], device, entry, entry.handle,
                 padded_rows,
             )
@@ -847,7 +843,7 @@ class InferenceServer:
         flops = ldg_bytes = stg_bytes = 0
         for shard in entry.sharded.shards:
             device = phys[shard.device]
-            plan_entry = lookup(
+            plan_entry = self._cached_plan(
                 self.plan_caches[device], device, entry,
                 shard.handle, padded_rows,
             )
@@ -868,6 +864,66 @@ class InferenceServer:
             step.seconds, step.per_device_seconds, comm, None,
             (flops, ldg_bytes, stg_bytes),
         )
+
+    def _price(
+        self,
+        lane: _Lane,
+        padded_rows: int,
+        state: _RunState,
+        t_s: float,
+    ) -> "tuple[float, tuple, tuple[float, ...], float]":
+        """One walk of ``lane.entry``'s stack at ``padded_rows`` (a
+        model entry's layers, or a plain entry as a one-layer stack):
+        ``(total_s, launches, per_device_s, comm_s)``, with one
+        ``(entry, offset_s, seconds, per_device_s, comm_event, plan,
+        cost)`` per launch (:meth:`_modeled_launch`) in walk order.
+        Launches run back-to-back, so the walk's time is their sum.
+
+        In a run with neither a tracer nor a fault injector, a walk is
+        priced once per lane and ``padded_rows`` and memoized
+        (:class:`_WalkMemo`, on :attr:`_Lane.walks`); later walks
+        return the memoized walk and replay its plan lookups as hits
+        (:meth:`PlanCache.refresh`), so the stats and LRU recency are
+        what the lookups would have left.  A traced or faulted run
+        prices every launch afresh, so its events and fault factors
+        are read as they always have been."""
+        entry = lane.entry
+        stack = entry.layers or (entry,)
+        memoize = self.tracer is None and state.injector is None
+        if memoize:
+            memo = lane.walks.get(padded_rows)
+            if memo is not None and memo.current():
+                memo.refresh()
+                return memo.walk
+            # The generations from *before* the walk: a walk during
+            # which a key left a cache (a replay's lookup could miss)
+            # is never current.
+            generations = [cache.generation for cache in self.plan_caches]
+        total = comm_s = 0.0
+        per_device: "tuple[float, ...]" = ()
+        launches = []
+        for sub in stack:
+            seconds, pd, comm, plan, cost = self._modeled_launch(
+                sub, padded_rows, state, t_s
+            )
+            launches.append((sub, total, seconds, pd, comm, plan, cost))
+            total += seconds
+            if comm is not None:
+                comm_s += comm.seconds
+            per_device = _add_per_device(per_device, pd)
+        walk = (total, tuple(launches), per_device, comm_s)
+        if memoize:
+            keys = tuple(
+                PlanCache.key(sub.name, sub.op, padded_rows) for sub in stack
+            )
+            lane.walks[padded_rows] = _WalkMemo(
+                caches=tuple(
+                    (self.plan_caches[device], generations[device], keys)
+                    for device in entry.devices
+                ),
+                walk=walk,
+            )
+        return walk
 
     def _trace_launch(
         self,
@@ -1633,10 +1689,10 @@ class InferenceServer:
         batch = batcher.form_batch(
             lane.prefill, stack=self.execute_numerics, pad_to_k=entry.handle.k
         )
-        modeled_s, per_device, comm, plan, cost = self._modeled_launch(
-            entry, batch.padded_rows, state, start_s
+        modeled_s, (launch,), per_device, comm_s = self._price(
+            lane, batch.padded_rows, state, start_s
         )
-        comm_s = 0.0 if comm is None else comm.seconds
+        *_, comm, plan, cost = launch
         step_s = modeled_s + self.host_overhead_s
         device_ids = entry.devices
 
@@ -1741,8 +1797,8 @@ class InferenceServer:
         1. refill the rolling batch (a model entry through its KV
            phase, :meth:`_refill_kv`);
         2. form the step's batch;
-        3. price it: one modeled launch, or a model entry's prefill and
-           decode walks (:meth:`_price_model_step`);
+        3. price it (:meth:`_price_step`): a decode walk of the lane's
+           stack, after a model entry's prefill walks;
         4. draw the launch fault;
         5. on a fault no sequence advances (the GPU time is still
            spent): every resident burns an attempt, the retry-exhausted
@@ -1773,19 +1829,11 @@ class InferenceServer:
             stack=self.execute_numerics,
             pad_to_k=entry.handle.k,
         )
-        walks: "list | tuple" = ()
-        prefill_s = thrash_s = 0.0
-        if ex is None:
-            modeled_gpu_s, per_device, comm, plan, cost = self._modeled_launch(
-                entry, batch.padded_rows, state, start_s
-            )
-            comm_s = 0.0 if comm is None else comm.seconds
-        else:
-            (
-                modeled_gpu_s, per_device, comm_s, walks, prefill_s,
-                thrash_s,
-            ) = self._price_model_step(lane, batch, start_s, state)
-            comm = plan = cost = None
+        (
+            modeled_gpu_s, per_device, comm_s, walks, prefill_s, thrash_s,
+        ) = self._price_step(lane, batch, start_s, state)
+        # A plain step is its decode walk's one launch.
+        *_, comm, plan, cost = walks[-1][-1][0]
         finished_s = start_s + modeled_gpu_s + self.host_overhead_s
         device_ids = entry.devices
 
@@ -1844,7 +1892,7 @@ class InferenceServer:
                 **attrs,
             )
             if keep:
-                if walks:
+                if ex is not None:
                     self._trace_walks(
                         tr, step_span, entry, walks, thrash_s, start_s, mem
                     )
@@ -1878,11 +1926,15 @@ class InferenceServer:
                     )
             # A model step's layers already have their own gpu.launch
             # spans; a failed model step is one launch span with its
-            # walks' layer costs summed.
-            if not walks or failed:
-                if walks:
-                    costs = [c for *_, spans in walks for *_, c in spans]
+            # walks' layer costs summed and no collective.
+            if ex is None or failed:
+                if ex is not None:
+                    costs = [
+                        launch[-1] for *_, launches in walks
+                        for launch in launches
+                    ]
                     cost = tuple(sum(c[i] for c in costs) for i in range(3))
+                    comm = None
                 self._trace_launch(
                     tr, step_span, start_s, 1, modeled_gpu_s, per_device,
                     comm, name, device_ids, batch.padded_rows,
@@ -1930,92 +1982,66 @@ class InferenceServer:
         )
         return end_s
 
+    def _price_step(
+        self, lane: _Lane, batch, start_s: float, state: _RunState
+    ) -> "tuple[float, tuple[float, ...], float, list, float, float]":
+        """Price one continuous step: ``(modeled_gpu_s, per_device_s,
+        comm_s, walks, prefill_s, thrash_s)``.
+
+        The whole batch walks the lane's stack once to decode
+        (:meth:`_price`).  On a model entry, every resident that needs
+        (re)prefill first walks it at its token count, in batch order.
+        ``walks`` holds ``(inflight, tokens, rows, seconds, launches)``
+        per prefill, then ``(None, batch.rows, batch.padded_rows,
+        seconds, launches)`` for the decode walk.  Under the ``none``
+        baseline, a model's KV growth past the budget spills to host
+        memory and reloads over the host link every step it stays
+        oversubscribed (``thrash_s``)."""
+        cb = lane.cb
+        ex = lane.entry.executor
+        walks = []
+        prefill_s = comm_s = 0.0
+        per_device: "tuple[float, ...]" = ()
+        # A plain lane's residents carry no KV to (re)build.
+        prefilling = () if ex is None else cb.resident
+        for inflight in prefilling:
+            if not inflight.needs_prefill:
+                continue
+            tokens = inflight.request.prompt_len + inflight.completed_steps
+            rows = cb.policy.bucket_rows(tokens)
+            seconds, launches, pd, comm = self._price(
+                lane, rows, state, start_s
+            )
+            walks.append((inflight, tokens, rows, seconds, launches))
+            prefill_s += seconds
+            comm_s += comm
+            per_device = _add_per_device(per_device, pd)
+            inflight.needs_prefill = False
+        decode_s, launches, pd, comm = self._price(
+            lane, batch.padded_rows, state, start_s
+        )
+        walks.append((None, batch.rows, batch.padded_rows, decode_s, launches))
+        comm_s += comm
+        per_device = _add_per_device(per_device, pd)
+        thrash_s = 0.0
+        mem = state.memory
+        if ex is not None and not mem.enforce:
+            overflow = (
+                mem.resident_bytes
+                + len(cb.resident) * ex.kv_bytes_per_token
+                - mem.budget_bytes
+            )
+            if overflow > 0:
+                thrash_s = overflow / self.host_link_bytes_per_s
+                mem.overflow_steps += 1
+        return (
+            prefill_s + decode_s + thrash_s, per_device, comm_s, walks,
+            prefill_s, thrash_s,
+        )
+
     # ------------------------------------------------------------------
     # Model-mode serving (ModelExecutor entries)
     # ------------------------------------------------------------------
-    def _modeled_model_walk(
-        self,
-        lane: _Lane,
-        padded_rows: int,
-        state: _RunState,
-        t_s: float,
-    ) -> "tuple[float, tuple, tuple[float, ...], float]":
-        """One walk of ``lane.entry``'s layer stack at ``padded_rows``:
-        ``(total_s, layer_spans, per_device_s, comm_s)``, where
-        ``layer_spans`` is ``(layer_name, start_offset, seconds,
-        cost)`` per layer in walk order — layers execute back-to-back,
-        so the walk's modeled time is their plain sum (each
-        distributed layer's seconds already includes its collective).
-        ``cost`` is the layer launch's ``(flops, ldg_bytes,
-        stg_bytes)`` for the per-layer ``gpu.launch`` span attrs.
-
-        In a run with neither a tracer nor a fault injector, a walk is
-        priced once per lane and ``padded_rows`` and memoized
-        (:class:`_WalkMemo`, on :attr:`_Lane.walks`, which a re-shard
-        clears when it replaces the entry); later walks return the
-        memoized totals and replay their plan lookups as hits through
-        :meth:`PlanCache.refresh`, so plan-cache hits still count one
-        per layer launch, with the recency the per-layer lookups would
-        leave.  A traced or faulted run prices every walk layer by
-        layer, so its events and fault factors are read as they
-        always have been (and it keeps no memo it would never
-        replay)."""
-        entry = lane.entry
-        if self.tracer is not None or state.injector is not None:
-            return self._walk_layers(entry, padded_rows, state, t_s)
-        memo = lane.walks.get(padded_rows)
-        if memo is not None and memo.current():
-            memo.refresh()
-            return memo.walk
-        # The generations from *before* the walk: a walk during which
-        # a key left a cache (a replay's lookup could miss) is never
-        # current.
-        generations = [cache.generation for cache in self.plan_caches]
-        keys_by_device: "dict[int, list]" = {}
-
-        def recording_lookup(cache, device, sub, handle, rows):
-            keys_by_device.setdefault(device, []).append(
-                PlanCache.key(sub.name, sub.op, rows)
-            )
-            return self._cached_plan(cache, device, sub, handle, rows)
-
-        walk = self._walk_layers(
-            entry, padded_rows, state, t_s, recording_lookup
-        )
-        lane.walks[padded_rows] = _WalkMemo(
-            caches=tuple(
-                (self.plan_caches[device], generations[device], tuple(keys))
-                for device, keys in keys_by_device.items()
-            ),
-            walk=walk,
-        )
-        return walk
-
-    def _walk_layers(
-        self,
-        entry: ModelEntry,
-        padded_rows: int,
-        state: _RunState,
-        t_s: float,
-        lookup: "Callable[..., PlanEntry] | None" = None,
-    ) -> "tuple[float, tuple, tuple[float, ...], float]":
-        """Price each layer launch in walk order (``lookup`` as in
-        :meth:`_modeled_launch`) and sum them into a walk."""
-        total = 0.0
-        comm_total = 0.0
-        per_device: "tuple[float, ...]" = ()
-        spans = []
-        for sub in entry.layers:
-            seconds, pd, comm, _, cost = self._modeled_launch(
-                sub, padded_rows, state, t_s, lookup
-            )
-            spans.append((sub.name, total, seconds, cost))
-            total += seconds
-            if comm is not None:
-                comm_total += comm.seconds
-            per_device = _add_per_device(per_device, pd)
-        return total, tuple(spans), per_device, comm_total
-
     def _refill_kv(
         self, lane: _Lane, start_s: float, state: _RunState
     ) -> "tuple[int, int, int] | None":
@@ -2138,60 +2164,6 @@ class InferenceServer:
             return None
         return joined, preempted, kv_evicted
 
-    def _price_model_step(
-        self, lane: _Lane, batch, start_s: float, state: _RunState
-    ) -> "tuple[float, tuple[float, ...], float, list, float, float]":
-        """Price one model-mode step: ``(modeled_gpu_s, per_device_s,
-        comm_s, walks, prefill_s, thrash_s)``.
-
-        Every resident that needs (re)prefill walks the layer stack at
-        its token count, in batch order; then the whole batch walks it
-        once to decode.  ``walks`` holds ``(inflight, tokens, rows,
-        seconds, layer_spans)`` per prefill, then ``(None, batch.rows,
-        batch.padded_rows, seconds, layer_spans)`` for the decode walk.
-        Under the ``none`` baseline, KV growth past the budget spills
-        to host memory and reloads over the host link every step it
-        stays oversubscribed (``thrash_s``)."""
-        cb = lane.cb
-        mem = state.memory
-        walks = []
-        prefill_s = 0.0
-        comm_s = 0.0
-        per_device: "tuple[float, ...]" = ()
-        for inflight in cb.resident:
-            if not inflight.needs_prefill:
-                continue
-            tokens = inflight.request.prompt_len + inflight.completed_steps
-            rows = cb.policy.bucket_rows(tokens)
-            seconds, spans, pd, comm = self._modeled_model_walk(
-                lane, rows, state, start_s
-            )
-            walks.append((inflight, tokens, rows, seconds, spans))
-            prefill_s += seconds
-            comm_s += comm
-            per_device = _add_per_device(per_device, pd)
-            inflight.needs_prefill = False
-        decode_s, spans, pd, comm = self._modeled_model_walk(
-            lane, batch.padded_rows, state, start_s
-        )
-        walks.append((None, batch.rows, batch.padded_rows, decode_s, spans))
-        comm_s += comm
-        per_device = _add_per_device(per_device, pd)
-        thrash_s = 0.0
-        if not mem.enforce:
-            overflow = (
-                mem.resident_bytes
-                + len(cb.resident) * lane.entry.executor.kv_bytes_per_token
-                - mem.budget_bytes
-            )
-            if overflow > 0:
-                thrash_s = overflow / self.host_link_bytes_per_s
-                mem.overflow_steps += 1
-        return (
-            prefill_s + decode_s + thrash_s, per_device, comm_s, walks,
-            prefill_s, thrash_s,
-        )
-
     def _trace_walks(
         self,
         tr: Tracer,
@@ -2209,7 +2181,7 @@ class InferenceServer:
         name = entry.name
         gpu_name = entry.op.gpu.name
         offset = start_s
-        for inflight, count, rows, seconds, layer_spans in walks:
+        for inflight, count, rows, seconds, launches in walks:
             if inflight is None:
                 span = tr.add_span(
                     "model.decode_step", offset, offset + seconds,
@@ -2221,13 +2193,13 @@ class InferenceServer:
                     track="gpu", parent=step_span, model=name,
                     request_id=inflight.request.request_id, tokens=count,
                 )
-            for layer_name, layer_off, layer_s, cost in layer_spans:
+            for sub, layer_off, layer_s, *_, cost in launches:
                 tr.add_span(
                     "gpu.launch",
                     offset + layer_off,
                     offset + layer_off + layer_s,
                     track="gpu", parent=span, model=name,
-                    layer=layer_name, rows=rows,
+                    layer=sub.name, rows=rows,
                     gpu=gpu_name, flops=cost[0],
                     ldg_bytes=cost[1], stg_bytes=cost[2],
                 )

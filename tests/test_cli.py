@@ -91,6 +91,7 @@ class TestBadInput:
             ["serve-sim", "--max-batch-rows", "0"],
             ["serve-sim", "--max-batch-requests", "0"],
             ["serve-sim", "--max-wait-ms", "-1"],
+            ["serve-sim", "--opt-version", "V9"],
             ["sweep", "--shapes", "0x0x0"],
             ["sweep", "--shapes", "axbxc"],
             ["sweep", "--sparsities", "1.5"],

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.analysis import analyze, block_arithmetic_intensity
+from repro.core.api import NMSpMM
 from repro.core.strategy import LoadStrategy, packing_benefit, select_strategy
 from repro.core.versions import OptimizationVersion
-from repro.errors import PlanError
+from repro.errors import ConfigurationError, PlanError
 from repro.gpu.catalog import A100_80G
 from repro.gpu.roofline import BoundKind
 from repro.kernels.tiling import TABLE_I, MatrixSizeClass
@@ -115,6 +116,18 @@ class TestVersions:
             OptimizationVersion.parse(OptimizationVersion.V1)
             is OptimizationVersion.V1
         )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OptimizationVersion.parse("V9"),
+            lambda: NMSpMM(NMPattern(2, 8), version="V9"),
+        ],
+        ids=["parse", "operator"],
+    )
+    def test_unknown_version_names_the_choices(self, build):
+        with pytest.raises(ConfigurationError, match="V1, V2, V3"):
+            build()
 
     def test_capabilities(self):
         assert not OptimizationVersion.V1.uses_packing

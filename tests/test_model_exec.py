@@ -53,6 +53,20 @@ class TestLayerRoster:
         with pytest.raises(ServeError, match="kv_dtype_bytes"):
             ModelExecutor("llama-7b", scale=16, kv_dtype_bytes=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(blocks=2.5),
+            dict(blocks=True),
+            dict(kv_dtype_bytes=1.5),
+            dict(kv_dtype_bytes=True),
+        ],
+    )
+    def test_non_int_counts_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ServeError, match=f"{name} must be an int"):
+            ModelExecutor("llama-7b", scale=16, **kwargs)
+
 
 class TestNumerics:
     def test_logits_shape_and_walk_order(self, executor):
@@ -164,11 +178,8 @@ class TestModeledTime:
 
     def test_prefill_and_decode_walk_whole_stack(self, executor):
         assert executor.modeled_prefill_s(64) == executor.stack_seconds(64)
-        assert executor.modeled_decode_step_s(4) == executor.stack_seconds(4)
         with pytest.raises(ServeError, match="tokens"):
             executor.modeled_prefill_s(0)
-        with pytest.raises(ServeError, match="rows"):
-            executor.modeled_decode_step_s(0)
 
     def test_policy_buckets_rows(self, executor):
         policy = BatchingPolicy()

@@ -473,6 +473,16 @@ class TestRegistry:
         with pytest.raises(ServeError):
             server.submit(make_request(0, "nope", 2, 64, 0.0, rng))
 
+    @pytest.mark.parametrize(
+        "name", ["host_overhead_s", "host_link_bytes_per_s", "hbm_bytes"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_settings_rejected(self, name, value):
+        # NaN passes a plain `< 0` check and then poisons every modeled
+        # latency (or the KV budget).
+        with pytest.raises(ServeError, match=f"{name} must be finite"):
+            InferenceServer(**{name: value})
+
 
 class TestEngine:
     def test_deadline_batching_in_simulation(self, rng):

@@ -88,6 +88,14 @@ class TestResiliencePolicy:
             {"backoff_base_s": -1.0},
             {"backoff_multiplier": 0.5},
             {"backoff_jitter": -0.1},
+            # A NaN backoff would stall the event loop on a NaN
+            # ready time; an infinite one makes the makespan infinite.
+            {"backoff_base_s": float("nan")},
+            {"backoff_base_s": float("inf")},
+            {"backoff_multiplier": float("nan")},
+            {"backoff_multiplier": float("inf")},
+            {"backoff_jitter": float("nan")},
+            {"backoff_jitter": float("inf")},
             {"timeout_slo_multiplier": 0.0},
             {"default_timeout_ms": 0.0},
             {"breaker_threshold": 0},

@@ -404,14 +404,14 @@ class TestWalkMemoAfterReshard:
             arrival=scenario.arrival, synthesize_activations=False,
         )
         walked = []
-        original = server._modeled_model_walk
+        original = server._price
 
         def spy(lane, padded_rows, state, t_s):
             result = original(lane, padded_rows, state, t_s)
             walked.append((lane.entry, padded_rows, t_s, result, state))
             return result
 
-        server._modeled_model_walk = spy
+        server._price = spy
         report = server.simulate(requests)
         assert len(report.metrics.reshard_records) == 1
         state = walked[-1][-1]
@@ -444,9 +444,9 @@ class TestWalkMemoAfterReshard:
         name = scenario.model.lower()
         lane = state.lanes[name]
         registered = lane.entry
-        sharded = server._modeled_model_walk(lane, 64, state, 0.0)
+        sharded = server._price(lane, 64, state, 0.0)
         stats = server.plan_cache.stats.snapshot()
-        assert server._modeled_model_walk(lane, 64, state, 0.0) == (
+        assert server._price(lane, 64, state, 0.0) == (
             sharded
         )
         assert server.plan_cache.stats.hits - stats.hits == len(
@@ -459,7 +459,7 @@ class TestWalkMemoAfterReshard:
         resharded = lane.entry
         assert resharded is not registered and not resharded.distributed
         stats = server.plan_cache.stats.snapshot()
-        total, _, per_device, comm = server._modeled_model_walk(
+        total, _, per_device, comm = server._price(
             lane, 64, state, 0.2
         )
         # Priced afresh on the survivor: every layer misses the cleared
@@ -471,22 +471,35 @@ class TestWalkMemoAfterReshard:
         assert sharded[2] and sharded[3] > 0.0
         assert lane.walks[64] is not memo
 
-    def test_repeat_walk_equals_fresh_pricing(self):
+    @pytest.mark.parametrize(
+        "factory, overrides",
+        [
+            (model, {}),
+            (mixed, {}),
+            (mixed, dict(devices=2, shard="column")),
+        ],
+        ids=["model", "plain", "plain-col2"],
+    )
+    def test_repeat_walk_equals_fresh_pricing(self, factory, overrides):
         # A replayed walk returns exactly what pricing the stack anew
-        # through the per-layer launch path returns.
-        scenario = long_context_summarization(duration_s=0.3, seed=0)
+        # through the per-launch path returns; a plain entry is a
+        # one-layer stack, replayed as one hit per device.
+        scenario = factory(duration_s=0.3, seed=0, **overrides)
         server, _ = scenario.build_server()
-        name = scenario.model.lower()
+        name = server.model_names[0]
         entry = server.model(name)
         state = server._new_run_state(None)
-        first = server._modeled_model_walk(state.lanes[name], 64, state, 0.0)
-        stats = server.plan_cache.stats.snapshot()
-        second = server._modeled_model_walk(state.lanes[name], 64, state, 0.0)
+        first = server._price(state.lanes[name], 64, state, 0.0)
+        hits = sum(cache.stats.hits for cache in server.plan_caches)
+        second = server._price(state.lanes[name], 64, state, 0.0)
         assert second == first
-        assert server.plan_cache.stats.hits - stats.hits == len(entry.layers)
+        replayed = sum(cache.stats.hits for cache in server.plan_caches)
+        launches = len(entry.layers or (entry,)) * len(entry.devices)
+        assert replayed - hits == launches
         fresh_state = server._new_run_state(None)
-        server.plan_cache.clear()
-        assert server._modeled_model_walk(
+        for cache in server.plan_caches:
+            cache.clear()
+        assert server._price(
             fresh_state.lanes[name], 64, fresh_state, 0.0
         ) == first
 
@@ -501,7 +514,7 @@ class TestWalkMemoAfterReshard:
         entry = server.model(name)
         state = server._new_run_state(None)
         lane = state.lanes[name]
-        walk_s = server._modeled_model_walk(lane, rows, state, 0.0)[0]
+        walk_s = server._price(lane, rows, state, 0.0)[0]
         assert entry.executor.stack_seconds(rows) == walk_s
 
 

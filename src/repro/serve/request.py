@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ServeError
 from repro.utils.arrays import as_f32
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_matrix, is_int
 
 __all__ = ["InferenceRequest", "RequestRecord"]
 
@@ -99,8 +99,10 @@ class InferenceRequest:
             raise ServeError(
                 f"arrival_s must be finite and >= 0, got {self.arrival_s}"
             )
-        if self.priority < 0:
-            raise ServeError(f"priority must be >= 0, got {self.priority}")
+        if not is_int(self.priority) or self.priority < 0:
+            raise ServeError(
+                f"priority must be an int >= 0, got {self.priority!r}"
+            )
         if self.slo_ms is not None and (
             not np.isfinite(self.slo_ms) or self.slo_ms <= 0
         ):

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from repro.errors import ServeError
 from repro.serve.request import InferenceRequest
+from repro.utils.validation import is_int
 
 __all__ = ["ResiliencePolicy"]
 
@@ -95,6 +96,17 @@ class ResiliencePolicy:
     shed_protect_priority: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("max_retries", "shed_protect_priority"):
+            if not is_int(getattr(self, name)):
+                raise ServeError(
+                    f"{name} must be an int, got {getattr(self, name)!r}"
+                )
+        for name in ("breaker_threshold", "shed_queue_rows"):
+            value = getattr(self, name)
+            if value is not None and not is_int(value):
+                raise ServeError(
+                    f"{name} must be an int or None, got {value!r}"
+                )
         if self.max_retries < 0:
             raise ServeError(
                 f"max_retries must be >= 0, got {self.max_retries}"

@@ -32,7 +32,10 @@ with a discrete-event loop:
   accounting or advance, records and spans.  Every launch is priced
   as a walk of the model's stack (``InferenceServer._price``; a plain
   entry is a one-layer stack); only a model entry's KV phase and its
-  prefill walks differ.
+  prefill walks differ.  In an untraced, fault-free run without
+  numerics, a step in which nobody finishes, is preempted or is
+  evicted repeats inside ``_step`` until the run's next event, leaving
+  the records an engine turn per step would have left.
 
 With a :class:`~repro.faults.FaultPlan` attached, the run is subjected
 to seeded chaos — transient launch failures, device fail-stop and
@@ -234,6 +237,8 @@ class _RunState:
     #: (deadline, request_id) min-heap over ``deadlines``, built once
     #: per run; entries of finished requests are popped lazily.
     deadline_heap: list = field(default_factory=list)
+    #: Arrival time of the next request not yet admitted (or ``inf``).
+    next_arrival_s: float = math.inf
     resharded: bool = False
     #: Simulated HBM pool of the run (set when any registered model
     #: carries a ModelExecutor).
@@ -255,7 +260,8 @@ class _WalkMemo:
     recency are exactly what the per-launch lookups would have left.
     Only runs with neither a tracer nor a fault injector keep memos
     (see ``InferenceServer._price``), so a ``walk`` is always priced
-    on healthy devices with no events to emit.  Memos
+    on healthy devices with no events to emit.  A step that
+    ``InferenceServer._step`` repeats in place replays its walk.  Memos
     live on the walked entry's lane (:attr:`_Lane.walks`), which a
     re-shard clears along with installing the new entry.
     """
@@ -675,7 +681,7 @@ class InferenceServer:
     # ------------------------------------------------------------------
     def submit(self, request: InferenceRequest) -> None:
         """Queue a request for the next :meth:`run_submitted` call."""
-        self._validate_request(request)
+        self._validate_request(request, self._weights_and_budget())
         self._inbox.append(request)
 
     def run_submitted(
@@ -685,7 +691,21 @@ class InferenceServer:
         requests, self._inbox = self._inbox, []
         return self.simulate(requests, policy=policy)
 
-    def _validate_request(self, request: InferenceRequest) -> None:
+    def _weights_and_budget(self) -> "tuple[int, int] | None":
+        """The executor-backed models' compressed weight bytes and the
+        run's aggregate HBM budget (the override, else the GPU's catalog
+        ``dram_gb`` times the device count), or ``None`` without one."""
+        entries = [e for e in self._models.values() if e.executor is not None]
+        if not entries:
+            return None
+        budget = self.hbm_bytes
+        if budget is None:
+            budget = int(entries[0].op.gpu.dram_gb) * (1 << 30) * self.devices
+        return sum(e.executor.weight_bytes for e in entries), int(budget)
+
+    def _validate_request(
+        self, request: InferenceRequest, hbm: "tuple[int, int] | None"
+    ) -> None:
         entry = self.model(request.model)
         if request.k != entry.k:
             raise ServeError(
@@ -700,16 +720,10 @@ class InferenceServer:
                     "prompt_len/max_new_tokens"
                 )
             if self.kv_admission == "kv-aware":
-                ex = entry.executor
-                weights = sum(
-                    e.executor.weight_bytes
-                    for e in self._models.values()
-                    if e.executor is not None
-                )
-                need = ex.kv_bytes(
+                weights, budget = hbm
+                need = entry.executor.kv_bytes(
                     request.prompt_len + request.max_new_tokens
                 )
-                budget = self._model_budget_bytes()
                 if weights + need > budget:
                     raise ServeError(
                         f"request {request.request_id} can never fit: "
@@ -728,16 +742,6 @@ class InferenceServer:
                 "server executes numerics; generate the trace with "
                 "synthesize_activations=True or disable numerics"
             )
-
-    def _model_budget_bytes(self) -> int:
-        """The run's aggregate HBM budget: the explicit override, else
-        the executor GPU's catalog ``dram_gb`` times the device count."""
-        if self.hbm_bytes is not None:
-            return int(self.hbm_bytes)
-        for entry in self._models.values():
-            if entry.executor is not None:
-                return int(entry.op.gpu.dram_gb) * (1 << 30) * self.devices
-        raise ServeError("no executor-backed model is registered")
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -1378,9 +1382,9 @@ class InferenceServer:
     @staticmethod
     def _earliest_deadline(
         state: _RunState, after_s: float = float("-inf")
-    ) -> "float | None":
+    ) -> float:
         """The earliest deadline strictly after ``after_s`` of a request
-        not yet completed or dropped, or ``None``.  Finished requests'
+        not yet completed or dropped, or ``inf``.  Finished requests'
         heap entries are popped on the way.  A live top at or before
         ``after_s`` (a request admitted after this turn's cancel pass,
         which the next turn cancels) falls back to a heap scan."""
@@ -1388,13 +1392,39 @@ class InferenceServer:
         while heap and heap[0][1] not in state.deadlines:
             heapq.heappop(heap)
         if not heap:
-            return None
+            return math.inf
         if heap[0][0] > after_s:
             return heap[0][0]
         return min(
             (d for d, rid in heap if d > after_s and rid in state.deadlines),
-            default=None,
+            default=math.inf,
         )
+
+    def _next_event_s(self, state: _RunState, after_s: float) -> float:
+        """The next arrival, retry, or breaker close or live deadline
+        after ``after_s`` (or ``inf``): the idle wake-up, and the horizon
+        a repeating step stops before."""
+        return min(
+            state.next_arrival_s,
+            state.retry_heap[0][0] if state.retry_heap else math.inf,
+            self._earliest_deadline(state, after_s),
+            *(u for u in state.breaker_down.values() if u > after_s),
+        )
+
+    def _horizon_s(self, lane: _Lane, state: _RunState) -> float:
+        """Until when ``lane``'s step may repeat in place: the run's next
+        event, deadlines already due included; ``-inf`` in a faulted,
+        traced or numerics run, or while other work is queued."""
+        if (
+            state.injector is not None or self.tracer is not None
+            or self.execute_numerics or lane.prefill
+            or any(
+                other.prefill or other.decode or other.cb.has_work
+                for other in state.lanes.values() if other is not lane
+            )
+        ):
+            return -math.inf
+        return self._next_event_s(state, -math.inf)
 
     def _cancel_timed_out(self, t_s: float, state: _RunState) -> None:
         """Cancel every request whose deadline passed by ``t_s``,
@@ -1403,10 +1433,7 @@ class InferenceServer:
         Queue and continuous-batch row accounting unwinds through the
         dedicated removal paths.  Nothing is scanned unless the
         earliest live deadline has passed."""
-        if not state.deadline_heap:
-            return
-        earliest = self._earliest_deadline(state)
-        if earliest is None or earliest > t_s:
+        if self._earliest_deadline(state) > t_s:
             return
 
         def expired(request: InferenceRequest) -> bool:
@@ -1475,8 +1502,9 @@ class InferenceServer:
         joined by the configured link) and return the full report."""
         if not requests:
             raise ServeError("simulate needs at least one request")
+        hbm = self._weights_and_budget()
         for request in requests:
-            self._validate_request(request)
+            self._validate_request(request, hbm)
         pending = sorted(
             requests, key=lambda r: (r.arrival_s, r.request_id)
         )
@@ -1486,19 +1514,14 @@ class InferenceServer:
         metrics = ServingMetrics(submitted=len(pending))
         state = self._new_run_state(metrics, run_policy)
         lanes = state.lanes
-        executor_entries = sorted(
-            name for name, e in self._models.items() if e.executor is not None
-        )
-        if executor_entries:
-            budget = self._model_budget_bytes()
-            state.hbm_base_budget = budget
+        if hbm is not None:
+            state.hbm_base_budget = budget = hbm[1]
             state.memory = DeviceMemoryModel(
                 budget, admission=self.kv_admission
             )
-            for name in executor_entries:
-                state.memory.add_weights(
-                    name, self._models[name].executor.weight_bytes, 0.0
-                )
+            for name, e in sorted(self._models.items()):
+                if e.executor is not None:
+                    state.memory.add_weights(name, e.executor.weight_bytes)
         if state.resilience is not None:
             for request in pending:
                 deadline = state.resilience.deadline_s(request)
@@ -1555,6 +1578,7 @@ class InferenceServer:
                         priority=request.priority,
                         rows=request.rows,
                     )
+            state.next_arrival_s = pending[i].arrival_s if i < n else math.inf
             drain = i >= n
             # (sort key, kind, lane): the most urgent launchable work
             # wins; model name and kind break exact ties.
@@ -1591,13 +1615,10 @@ class InferenceServer:
                     gpu_free_s = self._step(lane, batcher, t, state)
                 clock_s = t
                 continue
-            # Nothing to launch: advance to the next event — arrival,
-            # prefill deadline, retry backoff expiry, decode holdoff
-            # expiry, or a pending cancellation deadline.  All candidate
+            # Nothing to launch: advance to the run's next event, a
+            # prefill deadline or a decode holdoff expiry.  All candidate
             # times are strictly after t, so the loop always progresses.
-            events = []
-            if i < n:
-                events.append(pending[i].arrival_s)
+            events = [self._next_event_s(state, t)]
             for lane in lanes.values():
                 deadline = batcher.deadline_s(lane.prefill)
                 # A due-but-held queue (its model waiting out a
@@ -1607,17 +1628,9 @@ class InferenceServer:
                     events.append(deadline)
                 if lane.holdoff_s > t and (lane.decode or lane.cb.has_work):
                     events.append(lane.holdoff_s)
-            if state.retry_heap:
-                events.append(state.retry_heap[0][0])
-            for until in state.breaker_down.values():
-                if until > t:
-                    events.append(until)
-            timeout_at = self._earliest_deadline(state, t)
-            if timeout_at is not None:
-                events.append(timeout_at)
-            if not events:
-                break
             clock_s = max(t, min(events))
+            if clock_s == math.inf:
+                break
 
         if state.injector is not None:
             metrics.launch_faults = state.injector.launch_faults_injected
@@ -1806,7 +1819,13 @@ class InferenceServer:
            prefills re-run) and the model backs off (``holdoff_s``).
            Otherwise finished sequences leave and free their KV and
            survivors' KV grows a token.  Spans, request records and
-           the step record follow either way.
+           the step record follow either way;
+        6. while nobody finished, was preempted or was evicted (their KV
+           frees after the refill), KV growth fits (no pressure eviction,
+           no ``none`` thrash) and the run's next event
+           (:meth:`_horizon_s`) is later, the next step is this one
+           again, its refill refusing what this one's refused: run it
+           here (batch id, memoized decode walk, advance, KV, records).
         """
         metrics = state.metrics
         entry, cb = lane.entry, lane.cb
@@ -1865,122 +1884,141 @@ class InferenceServer:
             lane.cb_streak = 0
             if self.execute_numerics:
                 outputs = self._execute_batch(entry, batch, plan)
-            finished = cb.advance()
-            if ex is not None:
-                for _, inflight in finished:
-                    mem.release_kv(inflight.request.request_id, finished_s)
-                bpt = ex.kv_bytes_per_token
-                for inflight in cb.resident:
-                    mem.grow_kv(inflight.request.request_id, bpt, finished_s)
-            evicted = len(finished)
         retry = failed and res is not None and cb.has_work
+        batch_id, horizon = batch.batch_id, None
+        while True:
+            if not failed:
+                finished = cb.advance()
+                if ex is not None:
+                    for _, inflight in finished:
+                        mem.release_kv(inflight.request.request_id, finished_s)
+                    bpt = ex.kv_bytes_per_token
+                    for inflight in cb.resident:
+                        mem.grow_kv(inflight.request.request_id, bpt, finished_s)
+                evicted = len(finished)
+            if tr is not None:
+                # A failed step draws its sampling decision in add_span.
+                keep = None if failed else tr.sample()
+                attrs = batch.trace_attrs()
+                if failed:
+                    attrs["failed"] = True
+                elif ex is not None:
+                    attrs["kv_evicted"] = kv_evicted
+                step_span = tr.add_span(
+                    "serve.step", start_s, finished_s, track="engine",
+                    parent=None, keep=keep,
+                    # A failed step is one decode-kind launch in either mode.
+                    kind="model" if "kv_evicted" in attrs else "decode",
+                    joined=joined, evicted=evicted, preempted=preempted,
+                    **attrs,
+                )
+                if keep:
+                    if ex is not None:
+                        self._trace_walks(
+                            tr, step_span, entry, walks, thrash_s, start_s, mem
+                        )
+                    if joined:
+                        tr.event(
+                            "cb.join", t_s=start_s, track="engine",
+                            keep=True, model=name, count=joined,
+                        )
+                    if preempted:
+                        tr.event(
+                            "cb.preempt", t_s=start_s, track="engine",
+                            keep=True, model=name, count=preempted,
+                        )
+                if evicted and keep is not False:
+                    tr.event(
+                        "cb.evict", t_s=finished_s, track="engine", keep=keep,
+                        model=name, count=evicted,
+                        **({"reason": "failed"} if failed else {}),
+                    )
+                if retry:
+                    tr.event(
+                        "retry.attempt", t_s=finished_s, track="engine",
+                        model=name, count=len(cb.resident),
+                        attempt=lane.cb_streak,
+                    )
+                if keep:
+                    for _, inflight in finished:
+                        self._trace_queue_wait(
+                            tr, inflight.request, inflight.joined_s, "decode",
+                            finished_s,
+                        )
+                # A model step's layers already have their own gpu.launch
+                # spans; a failed model step is one launch span with its
+                # walks' layer costs summed and no collective.
+                if ex is None or failed:
+                    if ex is not None:
+                        costs = [
+                            launch[-1] for *_, launches in walks
+                            for launch in launches
+                        ]
+                        cost = tuple(sum(c[i] for c in costs) for i in range(3))
+                        comm = None
+                    self._trace_launch(
+                        tr, step_span, start_s, 1, modeled_gpu_s, per_device,
+                        comm, name, device_ids, batch.padded_rows,
+                        entry.op.gpu.name, cost, failed=failed,
+                    )
 
-        if tr is not None:
-            # A failed step draws its sampling decision in add_span.
-            keep = None if failed else tr.sample()
-            attrs = batch.trace_attrs()
+            end_s = finished_s
             if failed:
-                attrs["failed"] = True
-            elif ex is not None:
-                attrs["kv_evicted"] = kv_evicted
-            step_span = tr.add_span(
-                "serve.step", start_s, finished_s, track="engine",
-                parent=None, keep=keep,
-                # A failed step is one decode-kind launch in either mode.
-                kind="model" if "kv_evicted" in attrs else "decode",
-                joined=joined, evicted=evicted, preempted=preempted,
-                **attrs,
-            )
-            if keep:
+                end_s = max(
+                    finished_s,
+                    self._note_launch_failed(fail_device, finished_s, state),
+                )
                 if ex is not None:
-                    self._trace_walks(
-                        tr, step_span, entry, walks, thrash_s, start_s, mem
-                    )
-                if joined:
-                    tr.event(
-                        "cb.join", t_s=start_s, track="engine",
-                        keep=True, model=name, count=joined,
-                    )
-                if preempted:
-                    tr.event(
-                        "cb.preempt", t_s=start_s, track="engine",
-                        keep=True, model=name, count=preempted,
-                    )
-            if evicted and keep is not False:
-                tr.event(
-                    "cb.evict", t_s=finished_s, track="engine", keep=keep,
-                    model=name, count=evicted,
-                    **({"reason": "failed"} if failed else {}),
+                    # Sequences a re-shard evicted inside the call above
+                    # freed their KV there already.
+                    for rid in sorted(dropped):
+                        mem.release_kv(rid, finished_s)
+            for idx, inflight in finished:
+                self._complete(
+                    inflight.request, batch_id, inflight.joined_s,
+                    finished_s, outputs, idx, state,
                 )
-            if retry:
-                tr.event(
-                    "retry.attempt", t_s=finished_s, track="engine",
-                    model=name, count=len(cb.resident),
-                    attempt=lane.cb_streak,
+            metrics.add_step(
+                StepRecord(
+                    step_id=batch_id,
+                    model=name,
+                    n_resident=batch.n_requests,
+                    rows=batch.rows,
+                    padded_rows=batch.padded_rows,
+                    joined=joined,
+                    evicted=evicted,
+                    preempted=preempted,
+                    started_s=start_s,
+                    finished_s=finished_s,
+                    modeled_gpu_s=modeled_gpu_s,
+                    per_device_gpu_s=per_device,
+                    comm_s=comm_s,
+                    failed=failed,
+                    retry=retry,
+                    prefill_s=prefill_s,
+                    thrash_s=thrash_s,
+                    kv_evicted=kv_evicted,
+                    kv_bytes=None if ex is None else mem.kv_bytes,
                 )
-            if keep:
-                for _, inflight in finished:
-                    self._trace_queue_wait(
-                        tr, inflight.request, inflight.joined_s, "decode",
-                        finished_s,
-                    )
-            # A model step's layers already have their own gpu.launch
-            # spans; a failed model step is one launch span with its
-            # walks' layer costs summed and no collective.
-            if ex is None or failed:
-                if ex is not None:
-                    costs = [
-                        launch[-1] for *_, launches in walks
-                        for launch in launches
-                    ]
-                    cost = tuple(sum(c[i] for c in costs) for i in range(3))
-                    comm = None
-                self._trace_launch(
-                    tr, step_span, start_s, 1, modeled_gpu_s, per_device,
-                    comm, name, device_ids, batch.padded_rows,
-                    entry.op.gpu.name, cost, failed=failed,
-                )
-
-        end_s = finished_s
-        if failed:
-            end_s = max(
-                finished_s,
-                self._note_launch_failed(fail_device, finished_s, state),
             )
-            if ex is not None:
-                # Sequences a re-shard evicted inside the call above
-                # freed their KV there already.
-                for rid in sorted(dropped):
-                    mem.release_kv(rid, finished_s)
-        for idx, inflight in finished:
-            self._complete(
-                inflight.request, batch.batch_id, inflight.joined_s,
-                finished_s, outputs, idx, state,
+            # Step 6 (a failed step has an injector: no horizon).
+            if finished or preempted or kv_evicted:
+                return end_s
+            if horizon is None:
+                horizon = self._horizon_s(lane, state)
+            if finished_s >= horizon or (
+                ex is not None and not mem.fits(batch.n_requests * bpt)
+            ):
+                return end_s
+            start_s = finished_s
+            batch_id = batcher.allocate_batch_id()
+            # Its price is the decode walk alone (0.0 + decode_s + 0.0).
+            modeled_gpu_s, _, per_device, comm_s = self._price(
+                lane, batch.padded_rows, state, start_s
             )
-        metrics.add_step(
-            StepRecord(
-                step_id=batch.batch_id,
-                model=name,
-                n_resident=batch.n_requests,
-                rows=batch.rows,
-                padded_rows=batch.padded_rows,
-                joined=joined,
-                evicted=evicted,
-                preempted=preempted,
-                started_s=start_s,
-                finished_s=finished_s,
-                modeled_gpu_s=modeled_gpu_s,
-                per_device_gpu_s=per_device,
-                comm_s=comm_s,
-                failed=failed,
-                retry=retry,
-                prefill_s=prefill_s,
-                thrash_s=thrash_s,
-                kv_evicted=kv_evicted,
-                kv_bytes=None if ex is None else mem.kv_bytes,
-            )
-        )
-        return end_s
+            joined = preempted = kv_evicted = 0
+            prefill_s = thrash_s = 0.0
+            finished_s = start_s + modeled_gpu_s + self.host_overhead_s
 
     def _price_step(
         self, lane: _Lane, batch, start_s: float, state: _RunState

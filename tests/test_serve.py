@@ -682,6 +682,14 @@ class TestEngine:
                 shape=(2, 4),
             )
 
+    @pytest.mark.parametrize("priority", [1.5, True, -1])
+    def test_request_priority_must_be_a_non_negative_int(self, priority):
+        with pytest.raises(ServeError, match="priority must be an int"):
+            InferenceRequest(
+                request_id=0, model="m", a=None, arrival_s=0.0,
+                shape=(1, 4), priority=priority,
+            )
+
     def test_latency_decomposition(self, rng):
         server = build_two_model_server(rng)
         report = server.simulate(

@@ -102,6 +102,13 @@ class TestResiliencePolicy:
             {"breaker_cooldown_s": 0.0},
             {"shed_queue_rows": 0},
             {"shed_protect_priority": -1},
+            # Counts and tiers are ints: a float or a bool would pass
+            # the range checks and print as one in describe().
+            {"max_retries": 1.5},
+            {"max_retries": True},
+            {"breaker_threshold": 2.5},
+            {"shed_queue_rows": 2.5},
+            {"shed_protect_priority": 1.5},
         ],
     )
     def test_validation(self, kwargs):

@@ -20,6 +20,8 @@ same padded row count (memoized on the model's run-local lane, which a
 re-shard clears) replay their lookups through
 :meth:`PlanCache.refresh`, so the stats still count one hit per launch
 and device, and the LRU recency is what the lookups would have left.
+Replaying the same walk again with no lookup in between only counts
+its hits (:class:`LRUCache`), so a repeated decode step is O(1) here.
 """
 
 from __future__ import annotations

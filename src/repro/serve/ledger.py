@@ -21,7 +21,7 @@ code path the KV-byte cap trusts.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 from repro.errors import ServeError
 
@@ -31,7 +31,7 @@ __all__ = ["CostLedger"]
 class CostLedger:
     """Keyed non-negative costs with a conservation-checked total.
 
-    ``add``/``adjust``/``remove`` maintain :attr:`total` incrementally
+    ``add``/``grow``/``remove`` maintain :attr:`total` incrementally
     (the schedulers poll it on every event-loop step) and :attr:`peak`
     as the high-water mark.  :meth:`reconcile` recomputes the total
     from the entries and raises :class:`~repro.errors.ServeError` if
@@ -102,19 +102,17 @@ class CostLedger:
         if self._total > self._peak:
             self._peak = self._total
 
-    def adjust(self, key: Hashable, delta: float) -> None:
-        """Grow (or shrink) a resident entry's cost by ``delta``; the
-        entry must stay non-negative."""
-        cost = self.cost_of(key) + delta
-        if cost < 0:
-            raise ServeError(
-                f"{self.name} ledger entry {key!r} would go negative: "
-                f"{self._costs[key]} {delta:+}"
-            )
-        self._costs[key] = cost
-        self._total += delta
-        if self._total > self._peak:
-            self._peak = self._total
+    def grow(self, keys: Iterable[Hashable], delta: float) -> None:
+        """Grow each resident entry in ``keys`` by ``delta >= 0``, key by
+        key (an unknown key raises with the ledger still reconciling)."""
+        if delta < 0:
+            raise ServeError(f"{self.name} ledger growth must be >= 0, got {delta}")
+        costs = self._costs
+        for key in keys:
+            costs[key] = self.cost_of(key) + delta
+            self._total += delta
+            if self._total > self._peak:
+                self._peak = self._total
 
     def remove(self, key: Hashable) -> float:
         """Release ``key`` and return the cost it held."""

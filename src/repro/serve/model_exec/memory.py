@@ -13,9 +13,9 @@ override for the scaled-down regimes the test suite runs.
 The model is an *accountant*, not a policy: the serving engine asks
 :meth:`fits` at admission/rejoin time, charges growth after every
 decode step, and releases on completion, timeout, preemption, and
-device death.  Every mutation appends a ``(t_s, resident_bytes)``
-sample to :attr:`events`, so the property tests can assert the cap
-held at every instant, and :meth:`reconcile` re-derives the totals and
+device death.  Every mutation updates the high-water mark
+``peak_bytes`` and its instant, so the cap held at every instant iff
+it holds at the peak, and :meth:`reconcile` re-derives the totals and
 demands zero leaked KV after drain — the same zero-silent-loss
 discipline the request ledger already enforces.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 from repro.errors import ServeError
 from repro.gpu.catalog import resolve_gpu
 from repro.serve.ledger import CostLedger
+from repro.utils.validation import is_int
 
 __all__ = ["DeviceMemoryModel", "KV_ADMISSION_MODES"]
 
@@ -34,27 +35,28 @@ __all__ = ["DeviceMemoryModel", "KV_ADMISSION_MODES"]
 KV_ADMISSION_MODES = ("kv-aware", "none")
 
 
+def _checked_budget(budget_bytes) -> int:
+    if is_int(budget_bytes) and budget_bytes > 0:
+        return int(budget_bytes)
+    raise ServeError(f"HBM budget must be an int > 0 bytes, got {budget_bytes!r}")
+
+
 class DeviceMemoryModel:
     """Byte-accurate simulated HBM pool for one serving run."""
 
     def __init__(self, budget_bytes: int, *, admission: str = "kv-aware"):
-        if budget_bytes <= 0:
-            raise ServeError(
-                f"HBM budget must be > 0 bytes, got {budget_bytes}"
-            )
         if admission not in KV_ADMISSION_MODES:
             raise ServeError(
                 f"unknown kv admission mode {admission!r}; "
                 f"pick one of {KV_ADMISSION_MODES}"
             )
-        self.budget_bytes = int(budget_bytes)
+        self.budget_bytes = _checked_budget(budget_bytes)
         self.admission = admission
         self.weights = CostLedger("hbm.weight-bytes")
         self.kv = CostLedger("hbm.kv-bytes")
-        #: ``(t_s, resident_bytes)`` after every mutation — the raw
-        #: series behind the "never exceeds budget" property.
-        self.events: list[tuple[float, int]] = []
+        #: Highest resident bytes after any mutation, and when first reached.
         self.peak_bytes = 0
+        self.peak_t_s = 0.0
         self.kv_evictions = 0
         self.overflow_steps = 0
         self.budget_shrinks = 0
@@ -115,10 +117,10 @@ class DeviceMemoryModel:
         return self.kv.cost_of(request_id)
 
     def _note(self, t_s: float) -> None:
-        resident = self.resident_bytes
+        resident = self.weights.total + self.kv.total
         if resident > self.peak_bytes:
             self.peak_bytes = resident
-        self.events.append((t_s, resident))
+            self.peak_t_s = t_s
 
     # ------------------------------------------------------------------
     # Mutation
@@ -140,9 +142,9 @@ class DeviceMemoryModel:
         self.kv.add(request_id, int(nbytes))
         self._note(t_s)
 
-    def grow_kv(self, request_id, nbytes: int, t_s: float) -> None:
-        """Grow a resident sequence's KV cache (one decode step)."""
-        self.kv.adjust(request_id, int(nbytes))
+    def grow_kv(self, request_ids, nbytes: int, t_s: float) -> None:
+        """Grow each surviving sequence's KV cache (one decode step)."""
+        self.kv.grow(request_ids, int(nbytes))
         self._note(t_s)
 
     def release_kv(self, request_id, t_s: float) -> int:
@@ -157,28 +159,24 @@ class DeviceMemoryModel:
     def set_budget(self, budget_bytes: int, t_s: float) -> None:
         """Shrink (or restore) the pool — device fail-stop re-shards
         onto the survivors, whose aggregate HBM is smaller."""
-        if budget_bytes <= 0:
-            raise ServeError(
-                f"HBM budget must be > 0 bytes, got {budget_bytes}"
-            )
+        budget_bytes = _checked_budget(budget_bytes)
         if budget_bytes < self.budget_bytes:
             self.budget_shrinks += 1
-        self.budget_bytes = int(budget_bytes)
+        self.budget_bytes = budget_bytes
         self._note(t_s)
 
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
     def assert_within_budget(self) -> None:
-        """Raise unless every recorded sample stayed inside the budget
-        that was in force *now* (callers with a shrinking budget check
-        incrementally via :meth:`fits`)."""
-        for t_s, resident in self.events:
-            if resident > self.budget_bytes:
-                raise ServeError(
-                    f"resident bytes {resident} exceeded the HBM budget "
-                    f"{self.budget_bytes} at t={t_s}"
-                )
+        """Raise unless resident bytes stayed inside the budget in force
+        *now* after every mutation, i.e. at :attr:`peak_bytes` (callers
+        with a shrinking budget check incrementally via :meth:`fits`)."""
+        if self.peak_bytes > self.budget_bytes:
+            raise ServeError(
+                f"resident bytes {self.peak_bytes} exceeded the HBM budget "
+                f"{self.budget_bytes} at t={self.peak_t_s}"
+            )
 
     def reconcile(self) -> int:
         """End-of-run check: both ledgers reconcile and every KV byte

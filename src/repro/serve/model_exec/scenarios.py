@@ -142,7 +142,7 @@ class ModelServingScenario:
         """The explicit HBM budget this scenario runs under, or
         ``None`` to defer to the GPU catalog spec."""
         if self.hbm_bytes is not None:
-            return int(self.hbm_bytes)
+            return self.hbm_bytes
         if self.hbm_tokens is None:
             return None
         ex = executor if executor is not None else self.build_executor()

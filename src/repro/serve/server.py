@@ -300,7 +300,7 @@ class ServingReport:
     faults: "str | None" = None
     resilience: "str | None" = None
     #: The run's reconciled HBM pool (only on executor-backed runs) —
-    #: its ``events`` series backs the never-over-budget property.
+    #: its ``peak_bytes``/``peak_t_s`` back the never-over-budget check.
     memory_model: "DeviceMemoryModel | None" = None
 
     @property
@@ -492,8 +492,8 @@ class InferenceServer:
             raise ServeError(
                 f"host_overhead_s must be finite >= 0, got {host_overhead_s}"
             )
-        if hbm_bytes is not None and not 0 < hbm_bytes < math.inf:
-            raise ServeError(f"hbm_bytes must be finite > 0, got {hbm_bytes}")
+        if hbm_bytes is not None and not (is_int(hbm_bytes) and hbm_bytes > 0):
+            raise ServeError(f"hbm_bytes must be finite int > 0, got {hbm_bytes!r}")
         if kv_admission not in KV_ADMISSION_MODES:
             raise ServeError(
                 f"unknown kv admission mode {kv_admission!r}; "
@@ -1893,8 +1893,7 @@ class InferenceServer:
                     for _, inflight in finished:
                         mem.release_kv(inflight.request.request_id, finished_s)
                     bpt = ex.kv_bytes_per_token
-                    for inflight in cb.resident:
-                        mem.grow_kv(inflight.request.request_id, bpt, finished_s)
+                    mem.grow_kv([i.request.request_id for i in cb.resident], bpt, finished_s)
                 evicted = len(finished)
             if tr is not None:
                 # A failed step draws its sampling decision in add_span.

@@ -71,6 +71,10 @@ class LRUCache:
     replay the sequence's hits via :meth:`refresh`.  (Overwriting a
     cached key with :meth:`put` does not move it; ``get_or_build``
     only ever puts on a miss.)
+
+    A replay is idempotent, so :meth:`refresh` handed the very sequence
+    it replayed last, with no ``put``, hit or ``clear`` since, only
+    counts the hits: a repeated replay is O(1).
     """
 
     def __init__(self, capacity: int):
@@ -82,6 +86,8 @@ class LRUCache:
         self.stats = CacheStats()
         self.generation = 0
         self._data: "OrderedDict[Hashable, object]" = OrderedDict()
+        #: What :meth:`refresh` replayed last, unless the order moved since.
+        self._tail: "Sequence[Hashable] | None" = None
 
     def __len__(self) -> int:
         return len(self._data)
@@ -92,6 +98,7 @@ class LRUCache:
     def put(self, key: Hashable, value: object) -> None:
         """Insert/refresh a value, evicting the least recently used
         entry past capacity."""
+        self._tail = None
         if key in self._data:
             self._data.move_to_end(key)
         self._data[key] = value
@@ -110,6 +117,7 @@ class LRUCache:
             self.put(key, value)
         else:
             self.stats.hits += 1
+            self._tail = None
             self._data.move_to_end(key)
         return value  # type: ignore[return-value]
 
@@ -117,12 +125,17 @@ class LRUCache:
         """Replay a sequence of hits: move each key to the most-recent
         end in order and count ``len(keys)`` hits — the stats and
         recency the same ``get_or_build`` hits would leave.  Every key
-        must be cached (a missing key raises ``KeyError``)."""
-        move_to_end = self._data.move_to_end
-        for key in keys:
-            move_to_end(key)
+        must be cached (a missing key raises ``KeyError``), and the
+        sequence must not change while it may be replayed again."""
+        if keys is not self._tail:
+            self._tail = None
+            move_to_end = self._data.move_to_end
+            for key in keys:
+                move_to_end(key)
+            self._tail = keys
         self.stats.hits += len(keys)
 
     def clear(self) -> None:
+        self._tail = None
         self._data.clear()
         self.generation += 1

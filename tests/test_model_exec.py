@@ -201,7 +201,7 @@ class TestDeviceMemoryModel:
         mem.add_weights("m", 600, 0.0)
         assert mem.fits(400) and not mem.fits(401)
         mem.reserve_kv(1, 300, 1.0)
-        mem.grow_kv(1, 100, 2.0)
+        mem.grow_kv([1], 100, 2.0)
         assert mem.resident_bytes == 1000 and mem.free_bytes == 0
         assert mem.kv_bytes_of(1) == 400
         assert mem.release_kv(1, 3.0) == 400
@@ -224,6 +224,52 @@ class TestDeviceMemoryModel:
         assert mem.overflow_bytes == 40
         with pytest.raises(ServeError, match="exceeded"):
             mem.assert_within_budget()
+
+    def test_released_excursion_still_fails_the_budget_check(self):
+        # The check covers every instant, not just the state at the end.
+        mem = DeviceMemoryModel(100, admission="none")
+        mem.add_weights("m", 60, 0.0)
+        mem.reserve_kv(1, 30, 1.0)
+        mem.reserve_kv(2, 30, 2.0)  # 120 B resident: over budget
+        mem.release_kv(2, 3.0)
+        mem.release_kv(1, 4.0)
+        assert mem.resident_bytes == 60 and mem.overflow_bytes == 0
+        with pytest.raises(ServeError, match="120 exceeded .* at t=2.0"):
+            mem.assert_within_budget()
+
+    def test_shrinking_below_an_earlier_peak_fails_the_budget_check(self):
+        mem = DeviceMemoryModel(1000)
+        mem.add_weights("m", 600, 0.0)
+        mem.reserve_kv(1, 300, 1.0)
+        mem.release_kv(1, 2.0)
+        mem.set_budget(800, 3.0)  # holds now, but 900 B were resident
+        assert mem.fits(200)
+        with pytest.raises(ServeError, match="900 exceeded"):
+            mem.assert_within_budget()
+
+    def test_grow_kv_grows_every_survivor(self):
+        mem = DeviceMemoryModel(1000)
+        mem.reserve_kv(1, 10, 0.0)
+        mem.reserve_kv(2, 20, 0.0)
+        mem.grow_kv([1, 2], 5, 1.0)
+        assert (mem.kv_bytes_of(1), mem.kv_bytes_of(2)) == (15, 25)
+        assert mem.kv.peak == mem.kv_bytes == 40
+        assert (mem.peak_bytes, mem.peak_t_s) == (40, 1.0)
+        mem.grow_kv([], 5, 2.0)  # no survivors: nothing moves
+        assert (mem.peak_bytes, mem.peak_t_s) == (40, 1.0)
+
+    def test_grow_kv_rejects_unknown_ids_and_shrinking(self):
+        mem = DeviceMemoryModel(1000)
+        mem.add_weights("m", 100, 0.0)
+        mem.reserve_kv(1, 10, 0.0)
+        with pytest.raises(ServeError, match="no entry for 9"):
+            mem.grow_kv([1, 9], 5, 1.0)
+        assert mem.kv.reconcile() == mem.kv_bytes_of(1) == 15
+        with pytest.raises(ServeError, match=">= 0"):
+            mem.grow_kv([1], -5, 2.0)
+        assert mem.kv.reconcile() == 15
+        mem.release_kv(1, 3.0)
+        assert mem.reconcile() == 100
 
     def test_budget_shrink_counts(self):
         mem = DeviceMemoryModel(1000)
@@ -251,6 +297,24 @@ class TestDeviceMemoryModel:
             DeviceMemoryModel(100, admission="magic")
         with pytest.raises(ServeError, match="budget"):
             DeviceMemoryModel(0)
+
+    @pytest.mark.parametrize(
+        "budget", [0.5, 1000.0, float("nan"), float("inf"), True, "1000"]
+    )
+    def test_non_int_budgets_rejected(self, budget):
+        # 0.5 used to truncate to a 0-byte pool, True to a 1-byte one,
+        # and NaN/inf escaped as a raw ValueError/OverflowError.
+        with pytest.raises(ServeError, match="HBM budget must be an int"):
+            DeviceMemoryModel(budget)
+        mem = DeviceMemoryModel(1000)
+        with pytest.raises(ServeError, match="HBM budget must be an int"):
+            mem.set_budget(budget, 1.0)
+        assert mem.budget_bytes == 1000
+
+    def test_numpy_int_budget_accepted(self):
+        mem = DeviceMemoryModel(np.int64(1000))
+        mem.set_budget(np.int32(500), 1.0)
+        assert mem.budget_bytes == 500 and type(mem.budget_bytes) is int
 
 
 def _row_major_walk(executor, x):

@@ -483,6 +483,12 @@ class TestRegistry:
         with pytest.raises(ServeError, match=f"{name} must be finite"):
             InferenceServer(**{name: value})
 
+    @pytest.mark.parametrize("value", [True, 2.5, 1024.0, 0, -1])
+    def test_hbm_bytes_must_be_a_positive_int(self, value):
+        # A bool used to pass as a 1-byte budget and a float as-is.
+        with pytest.raises(ServeError, match="hbm_bytes must be finite int > 0"):
+            InferenceServer(hbm_bytes=value)
+
 
 class TestEngine:
     def test_deadline_batching_in_simulation(self, rng):

@@ -6,8 +6,9 @@ engine turn per step.  The differential property below runs each
 drawn scenario twice, once as is and once forced to single-step (the
 private ``_horizon_s`` patched to ``-inf``, which no step start
 precedes), and requires the two runs to leave identical records,
-memory ledgers and plan-cache stats.  The spy tests check that the
-repeat engages where it should and never where it must not.
+memory ledgers, plan-cache stats and plan-cache recency orders.  The
+spy tests check that the repeat engages where it should and never
+where it must not.
 
 Tier-1 draws :data:`TIER1_EXAMPLES` examples; CI re-runs the file under
 the ``serve-fuzz`` Hypothesis profile (``tests/conftest.py``).
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_walk_memo import _eviction_order
 
 from repro.obs import Tracer
 from repro.serve.batcher import BatchingPolicy
@@ -134,7 +136,8 @@ def run(scenario):
 
 def assert_same_as_single_step(fast_server, slow_server, requests):
     """Simulate ``requests`` on two fresh, identical servers, the second
-    forced to single-step; return the single-step report."""
+    forced to single-step; return the single-step report.  (Reading
+    the plan caches' recency order fills them with fresh keys.)"""
     fast = fast_server.simulate(requests)
     with single_step():
         slow = slow_server.simulate(requests)
@@ -144,7 +147,17 @@ def assert_same_as_single_step(fast_server, slow_server, requests):
     assert fast.plan_cache_stats == slow.plan_cache_stats
     if fast.memory_model is not None:
         assert fast.memory_model.summary() == slow.memory_model.summary()
-        assert fast.memory_model.events == slow.memory_model.events
+        fast_peak = fast.memory_model.peak_bytes, fast.memory_model.peak_t_s
+        assert fast_peak == (
+            slow.memory_model.peak_bytes, slow.memory_model.peak_t_s
+        )
+    for fast_cache, slow_cache in zip(
+        fast_server.plan_caches, slow_server.plan_caches, strict=True
+    ):
+        keys = list({**fast_cache._lru._data, **slow_cache._lru._data})
+        assert _eviction_order(fast_cache._lru, keys) == _eviction_order(
+            slow_cache._lru, keys
+        )
     return slow
 
 

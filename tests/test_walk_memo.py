@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Tracer
 from repro.obs.export import chrome_trace
@@ -337,7 +339,83 @@ def _eviction_order(cache: LRUCache, keys: list) -> list:
     return order
 
 
+class _AlwaysReplayingLRU(LRUCache):
+    """The reference :meth:`LRUCache.refresh`: every replay moves each
+    key, even one that repeats the previous replay."""
+
+    def refresh(self, keys):
+        for key in keys:
+            self._data.move_to_end(key)
+        self.stats.hits += len(keys)
+
+
+def _lru_op(cache: LRUCache, op: str, arg):
+    """Apply one drawn operation; a refresh of an evicted key returns
+    ``KeyError`` instead of raising."""
+    if op == "put":
+        return cache.put(arg, -arg)
+    if op == "get":
+        return cache.get_or_build(arg, lambda: -arg)
+    if op == "clear":
+        return cache.clear()
+    try:
+        return cache.refresh(arg)
+    except KeyError:
+        return KeyError
+
+
+#: The key universe of the LRU property (small, so keys collide).
+LRU_KEYS = list(range(6))
+
+
+def _recency(cache: LRUCache) -> list:
+    """``cache``'s recency order over :data:`LRU_KEYS`, read through
+    :func:`_eviction_order` on a copy (reading it fills the cache)."""
+    twin = LRUCache(cache.capacity)
+    twin._data = cache._data.copy()
+    return _eviction_order(twin, LRU_KEYS)
+
+
 class TestLRUCacheMemoSupport:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_repeated_refresh_matches_a_full_replay(self, data):
+        """Random interleavings of puts, hits, misses, clears and
+        refreshes, where a refresh is often handed the very tuple it
+        replayed last: the O(1) repeat must leave the stats, generation
+        and recency order of a cache that always replays in full."""
+        capacity = data.draw(st.integers(1, 4), label="capacity")
+        cache, reference = LRUCache(capacity), _AlwaysReplayingLRU(capacity)
+        keys = st.sampled_from(LRU_KEYS)
+
+        def both(op, arg=None):
+            assert _lru_op(cache, op, arg) == _lru_op(reference, op, arg)
+            assert cache.stats == reference.stats
+            assert cache.generation == reference.generation
+            assert _recency(cache) == _recency(reference)
+
+        for _ in range(20):
+            # Mostly cached keys: hits, and refreshes that succeed.
+            cached = st.sampled_from(list(reference._data) or LRU_KEYS)
+            replayed = tuple(data.draw(st.lists(cached, min_size=1, max_size=5)))
+            both("refresh", replayed)
+            op = data.draw(
+                st.sampled_from(("put", "get", "clear", "refresh", "stray", "-"))
+            )
+            if op == "put":
+                both(op, data.draw(keys))
+            elif op == "get":
+                both(op, data.draw(cached | keys))
+            elif op == "clear":
+                both(op)
+            elif op == "refresh":
+                both(op, tuple(data.draw(st.lists(cached, max_size=5))))
+            elif op == "stray":  # its last key may miss: raises part-way
+                hits = data.draw(st.lists(cached, max_size=3))
+                both("refresh", (*hits, data.draw(keys)))
+            for _ in range(data.draw(st.integers(1, 3))):
+                both("refresh", replayed)  # the same tuple object
+
     def test_refresh_matches_gets(self):
         keys = ["a", "b", "c", "d"]
         by_get, by_refresh = LRUCache(4), LRUCache(4)

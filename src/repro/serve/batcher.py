@@ -23,6 +23,7 @@ full (they rejoin at the next step with their progress kept).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -301,6 +302,7 @@ class InFlightEntry:
     request: InferenceRequest
     remaining_steps: int
     joined_s: float  # first join = service start (kept across preemption)
+    key: tuple  # request_order_key under the batcher's policy, set at join
     #: Model-mode bookkeeping: the sequence's prompt (plus any decoded
     #: progress) must be re-prefilled before its next decode step —
     #: true on first join and again after any eviction released its KV.
@@ -437,15 +439,12 @@ class ContinuousBatcher:
             # Fresh victims may have been appended last iteration, so
             # the most urgent waiter is re-derived each round (the
             # lists are a handful of entries).
-            self._preempted.sort(
-                key=lambda e: request_order_key(e.request, self.scheduling)
-            )
+            self._preempted.sort(key=attrgetter("key"))
             rejoin = self._preempted[0] if self._preempted else None
             fresh = queue.peek() if queue else None
             if rejoin is not None and (
                 fresh is None
-                or request_order_key(rejoin.request, self.scheduling)
-                < request_order_key(fresh, self.scheduling)
+                or rejoin.key < request_order_key(fresh, self.scheduling)
             ):
                 candidate, entry = rejoin.request, rejoin
             elif fresh is not None:
@@ -474,6 +473,7 @@ class ContinuousBatcher:
                         request=queue.pop_next(),
                         remaining_steps=candidate.steps,
                         joined_s=now_s,
+                        key=request_order_key(candidate, self.scheduling),
                     )
                 )
             joined += 1

@@ -29,6 +29,7 @@ from repro.serve.server import (
     ServingReport,
 )
 from repro.sparsity.config import NMPattern
+from repro.utils.validation import is_int
 
 __all__ = [
     "ModelServingScenario",
@@ -111,9 +112,11 @@ class ModelServingScenario:
             raise ConfigurationError(f"scale must be >= 1, got {self.scale}")
         if self.hbm_tokens is not None and self.hbm_bytes is not None:
             raise ServeError("pass hbm_tokens or hbm_bytes, not both")
-        if self.hbm_tokens is not None and self.hbm_tokens < 1:
+        if self.hbm_tokens is not None and (
+            not is_int(self.hbm_tokens) or self.hbm_tokens < 1
+        ):
             raise ServeError(
-                f"hbm_tokens must be >= 1, got {self.hbm_tokens}"
+                f"hbm_tokens must be an int >= 1, got {self.hbm_tokens!r}"
             )
         if self.kv_admission not in KV_ADMISSION_MODES:
             raise ServeError(

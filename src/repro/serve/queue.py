@@ -11,16 +11,18 @@ order follows the queue's :class:`~repro.serve.scheduling.SchedulingPolicy`:
   their tier, in arrival order).
 
 Invariant: every tier list is in *pop order*, so the next request is
-the head of the highest tier and ``peek``/``pop`` never scan.  Under
-``fifo`` and ``priority`` pop order is arrival order.  Under
-``slo-edf`` admission bisect-inserts by
-:func:`~repro.serve.scheduling.request_order_key` (O(log n) key
-evaluations), and each tier also keeps its own arrival bookkeeping: a
-second list in arrival order.  Once a tier mixes SLOs its deadline
-order says nothing about arrivals, so the oldest arrival, the newest
-arrival the admission guard checks, and the arrival-ordered walks of
-:meth:`RequestQueue.iter_requests` / :meth:`RequestQueue.remove_where`
-all read the arrival list.
+the head of the highest tier and ``peek``/``pop`` never scan.  Admission
+evaluates :func:`~repro.serve.scheduling.request_order_key` once per
+request and the tier holds that key, in a list parallel to its pop
+order, until the request leaves; inserts bisect the held keys and
+:meth:`RequestQueue.peek_key` reads the head's.  Under ``fifo`` and
+``priority`` pop order is arrival order.  Under ``slo-edf`` admission
+bisect-inserts by key, and each tier also keeps its own arrival
+bookkeeping: a second list in arrival order.  Once a tier mixes SLOs
+its deadline order says nothing about arrivals, so the oldest
+arrival, the newest arrival the admission guard checks, and the
+arrival-ordered walks of :meth:`RequestQueue.iter_requests` /
+:meth:`RequestQueue.remove_where` all read the arrival list.
 
 The batcher inspects the queue's aggregate state (request count, total
 rows, oldest arrival) to decide when a batch should be cut.  Admission
@@ -31,7 +33,7 @@ cannot be stacked — see ``DynamicBatcher.form_batch``).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -49,21 +51,19 @@ def _arrival_key(request: InferenceRequest) -> tuple[float, int]:
     return (request.arrival_s, request.request_id)
 
 
-def _edf_key(request: InferenceRequest) -> tuple:
-    return request_order_key(request, SchedulingPolicy.SLO_EDF)
-
-
 class _Tier:
     """The requests of one priority tier, in arrival order and in pop
-    order.  Both names refer to one list unless the policy orders the
-    tier by deadline."""
+    order, and their order keys (``keys``, parallel to ``by_pop``).
+    Both request lists are one list unless the policy orders the tier
+    by deadline."""
 
-    __slots__ = ("by_arrival", "by_pop", "edf")
+    __slots__ = ("by_arrival", "by_pop", "edf", "keys")
 
     def __init__(self, edf: bool):
         self.edf = edf
         self.by_arrival: list[InferenceRequest] = []
         self.by_pop = [] if edf else self.by_arrival
+        self.keys: list[tuple] = []
 
     @property
     def oldest_arrival_s(self) -> float:
@@ -73,16 +73,21 @@ class _Tier:
     def newest_arrival_s(self) -> float:
         return self.by_arrival[-1].arrival_s
 
-    def add(self, request: InferenceRequest, retried: bool) -> None:
+    def add(self, request: InferenceRequest, key: tuple, retried: bool) -> None:
         if retried:  # a retry keeps its original, older arrival
             insort(self.by_arrival, request, key=_arrival_key)
         else:
             self.by_arrival.append(request)
+        # Under fifo/priority a tier's keys order like _arrival_key, so
+        # a retry's key lands where the insort above put the request.
+        index = bisect_right(self.keys, key) if self.edf or retried else len(self.keys)
+        self.keys.insert(index, key)
         if self.edf:
-            insort(self.by_pop, request, key=_edf_key)
+            self.by_pop.insert(index, request)
 
     def pop_head(self) -> InferenceRequest:
         request = self.by_pop.pop(0)
+        del self.keys[0]
         if self.edf:
             arrivals = self.by_arrival
             index = bisect_left(arrivals, request.arrival_s, key=_arrival_s)
@@ -97,6 +102,10 @@ class _Tier:
         removed = [r for r in self.by_arrival if predicate(r)]
         if removed:
             gone = {r.request_id for r in removed}
+            self.keys = [
+                k for r, k in zip(self.by_pop, self.keys, strict=True)
+                if r.request_id not in gone
+            ]
             self.by_arrival = [
                 r for r in self.by_arrival if r.request_id not in gone
             ]
@@ -169,7 +178,7 @@ class RequestQueue:
         if tier is None:
             edf = self.scheduling is SchedulingPolicy.SLO_EDF
             tier = self._tiers[key] = _Tier(edf)
-        tier.add(request, retried)
+        tier.add(request, request_order_key(request, self.scheduling), retried)
         self._k = request.k
 
     # ------------------------------------------------------------------
@@ -251,6 +260,12 @@ class RequestQueue:
         if not self._rows:
             raise ServeError(f"peek into empty queue {self.model!r}")
         return self._tiers[max(self._tiers)].by_pop[0]
+
+    def peek_key(self) -> tuple:
+        """The order key of :meth:`peek`'s request, held since admission."""
+        if not self._rows:
+            raise ServeError(f"peek into empty queue {self.model!r}")
+        return self._tiers[max(self._tiers)].keys[0]
 
     def pop_next(self) -> InferenceRequest:
         """Pop exactly the request the policy serves next."""

@@ -14,7 +14,7 @@ reproducible for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class InferenceRequest:
         Model-mode only: decode steps to run (``steps`` is derived
         from it).  Each generated token grows the sequence's simulated
         KV cache by one token's bytes.
+
+    ``rows``/``k`` (the activation block's shape) and ``deadline_s``
+    (``arrival_s + slo_ms``, or ``None`` without an SLO) are fixed
+    attributes, set once at construction.
     """
 
     request_id: int
@@ -76,10 +80,15 @@ class InferenceRequest:
     steps: int = 1
     prompt_len: "int | None" = None
     max_new_tokens: "int | None" = None
+    rows: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
+    deadline_s: "float | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.request_id < 0:
-            raise ServeError(f"request_id must be >= 0, got {self.request_id}")
+        if not is_int(self.request_id) or self.request_id < 0:
+            raise ServeError(
+                f"request_id must be an int >= 0, got {self.request_id!r}"
+            )
         if not self.model:
             raise ServeError("request needs a model name")
         if self.a is not None:
@@ -87,14 +96,23 @@ class InferenceRequest:
                 raise ServeError("pass either a or shape, not both")
             a = as_f32(check_matrix("a", self.a))
             object.__setattr__(self, "a", a)
+            rows, k = a.shape
         else:
             if self.shape is None:
                 raise ServeError(
                     "a metadata-only request needs shape=(rows, k)"
                 )
+            if not (
+                isinstance(self.shape, tuple)
+                and len(self.shape) == 2
+                and all(is_int(n) and n >= 1 for n in self.shape)
+            ):
+                raise ServeError(
+                    f"shape must be (rows, k) ints >= 1, got {self.shape!r}"
+                )
             rows, k = self.shape
-            if rows < 1 or k < 1:
-                raise ServeError(f"bad request shape {self.shape}")
+        object.__setattr__(self, "rows", int(rows))
+        object.__setattr__(self, "k", int(k))
         if not np.isfinite(self.arrival_s) or self.arrival_s < 0:
             raise ServeError(
                 f"arrival_s must be finite and >= 0, got {self.arrival_s}"
@@ -109,21 +127,24 @@ class InferenceRequest:
             raise ServeError(
                 f"slo_ms must be finite and > 0, got {self.slo_ms}"
             )
-        if self.steps < 1:
-            raise ServeError(f"steps must be >= 1, got {self.steps}")
+        deadline = None if self.slo_ms is None else self.arrival_s + self.slo_ms * 1e-3
+        object.__setattr__(self, "deadline_s", deadline)
+        if not is_int(self.steps) or self.steps < 1:
+            raise ServeError(f"steps must be an int >= 1, got {self.steps!r}")
         if (self.prompt_len is None) != (self.max_new_tokens is None):
             raise ServeError(
                 "model-mode requests need both prompt_len and "
                 "max_new_tokens (or neither)"
             )
         if self.prompt_len is not None:
-            if self.prompt_len < 1:
+            if not is_int(self.prompt_len) or self.prompt_len < 1:
                 raise ServeError(
-                    f"prompt_len must be >= 1, got {self.prompt_len}"
+                    f"prompt_len must be an int >= 1, got {self.prompt_len!r}"
                 )
-            if self.max_new_tokens < 1:
+            if not is_int(self.max_new_tokens) or self.max_new_tokens < 1:
                 raise ServeError(
-                    f"max_new_tokens must be >= 1, got {self.max_new_tokens}"
+                    f"max_new_tokens must be an int >= 1, got "
+                    f"{self.max_new_tokens!r}"
                 )
             if self.a is not None:
                 raise ServeError(
@@ -142,27 +163,6 @@ class InferenceRequest:
                     f"steps={self.steps} conflicts with "
                     f"max_new_tokens={self.max_new_tokens}"
                 )
-
-    @property
-    def deadline_s(self) -> "float | None":
-        """``arrival_s + slo_ms`` on the simulated clock, or ``None``
-        when the request carries no SLO."""
-        if self.slo_ms is None:
-            return None
-        return self.arrival_s + self.slo_ms * 1e-3
-
-    @property
-    def rows(self) -> int:
-        """Rows this request contributes to a batch (its ``m``)."""
-        if self.a is None:
-            return int(self.shape[0])
-        return int(self.a.shape[0])
-
-    @property
-    def k(self) -> int:
-        if self.a is None:
-            return int(self.shape[1])
-        return int(self.a.shape[1])
 
     def label(self) -> str:
         text = (

@@ -760,10 +760,7 @@ class InferenceServer:
         stake in the next step — waiting, resident, or preempted.  A
         resident high-priority sequence must not lose the GPU to lower
         tiers just because a low-priority decode request is queued."""
-        keys = [
-            request_order_key(entry.request, self.scheduling)
-            for entry in (*batcher.resident, *batcher.preempted)
-        ]
+        keys = [entry.key for entry in (*batcher.resident, *batcher.preempted)]
         if queue:
             keys.append(self._queue_key(queue))
         return min(keys)
@@ -1885,7 +1882,7 @@ class InferenceServer:
             if self.execute_numerics:
                 outputs = self._execute_batch(entry, batch, plan)
         retry = failed and res is not None and cb.has_work
-        batch_id, horizon = batch.batch_id, None
+        batch_id, horizon, survivors = batch.batch_id, None, None
         while True:
             if not failed:
                 finished = cb.advance()
@@ -1893,7 +1890,10 @@ class InferenceServer:
                     for _, inflight in finished:
                         mem.release_kv(inflight.request.request_id, finished_s)
                     bpt = ex.kv_bytes_per_token
-                    mem.grow_kv([i.request.request_id for i in cb.resident], bpt, finished_s)
+                    # A repeat (nobody finished) grows the same survivors.
+                    if finished or survivors is None:
+                        survivors = [i.request.request_id for i in cb.resident]
+                    mem.grow_kv(survivors, bpt, finished_s)
                 evicted = len(finished)
             if tr is not None:
                 # A failed step draws its sampling decision in add_span.
@@ -2065,7 +2065,7 @@ class InferenceServer:
         if ex is not None and not mem.enforce:
             overflow = (
                 mem.resident_bytes
-                + len(cb.resident) * ex.kv_bytes_per_token
+                + batch.n_requests * ex.kv_bytes_per_token
                 - mem.budget_bytes
             )
             if overflow > 0:
@@ -2155,7 +2155,8 @@ class InferenceServer:
             for waiting in cb.preempted:
                 mem.release_kv(waiting.request.request_id, start_s)
 
-        for inflight in cb.resident:
+        resident = cb.resident
+        for inflight in resident:
             request = inflight.request
             if inflight.needs_prefill and request.request_id not in mem.kv:
                 mem.reserve_kv(
@@ -2164,8 +2165,8 @@ class InferenceServer:
                     start_s,
                 )
         kv_evicted = 0
-        if cb.resident and mem.enforce:
-            growth = len(cb.resident) * bpt
+        if resident and mem.enforce:
+            growth = len(resident) * bpt
             while mem.resident_bytes + growth > mem.budget_bytes:
                 if len(cb.resident) > 1:
                     victim = cb.eviction_order()[0]

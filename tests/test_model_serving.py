@@ -77,6 +77,13 @@ class TestScenarioConfig:
         with pytest.raises(ServeError, match="hbm_bytes must be finite int"):
             ModelServingScenario(hbm_bytes=2.5).build_server()
 
+    @pytest.mark.parametrize("hbm_tokens", [True, 2.5])
+    def test_non_int_hbm_tokens_rejected(self, hbm_tokens):
+        # True used to run as a 1-token headroom, and 2.5 failed only in
+        # build_server(), naming hbm_bytes.
+        with pytest.raises(ServeError, match="hbm_tokens must be an int"):
+            ModelServingScenario(hbm_tokens=hbm_tokens)
+
     def test_describe_names_the_regime(self):
         text = long_context_summarization().describe()
         assert "kv=kv-aware" in text and "hbm_tokens=2000" in text

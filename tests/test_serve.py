@@ -696,6 +696,31 @@ class TestEngine:
                 shape=(1, 4), priority=priority,
             )
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"shape": (2.5, 8)}, "shape"),
+            ({"shape": (True, 8)}, "shape"),
+            ({"shape": (2, 8.7)}, "shape"),
+            ({"shape": (1, 2, 3)}, "shape"),
+            ({"shape": (float("nan"), 8)}, "shape"),
+            ({"steps": 2.5}, "steps"),
+            ({"steps": True}, "steps"),
+            ({"request_id": 1.5}, "request_id"),
+            ({"prompt_len": 3.5, "max_new_tokens": 2}, "prompt_len"),
+            ({"prompt_len": 3, "max_new_tokens": 2.5}, "max_new_tokens"),
+        ],
+    )
+    def test_request_counts_must_be_ints(self, fields, name):
+        """A non-int count is rejected with a one-line ServeError that
+        names the field (a (2.5, 8) shape used to run as 2 rows,
+        max_new_tokens=2.5 gave steps=2.5, and (1, 2, 3) escaped as a
+        raw ValueError)."""
+        base = dict(request_id=0, model="m", a=None, arrival_s=0.0, shape=(1, 4))
+        with pytest.raises(ServeError, match=f"^{name} must be") as info:
+            InferenceRequest(**{**base, **fields})
+        assert "\n" not in str(info.value)
+
     def test_latency_decomposition(self, rng):
         server = build_two_model_server(rng)
         report = server.simulate(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core.api import NMSpMM
 from repro.errors import ServeError
-from repro.serve.batcher import BatchingPolicy, ContinuousBatcher, DynamicBatcher
+from repro.serve.batcher import BatchingPolicy, ContinuousBatcher, DynamicBatcher, InFlightEntry
 from repro.serve.cache import PlanCache
 from repro.serve.ledger import CostLedger
 from repro.serve.loadgen import (
@@ -31,6 +31,14 @@ from repro.sparsity.config import NMPattern
 
 def int_matrix(rng, rows, cols):
     return rng.integers(-4, 5, size=(rows, cols)).astype(np.float32)
+
+
+def fuzz_examples(tier1):
+    """``tier1`` Hypothesis examples, or the ``serve-fuzz`` profile's
+    count when that profile is loaded (CI's long fuzzer run)."""
+    if settings.get_current_profile_name() == "serve-fuzz":
+        return settings().max_examples
+    return tier1
 
 
 def meta_request(request_id, rows=1, *, model="m", arrival_s=0.0, k=8,
@@ -458,8 +466,15 @@ _PUSH = st.tuples(
 )
 
 
+def assert_head_key(queue):
+    """The key the queue holds for its head is the one the policy
+    assigns that request."""
+    if len(queue):
+        assert queue.peek_key() == request_order_key(queue.peek(), queue.scheduling)
+
+
 class TestQueueMatchesReference:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=fuzz_examples(200), deadline=None)
     @given(
         scheduling=st.sampled_from(["fifo", "priority", "slo-edf"]),
         scrambled_ids=st.booleans(),
@@ -530,9 +545,11 @@ class TestQueueMatchesReference:
             assert new.oldest_arrival_s == ref.oldest_arrival_s
             assert new.total_rows == ref.total_rows
             assert len(new) == len(ref)
+            assert_head_key(new)
         # Draining what is left pops in the same order too.
         while len(ref):
             assert _ids(new.pop_upto(3, 64)) == _ids(ref.pop_upto(3, 64))
+            assert_head_key(new)
         assert len(new) == 0 and new.oldest_arrival_s is None
 
     def test_edf_drain_is_n_log_n_key_evaluations(self, monkeypatch):
@@ -563,6 +580,37 @@ class TestQueueMatchesReference:
         assert keys == sorted(keys)
         log2_n = n.bit_length()  # 12
         assert 0 < calls <= 2 * n * log2_n  # 96,000
+
+    @pytest.mark.parametrize("scheduling", ["fifo", "priority", "slo-edf"])
+    def test_each_request_is_keyed_once(self, monkeypatch, scheduling):
+        """The queue evaluates a request's order key once, at
+        admission, and holds it while the request is queued: n pushes
+        plus a full drain (peeking the head's key before every pop)
+        make exactly n evaluations under every policy."""
+        import repro.serve.queue as queue_module
+
+        calls = 0
+
+        def counted(request, policy):
+            nonlocal calls
+            calls += 1
+            return request_order_key(request, policy)
+
+        monkeypatch.setattr(queue_module, "request_order_key", counted)
+        n = 600
+        slos = (None, 2.0, 50.0)
+        q = RequestQueue("m", scheduling)
+        for i in range(n):
+            q.push(meta_request(i, arrival_s=i * 1e-4, priority=(i // 3) % 2,
+                                slo_ms=slos[i % 3]))
+        drained = []
+        while q:
+            key = q.peek_key()
+            taken = q.pop_upto(8, 10_000)
+            assert request_order_key(taken[0], q.scheduling) == key
+            drained.extend(taken)
+        assert len(drained) == n
+        assert calls == n
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +798,140 @@ class TestContinuousBatcher:
             BatchingPolicy(decode_rows_threshold=0)
         with pytest.raises(ServeError):
             BatchingPolicy(max_batch_rows=8, decode_rows_threshold=9)
+
+
+# ---------------------------------------------------------------------------
+# The rolling batch's held keys against a batcher that recomputes them
+# ---------------------------------------------------------------------------
+class _RecomputingBatcher(ContinuousBatcher):
+    """Frozen copy of the refill that re-derived every waiter's order
+    key from its request on each comparison (``entry.key`` is set but
+    never read).  The oracle the key-holding batcher must match."""
+
+    def refill(self, queue, now_s, *, gate=None):
+        joined = 0
+        preempted = 0
+        while True:
+            self._preempted.sort(
+                key=lambda e: request_order_key(e.request, self.scheduling)
+            )
+            rejoin = self._preempted[0] if self._preempted else None
+            fresh = queue.peek() if queue else None
+            if rejoin is not None and (
+                fresh is None
+                or request_order_key(rejoin.request, self.scheduling)
+                < request_order_key(fresh, self.scheduling)
+            ):
+                candidate, entry = rejoin.request, rejoin
+            elif fresh is not None:
+                candidate, entry = fresh, None
+            else:
+                break
+            if not self._fits(candidate):
+                if self.scheduling is SchedulingPolicy.FIFO:
+                    break
+                victims = self._preemption_victims(candidate)
+                if victims is None:
+                    break
+                for victim in victims:
+                    self._displace(victim)
+                preempted += len(victims)
+            if entry is not None:
+                self._preempted.remove(entry)
+                self._admit(entry)
+            else:
+                request = queue.pop_next()
+                self._admit(
+                    InFlightEntry(
+                        request=request,
+                        remaining_steps=candidate.steps,
+                        joined_s=now_s,
+                        key=request_order_key(request, self.scheduling),
+                    )
+                )
+            joined += 1
+        return joined, preempted
+
+
+def _entry_ids(entries):
+    return [e.request.request_id for e in entries]
+
+
+_CB_PUSH = st.tuples(
+    st.just("push"),
+    st.integers(min_value=1, max_value=4),   # rows
+    st.integers(min_value=0, max_value=2),   # priority
+    st.sampled_from([None, 2.0, 50.0]),      # slo_ms
+    st.integers(min_value=1, max_value=4),   # steps
+    st.sampled_from([0.0, 0.001]),           # clock step
+)
+
+
+class TestBatcherHeldKeys:
+    @settings(max_examples=fuzz_examples(100), deadline=None)
+    @given(
+        scheduling=st.sampled_from(["priority", "slo-edf"]),
+        ops=st.lists(
+            st.one_of(
+                *[_CB_PUSH] * 3,  # weighted: the batch must fill up
+                st.tuples(st.just("refill")),
+                st.tuples(st.just("advance")),
+                st.tuples(st.just("preempt"), st.integers(0, 7)),
+                st.tuples(st.just("cancel"), st.integers(2, 5)),
+            ),
+            min_size=8,
+            max_size=60,
+        ),
+    )
+    def test_keys_held_and_order_matches_recomputing(self, scheduling, ops):
+        """Differential property over random refill / preempt / advance
+        / cancel sequences: every resident and preempted entry holds
+        the order key its request has under the policy, and the refill
+        and rejoin order equals that of a batcher which re-derives
+        every key."""
+        policy = BatchingPolicy(
+            max_batch_requests=4, max_batch_rows=6, decode_rows_threshold=4
+        )
+        new = ContinuousBatcher(policy, scheduling)
+        ref = _RecomputingBatcher(policy, scheduling)
+        new_q = RequestQueue("m", scheduling)
+        ref_q = RequestQueue("m", scheduling)
+        clock = 0.0
+        next_id = 0
+        for op in ops:
+            if op[0] == "push":
+                _, rows, priority, slo_ms, steps, step = op
+                clock += step
+                request = meta_request(next_id, rows, arrival_s=clock,
+                                       priority=priority, slo_ms=slo_ms,
+                                       steps=steps)
+                next_id += 1
+                new_q.push(request)
+                ref_q.push(request)
+            elif op[0] == "refill":
+                assert new.refill(new_q, clock) == ref.refill(ref_q, clock)
+            elif op[0] == "advance":
+                assert _entry_ids(e for _, e in new.advance()) == _entry_ids(
+                    e for _, e in ref.advance()
+                )
+            elif op[0] == "preempt" and new.resident:
+                index = op[1] % len(new.resident)
+                new.preempt_entries([new.resident[index]])
+                ref.preempt_entries([ref.resident[index]])
+            elif op[0] == "cancel":
+                _, modulus = op
+                assert _entry_ids(
+                    new.cancel_where(lambda r: r.request_id % modulus == 0)
+                ) == _entry_ids(
+                    ref.cancel_where(lambda r: r.request_id % modulus == 0)
+                )
+            for entry in (*new.resident, *new.preempted):
+                assert entry.key == request_order_key(
+                    entry.request, new.scheduling
+                )
+            assert _entry_ids(new.resident) == _entry_ids(ref.resident)
+            assert _entry_ids(new.preempted) == _entry_ids(ref.preempted)
+            assert _ids(new_q.iter_requests()) == _ids(ref_q.iter_requests())
 
 
 # ---------------------------------------------------------------------------

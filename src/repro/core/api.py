@@ -32,7 +32,7 @@ from repro.sparsity.compress import NMCompressedMatrix, compress
 from repro.sparsity.config import NMPattern
 from repro.sparsity.gather import GatherLayout, build_gather_layout
 from repro.utils.arrays import as_f32_any_order
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_matrix, check_real
 
 __all__ = ["SparseHandle", "NMSpMM", "nm_spmm"]
 
@@ -176,7 +176,7 @@ class NMSpMM:
         :class:`SparseHandle` reusable across many :meth:`execute`
         calls.
         """
-        b = check_matrix("b", b)
+        b = check_real("b", check_matrix("b", b))
         logical_k, logical_n = b.shape
         handle = SparseHandle(
             compressed=compress(self.pattern, b),
@@ -236,7 +236,7 @@ class NMSpMM:
         (:class:`~repro.obs.tracer.Tracer`) rides along on the request
         so dispatch and selection report spans/events.
         """
-        a = as_f32_any_order(check_matrix("a", a))
+        a = as_f32_any_order(check_real("a", check_matrix("a", a)))
         if a.shape[1] == handle.k_logical and handle.k_logical != handle.k:
             pad = np.zeros(
                 (a.shape[0], handle.k - a.shape[1]), dtype=np.float32

@@ -7,14 +7,14 @@ dense matrix:
 * **column-parallel** — shard the output dimension ``n``.  Cuts must
   land on vector (``L``) boundaries, i.e. whole column windows of the
   index matrix, so every shard keeps the exact vector-wise layout of
-  Fig. 1: device ``d`` takes ``values[:, j0*L:j1*L]`` and
-  ``indices[:, j0:j1]``.  Each device computes its own output column
+  Fig. 1: device ``d`` takes the windows ``blocks[j0:j1]`` (a view of
+  the window-major ``B'``) and ``indices[:, j0:j1]``.  Each device computes its own output column
   slab from the *full* activation block; composing the result is an
   all-gather.
 * **row-parallel** — shard the reduction dimension ``k``.  Cuts must
   land on pruning-window (``M``-row) boundaries so windows never
   straddle devices: device ``d`` takes the compressed rows
-  ``values[g0*N:g1*N, :]`` (and the same rows of ``D``) of windows
+  ``B'[g0*N:g1*N, :]`` (and the same rows of ``D``) of windows
   ``[g0, g1)``, consumes only the matching ``M * (g1 - g0)`` activation
   columns, and produces a full-width *partial* product; composing is an
   all-reduce.
@@ -252,7 +252,7 @@ def shard_column(handle: "SparseHandle", devices: int) -> ShardedHandle:
     for device, (j0, j1) in enumerate(extents):
         piece = NMCompressedMatrix(
             pattern=pattern,
-            values=np.ascontiguousarray(comp.values[:, j0 * ell : j1 * ell]),
+            values=comp.blocks[j0:j1],
             indices=np.ascontiguousarray(comp.indices[:, j0:j1]),
             k=comp.k,
         )
@@ -287,9 +287,7 @@ def shard_row(handle: "SparseHandle", devices: int) -> ShardedHandle:
     for device, (g0, g1) in enumerate(extents):
         piece = NMCompressedMatrix(
             pattern=pattern,
-            values=np.ascontiguousarray(
-                comp.values[g0 * pattern.n : g1 * pattern.n]
-            ),
+            values=comp.blocks[:, g0 * pattern.n : g1 * pattern.n],
             indices=np.ascontiguousarray(
                 comp.indices[g0 * pattern.n : g1 * pattern.n]
             ),

@@ -190,6 +190,7 @@ def nm_spmm_blocked(
     ks = min(params.ks, compressed.k)
     ws = (ks // pattern.m) * pattern.n
     out = np.empty((m_rows, n), dtype=np.float32)
+    values = compressed.values  # row-major B': one temporary per call
 
     num_bi = ceil_div(m_rows, params.ms)
     num_bj = ceil_div(n, params.ns)
@@ -213,7 +214,7 @@ def nm_spmm_blocked(
                 k0 = (u0 // pattern.n) * pattern.m
                 k1 = min(k0 + ks, compressed.k)
                 a_tile = a[bi:bi_end, k0:k1]
-                b_tile = compressed.values[u0:u1, bj:bj_end]
+                b_tile = values[u0:u1, bj:bj_end]
                 d_tile = compressed.indices[u0:u1, jq0:jq1]
                 if trace is not None:
                     trace.main_loop_iterations += 1

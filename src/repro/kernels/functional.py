@@ -49,11 +49,15 @@ def nm_spmm_functional(
     n = compressed.n
     ell = pattern.vector_length
     abs_rows = compressed.absolute_rows()  # (w, q)
+    # Row-major B' (one temporary per call), not the contiguous
+    # window blocks: NumPy sums an L=1 matrix-vector product over a
+    # contiguous operand in another order.
+    values = compressed.values
     out = np.empty((m_rows, n), dtype=np.float32)
     for jq in range(compressed.q):
         ar = a[:, abs_rows[:, jq]]  # (m, w) gathered "Ar" of §III-B2
         j0 = jq * ell
-        out[:, j0 : j0 + ell] = ar @ compressed.values[:, j0 : j0 + ell]
+        out[:, j0 : j0 + ell] = ar @ values[:, j0 : j0 + ell]
     if rescale:
         out *= np.float32(pattern.m / pattern.n)
     return out

@@ -67,6 +67,7 @@ def nm_spmm_packed(
     w, n = compressed.w, compressed.n
     ell = pattern.vector_length
     out = np.empty((m_rows, n), dtype=np.float32)
+    values = compressed.values  # row-major B': one temporary per call
 
     num_bi = ceil_div(m_rows, params.ms)
     num_bj = ceil_div(n, params.ns)
@@ -89,7 +90,7 @@ def nm_spmm_packed(
                 # Packed load: gather only the needed A columns
                 # (LoadTileByColInfo).
                 a_tile = pack_a_tile(a[bi:bi_end, k0:k1], cols)
-                b_tile = compressed.values[u0:u1, bj:bj_end]
+                b_tile = values[u0:u1, bj:bj_end]
                 if trace is not None:
                     trace.main_loop_iterations += 1
                     trace.ldg_colinfo_bytes += cols.size * cols.dtype.itemsize

@@ -13,7 +13,7 @@ from repro.core.api import NMSpMM, SparseHandle
 from repro.errors import ShapeError
 from repro.sparsity.config import NMPattern
 from repro.utils.arrays import as_f32, as_f32_any_order
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_matrix, check_real
 
 __all__ = ["Linear", "NMSparseLinear"]
 
@@ -22,7 +22,7 @@ class Linear:
     """A dense linear layer ``y = x @ W + b`` with ``W[k][n]``."""
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None = None):
-        self.weight = as_f32(check_matrix("weight", weight))
+        self.weight = as_f32(check_real("weight", check_matrix("weight", weight)))
         if bias is not None:
             bias = np.ascontiguousarray(bias, dtype=np.float32)
             if bias.shape != (self.weight.shape[1],):
@@ -40,7 +40,7 @@ class Linear:
         return self.weight.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = as_f32(check_matrix("x", x))
+        x = as_f32(check_real("x", check_matrix("x", x)))
         y = x @ self.weight
         if self.bias is not None:
             y = y + self.bias
@@ -132,7 +132,7 @@ class NMSparseLinear:
         return self.original_n
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = as_f32_any_order(check_matrix("x", x))
+        x = as_f32_any_order(check_real("x", check_matrix("x", x)))
         if x.shape[1] != self.original_k:
             raise ShapeError(
                 f"input has {x.shape[1]} features, layer expects "

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ServeError
 from repro.utils.arrays import as_f32
-from repro.utils.validation import check_matrix, is_int
+from repro.utils.validation import check_matrix, check_real, is_int
 
 __all__ = ["InferenceRequest", "RequestRecord"]
 
@@ -94,7 +94,7 @@ class InferenceRequest:
         if self.a is not None:
             if self.shape is not None:
                 raise ServeError("pass either a or shape, not both")
-            a = as_f32(check_matrix("a", self.a))
+            a = as_f32(check_real("a", check_matrix("a", self.a)))
             object.__setattr__(self, "a", a)
             rows, k = a.shape
         else:

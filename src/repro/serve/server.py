@@ -1220,7 +1220,7 @@ class InferenceServer:
                 payload = entry.executor.weight_bytes
             else:
                 compressed = entry.handle.compressed
-                payload = compressed.values.nbytes + compressed.indices.nbytes
+                payload = compressed.total_bytes()
             # A model entry re-partitions each layer's own handle.
             lane.entry = self._placed(
                 name, entry.op, entry.handle, survivors, entry.executor

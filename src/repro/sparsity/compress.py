@@ -9,6 +9,13 @@ vector came from.  The original row of compressed entry ``(u, j)`` is::
     row = (u // N) * M + D[u][j]
 
 which is the ``u*M/N + D[u][j/L]`` indexing of Eq. 1.
+
+Storage order: ``B'`` is held window-major, one C-contiguous
+``(q, w, L)`` float32 array whose ``blocks[jq]`` is ``B'[:, jq*L:(jq+1)*L]``,
+the operand order of the fast gather-GEMM: the
+:class:`~repro.sparsity.gather.GatherLayout` uses this array, not a copy.
+Row-major readers (the structural executors, :mod:`repro.sparsity.io`)
+take a temporary from :attr:`NMCompressedMatrix.values`.
 """
 
 from __future__ import annotations
@@ -36,44 +43,65 @@ from repro.utils.validation import check_matrix
 __all__ = ["NMCompressedMatrix", "compress", "decompress"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NMCompressedMatrix:
     """A vector-wise N:M compressed weight matrix (``B'`` + ``D``).
+
+    ``values`` may be row-major ``(w, n)`` (copied into window-major
+    storage) or window-major ``(q, w, L)`` (kept when C-contiguous).
 
     Attributes
     ----------
     pattern:
         The :class:`NMPattern` used for compression.
-    values:
-        ``B'`` of shape ``(w, n)`` float32 — retained vectors, window
-        order preserved.
+    blocks:
+        ``B'`` window-major: ``(q, w, L)`` float32, ``blocks[jq]`` the
+        retained vectors of column window ``jq`` in compressed-row order.
     indices:
         ``D`` of shape ``(w, q)`` in the narrowest unsigned dtype that
         holds values in ``[0, M)``.
     k:
-        Row count of the original (padded) dense matrix.
+        Row count of the original (padded) dense matrix, a multiple of M.
     """
 
     pattern: NMPattern
-    values: np.ndarray
+    blocks: np.ndarray
     indices: np.ndarray
     k: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        check_matrix("values", self.values, dtype=np.float32)
-        w, n = self.values.shape
-        expected_w = self.pattern.compressed_rows(self.k)
+    def __init__(
+        self, pattern: NMPattern, values: np.ndarray, indices: np.ndarray, k: int
+    ) -> None:
+        ell = pattern.vector_length
+        if np.ndim(values) != 3:
+            w, n = check_matrix("values", values, dtype=np.float32).shape
+            if n % ell != 0:
+                raise CompressionError(f"values has n={n}, not a multiple of L={ell}")
+            values = values.reshape(w, n // ell, ell).transpose(1, 0, 2)
+        blocks = np.ascontiguousarray(values)
+        if blocks.dtype != np.float32 or blocks.shape[2] != ell:
+            raise CompressionError(
+                f"values must be (q, w, L={ell}) float32, got {blocks.shape} {blocks.dtype}"
+            )
+        if k % pattern.m != 0:
+            raise CompressionError(
+                f"k={k} is not a multiple of M={pattern.m}; pad the dense "
+                f"matrix to k={pattern.padded_k(k)} before compressing"
+            )
+        q, w, _ = blocks.shape
+        expected_w = pattern.compressed_rows(k)
         if w != expected_w:
             raise CompressionError(
-                f"values has {w} rows but pattern expects w={expected_w} for k={self.k}"
+                f"values has {w} rows but pattern expects w={expected_w} for k={k}"
             )
-        q = self.pattern.window_count_n(n)
-        if self.indices.shape != (w, q):
+        if indices.shape != (w, q):
             raise CompressionError(
-                f"indices shape {self.indices.shape} != expected (w={w}, q={q})"
+                f"indices shape {indices.shape} != expected (w={w}, q={q})"
             )
-        validate_index_matrix(self.pattern, self.indices)
+        validate_index_matrix(pattern, indices)
+        # Frozen: assign past the dataclass's __setattr__.
+        vars(self).update(pattern=pattern, blocks=blocks, indices=indices, k=k, _cache={})
 
     # ------------------------------------------------------------------
     # Shape properties
@@ -81,17 +109,17 @@ class NMCompressedMatrix:
     @property
     def w(self) -> int:
         """Compressed row count ``k*N/M``."""
-        return self.values.shape[0]
+        return self.blocks.shape[1]
 
     @property
     def n(self) -> int:
         """Column count (shared with the dense original)."""
-        return self.values.shape[1]
+        return self.q * self.pattern.vector_length
 
     @property
     def q(self) -> int:
         """Pruning windows per row, ``n/L``."""
-        return self.indices.shape[1]
+        return self.blocks.shape[0]
 
     @property
     def num_windows_k(self) -> int:
@@ -101,7 +129,7 @@ class NMCompressedMatrix:
     @property
     def nnz(self) -> int:
         """Stored (retained) element count, ``w * n``."""
-        return self.values.size
+        return self.blocks.size
 
     # ------------------------------------------------------------------
     # Memory accounting (used by the traffic model and by Fig. 10's AI)
@@ -150,10 +178,18 @@ class NMCompressedMatrix:
 
     def absolute_rows(self) -> np.ndarray:
         """``(w, q)`` original-row index of every compressed entry:
-        ``(u // N) * M + D[u][j]`` (the gather rows of Eq. 1)."""
-        if "absolute_rows" not in self._cache:
-            self._cache["absolute_rows"] = absolute_rows(self.pattern, self.indices)
-        return self._cache["absolute_rows"]
+        ``(u // N) * M + D[u][j]`` (the gather rows of Eq. 1), computed
+        afresh on each call."""
+        return absolute_rows(self.pattern, self.indices)
+
+    @property
+    def values(self) -> np.ndarray:
+        """C-contiguous row-major ``(w, n)`` ``B'``, assembled from the
+        window-major storage: a new temporary on every access (a view of
+        the storage when ``q == 1``, so not for writing)."""
+        return np.ascontiguousarray(self.blocks.transpose(1, 0, 2)).reshape(
+            self.w, self.n
+        )
 
     def to_dense(self) -> np.ndarray:
         """Decompress back to the pruned dense ``(k, n)`` matrix."""
@@ -195,13 +231,13 @@ def compress(
     else:
         indices = window_indices_from_mask(pattern, vector_mask)
     g, _, q = indices.shape
-    windows = b.reshape(g, pattern.m, q, pattern.vector_length)
-    gathered = np.take_along_axis(windows, indices[:, :, :, None], axis=1)
-    values = np.ascontiguousarray(
-        gathered.reshape(g * pattern.n, q * pattern.vector_length), dtype=np.float32
-    )
     d = indices.reshape(g * pattern.n, q).astype(index_dtype_for(pattern.m))
-    return NMCompressedMatrix(pattern=pattern, values=values, indices=d, k=k)
+    # Gather straight into the window-major (q, w, L) storage: entry
+    # (jq, u) is the L-vector at row (u // N) * M + D[u, jq], window jq.
+    blocks = b.reshape(k, q, pattern.vector_length)[
+        absolute_rows(pattern, d).T, np.arange(q)[:, None]
+    ]
+    return NMCompressedMatrix(pattern=pattern, values=blocks, indices=d, k=k)
 
 
 def decompress(compressed: NMCompressedMatrix) -> np.ndarray:
@@ -209,10 +245,11 @@ def decompress(compressed: NMCompressedMatrix) -> np.ndarray:
     the exact inverse of :func:`compress` on pruned input."""
     pattern = compressed.pattern
     g, q = compressed.num_windows_k, compressed.q
-    values = compressed.values.reshape(g, pattern.n, q, pattern.vector_length)
+    # (q, w, L) storage viewed as (g, N, q, L): no copy of B'.
+    values = compressed.blocks.reshape(
+        q, g, pattern.n, pattern.vector_length
+    ).transpose(1, 2, 0, 3)
     indices = compressed.window_indices().astype(np.int64)
-    out = np.zeros(
-        (g, pattern.m, q, pattern.vector_length), dtype=compressed.values.dtype
-    )
+    out = np.zeros((g, pattern.m, q, pattern.vector_length), dtype=np.float32)
     np.put_along_axis(out, indices[:, :, :, None], values, axis=1)
     return out.reshape(compressed.k, compressed.n)

@@ -12,6 +12,11 @@ a :class:`GatherLayout`:
 * ``values[jq]`` — the matching ``(w, L)`` slice of ``B'``, laid out
   ``(q, w, L)`` so the whole product is one batched GEMM over ``q``.
 
+``values`` is the compressed matrix's own storage, not a copy:
+:class:`~repro.sparsity.compress.NMCompressedMatrix` keeps ``B'``
+window-major in exactly this order, so a layout adds only its gather
+rows to the weights' resident bytes.
+
 This is the same offline/online split VENOM-style libraries apply to
 their sparse formats: pay the layout conversion once per weight matrix,
 then execute every batch as dense-GEMM-shaped work.
@@ -44,8 +49,9 @@ class GatherLayout:
         Built int32 whenever ``k`` fits (every realistic problem),
         halving the layout's index memory versus int64.
     values:
-        ``(q, w, L)`` float32 — ``B'`` resliced per column window so
-        window ``jq``'s GEMM operand ``values[jq]`` is contiguous.
+        ``(q, w, L)`` float32 — ``B'`` per column window, so window
+        ``jq``'s GEMM operand ``values[jq]`` is contiguous; the source
+        matrix's :attr:`~NMCompressedMatrix.blocks`, shared.
     k:
         Padded reduction dimension of the source matrix.
     """
@@ -109,13 +115,10 @@ class GatherLayout:
         return self.q * self.pattern.vector_length
 
     def nbytes(self) -> int:
-        """Resident bytes of the layout (values + gather indices)."""
+        """Bytes the fast kernel reads: values + gather indices.  The
+        values are the compressed matrix's, so caching a layout costs
+        only ``rows.nbytes``."""
         return self.values.nbytes + self.rows.nbytes
-
-    def overhead_vs_compressed(self, compressed: NMCompressedMatrix) -> float:
-        """Layout bytes relative to the ``(B', D)`` pair it was built
-        from (the cost of caching it on a handle)."""
-        return self.nbytes() / max(1, compressed.total_bytes())
 
 
 def build_gather_layout(compressed: NMCompressedMatrix) -> GatherLayout:
@@ -125,23 +128,16 @@ def build_gather_layout(compressed: NMCompressedMatrix) -> GatherLayout:
     the compressed matrix, never on the activations.
     """
     pattern = compressed.pattern
-    ell = pattern.vector_length
-    # (w, q) absolute rows -> window-major (q, w), each window's gather
-    # list contiguous for the fast kernel's per-group ``take``.  Row
-    # indices live in [0, k), so int32 suffices unless k overflows it;
-    # the narrower dtype halves the layout's resident index bytes.
+    # Window-major (q, w) absolute rows, each window's gather list
+    # contiguous for the fast kernel's per-group ``take``:
+    # rows[jq, u] = (u // N) * M + D[u, jq].  Row indices live in
+    # [0, k), so int32 suffices unless k overflows it; the narrower
+    # dtype halves the layout's resident index bytes.
     rows_dtype = (
         np.int32 if compressed.k <= np.iinfo(np.int32).max else np.int64
     )
-    rows = np.ascontiguousarray(
-        compressed.absolute_rows().T, dtype=rows_dtype
-    )
-    # (w, n) values -> (w, q, L) window slices -> window-major (q, w, L)
-    # so values[jq] is the dense GEMM operand of window jq.
-    values = np.ascontiguousarray(
-        compressed.values.reshape(compressed.w, compressed.q, ell)
-        .transpose(1, 0, 2)
-    )
+    rows = compressed.indices.T.astype(rows_dtype, order="C")
+    rows += np.arange(compressed.w, dtype=rows_dtype) // pattern.n * pattern.m
     return GatherLayout(
-        pattern=pattern, rows=rows, values=values, k=compressed.k
+        pattern=pattern, rows=rows, values=compressed.blocks, k=compressed.k
     )

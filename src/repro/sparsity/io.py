@@ -7,7 +7,8 @@ would load at startup, skipping the offline pruning pass.
 
 Format (npz keys):
 
-* ``values``   — ``B'`` float32 ``(w, n)``;
+* ``values``   — ``B'`` float32 ``(w, n)``, row-major (in memory the
+  matrix holds it window-major);
 * ``indices``  — ``D`` unsigned ``(w, q)``;
 * ``meta``     — int64 ``[n, m, vector_length, k, format_version]``.
 """

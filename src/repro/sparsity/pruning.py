@@ -27,9 +27,16 @@ from repro.utils.validation import check_matrix
 __all__ = ["magnitude_indices", "magnitude_prune", "prune_dense", "vector_importance"]
 
 
+#: Elements of ``b`` per chunk (1 MiB as float64): :func:`vector_importance`
+#: widens that many at a time and :func:`magnitude_indices` sorts their
+#: scores.  Whole-matrix float64 copies would be twice a weight's size.
+CHUNK_ELEMENTS = 1 << 17
+
+
 def vector_importance(pattern: NMPattern, b: np.ndarray) -> np.ndarray:
     """Per-vector importance scores of shape ``(g, M, q)``: the L2
-    energy of each L-element vector, accumulated in float64."""
+    energy of each L-element vector, accumulated in float64 (``b`` is
+    widened a few rows of windows at a time)."""
     b = check_matrix("b", b)
     k, n = b.shape
     g = k // pattern.m
@@ -38,9 +45,14 @@ def vector_importance(pattern: NMPattern, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"b shape {b.shape} not divisible by (M={pattern.m}, L={pattern.vector_length})"
         )
-    energy = b.reshape(g, pattern.m, q, pattern.vector_length).astype(np.float64)
-    np.square(energy, out=energy)
-    return energy.sum(axis=3)
+    windows = b.reshape(g, pattern.m, q, pattern.vector_length)
+    scores = np.empty((g, pattern.m, q), dtype=np.float64)
+    step = max(1, CHUNK_ELEMENTS // max(1, pattern.m * n))
+    for g0 in range(0, g, step):
+        energy = windows[g0 : g0 + step].astype(np.float64)
+        np.square(energy, out=energy)
+        energy.sum(axis=3, out=scores[g0 : g0 + step])
+    return scores
 
 
 def magnitude_indices(pattern: NMPattern, b: np.ndarray) -> np.ndarray:
@@ -50,8 +62,14 @@ def magnitude_indices(pattern: NMPattern, b: np.ndarray) -> np.ndarray:
     scores = vector_importance(pattern, b)
     if pattern.n == pattern.m:
         return np.broadcast_to(np.arange(pattern.m)[:, None], scores.shape)
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return np.sort(order[:, : pattern.n, :], axis=1)
+    np.negative(scores, out=scores)  # a stable ascending sort: ties keep the lower slot
+    g, _, q = scores.shape
+    top = np.empty((g, pattern.n, q), dtype=np.intp)
+    step = max(1, CHUNK_ELEMENTS // max(1, pattern.m * b.shape[1]))
+    for g0 in range(0, g, step):
+        order = np.argsort(scores[g0 : g0 + step], axis=1, kind="stable")
+        top[g0 : g0 + step] = np.sort(order[:, : pattern.n, :], axis=1)
+    return top
 
 
 def magnitude_prune(pattern: NMPattern, b: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, ReproError, ShapeError
 
 __all__ = [
     "is_int",
@@ -19,6 +19,7 @@ __all__ = [
     "check_multiple_of",
     "check_divides",
     "check_matrix",
+    "check_real",
     "check_fraction",
 ]
 
@@ -83,4 +84,16 @@ def check_matrix(name: str, array: np.ndarray, *, dtype: type | None = None) -> 
         raise ShapeError(f"{name} must be 2-D, got shape {array.shape}")
     if dtype is not None and array.dtype != np.dtype(dtype):
         raise ShapeError(f"{name} must have dtype {np.dtype(dtype)}, got {array.dtype}")
+    return array
+
+
+def check_real(
+    name: str, array: np.ndarray, *, error: type[ReproError] = ShapeError
+) -> np.ndarray:
+    """Validate that ``array`` holds real numbers (an integer or float
+    dtype) before anything converts it to float: a complex array would
+    lose its imaginary part with a warning, and strings would be parsed
+    as numbers or fail inside NumPy.  Raises ``error``."""
+    if array.dtype.kind not in "iuf":
+        raise error(f"{name} must be real numbers, got dtype {array.dtype}")
     return array

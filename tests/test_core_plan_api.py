@@ -237,6 +237,34 @@ class TestExecuteShapeCheck:
         assert out.shape == (16, 48)
 
 
+#: Operands that are matrices but not real numbers: validated before any
+#: float32 conversion (no NumPy parse error, no ComplexWarning
+#: truncation, no strings parsed as floats).
+NON_REAL = {
+    "complex": lambda shape: np.ones(shape, dtype=np.complex64),
+    "numeric-str": lambda shape: np.full(shape, "1"),
+    "str": lambda shape: np.full(shape, "a"),
+    "bool": lambda shape: np.ones(shape, dtype=bool),
+    "object": lambda shape: np.full(shape, 1.0, dtype=object),
+}
+
+
+@pytest.mark.parametrize("make", NON_REAL.values(), ids=NON_REAL.keys())
+class TestNonRealOperands:
+    def test_prepare_rejects(self, make):
+        op = NMSpMM(NMPattern(2, 8, vector_length=4))
+        with pytest.raises(ShapeError, match="b must be real numbers") as info:
+            op.prepare(make((64, 32)))
+        assert "\n" not in str(info.value)
+
+    def test_execute_rejects(self, make, rng):
+        op = NMSpMM(NMPattern(2, 8, vector_length=4))
+        handle = op.prepare(random_dense(64, 32, rng))
+        for call in (op.execute, op.build_request):
+            with pytest.raises(ShapeError, match="a must be real numbers"):
+                call(make((2, 64)), handle)
+
+
 class TestColInfoCaching:
     def test_same_block_shape_returns_identical_object(self, rng):
         op = NMSpMM(NMPattern(2, 8, vector_length=4))

@@ -52,6 +52,10 @@ class TestLayerRoster:
             ModelExecutor("llama-7b", scale=16, blocks=0)
         with pytest.raises(ServeError, match="kv_dtype_bytes"):
             ModelExecutor("llama-7b", scale=16, kv_dtype_bytes=0)
+        with pytest.raises(ServeError, match="seed must be >= 0"):
+            ModelExecutor("llama-7b", scale=16, seed=-1)
+        with pytest.raises(ServeError, match="scale must be >= 1"):
+            ModelExecutor("llama-7b", scale=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -60,12 +64,16 @@ class TestLayerRoster:
             dict(blocks=True),
             dict(kv_dtype_bytes=1.5),
             dict(kv_dtype_bytes=True),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(scale=1.5),
+            dict(scale=True),
         ],
     )
     def test_non_int_counts_rejected(self, kwargs):
         (name,) = kwargs
         with pytest.raises(ServeError, match=f"{name} must be an int"):
-            ModelExecutor("llama-7b", scale=16, **kwargs)
+            ModelExecutor("llama-7b", **{"scale": 16, **kwargs})
 
 
 class TestNumerics:

@@ -33,6 +33,19 @@ class TestLinear:
         layer = Linear(random_dense(8, 4, rng), np.zeros(4, dtype=np.float32))
         assert layer.parameter_count() == 36
 
+    @pytest.mark.parametrize("dtype", [np.complex64, "U1", bool])
+    def test_non_real_rejected(self, rng, dtype):
+        with pytest.raises(ShapeError, match="weight must be real numbers"):
+            Linear(np.ones((8, 4), dtype=dtype))
+        layer = Linear(random_dense(8, 4, rng))
+        with pytest.raises(ShapeError, match="x must be real numbers"):
+            layer(np.ones((3, 8), dtype=dtype))
+        sparse = NMSparseLinear.from_dense(
+            Linear(random_dense(32, 16, rng)), NMPattern(2, 8, vector_length=4)
+        )
+        with pytest.raises(ShapeError, match="x must be real numbers"):
+            sparse(np.ones((3, 32), dtype=dtype))
+
 
 class TestNMSparseLinear:
     def test_from_dense_matches_pruned(self, rng):

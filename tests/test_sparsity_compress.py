@@ -146,6 +146,43 @@ class TestValidation:
                 k=16,
             )
 
+    @pytest.mark.parametrize("k", [57, 63])
+    def test_k_not_a_multiple_of_m_rejected(self, k):
+        """``k`` is the padded row count: a k whose window count rounds
+        up to the same w used to be accepted and failed later inside
+        NumPy (to_dense) or with a misleading gather-row range."""
+        pattern = NMPattern(2, 8, vector_length=8)
+        _, comp = _compressed(pattern, 64, 32)
+        with pytest.raises(CompressionError, match=f"k={k} is not a multiple of M=8") as info:
+            NMCompressedMatrix(
+                pattern=pattern, values=comp.values, indices=comp.indices, k=k
+            )
+        assert "\n" not in str(info.value)
+
+    def test_window_major_storage(self, pattern_2_4):
+        """B' is held window-major; the row-major view is assembled from
+        it, and a window-major array is taken without a copy."""
+        _, comp = _compressed(pattern_2_4, 16, 12)
+        assert comp.blocks.shape == (comp.q, comp.w, 4)
+        assert comp.blocks.flags["C_CONTIGUOUS"]
+        for jq in range(comp.q):
+            np.testing.assert_array_equal(
+                comp.blocks[jq], comp.values[:, 4 * jq : 4 * jq + 4]
+            )
+        again = NMCompressedMatrix(
+            pattern=pattern_2_4, values=comp.blocks, indices=comp.indices, k=16
+        )
+        assert again.blocks is comp.blocks
+        rebuilt = NMCompressedMatrix(
+            pattern=pattern_2_4, values=comp.values, indices=comp.indices, k=16
+        )
+        assert rebuilt.blocks.tobytes() == comp.blocks.tobytes()
+        # With L=1 a plain reshape would hand back a strided view, and
+        # BLAS sums some products over such operands in another order.
+        narrow = compress(NMPattern(1, 2, vector_length=1), np.ones((4, 3), np.float32))
+        for matrix in (comp, narrow):
+            assert matrix.values.flags["C_CONTIGUOUS"]
+
     def test_element_mask_recovery(self, pattern_2_4):
         pruned, comp = _compressed(pattern_2_4, 16, 12)
         element = comp.element_mask()

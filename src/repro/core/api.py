@@ -98,6 +98,18 @@ class SparseHandle:
         """The original weights' n (outputs are trimmed to this)."""
         return self.logical_n if self.logical_n is not None else self.n
 
+    @property
+    def index_itemsize(self) -> int:
+        """Bytes per stored entry of the index matrix ``D``."""
+        return self.compressed.indices.dtype.itemsize
+
+    def shard(self, devices: int, mode: str):
+        """These weights partitioned over ``devices`` (see
+        :func:`repro.distributed.shard.shard_handle`, which memoizes)."""
+        from repro.distributed.shard import shard_handle
+
+        return shard_handle(self, devices, mode)
+
     def col_info(self, ws: int, ns: int) -> ColumnInfo:
         """The offline pre-processing output for a block shape, cached
         (Listing 3's PreProcessing runs once per deployment)."""
@@ -177,6 +189,8 @@ class NMSpMM:
         calls.
         """
         b = check_real("b", check_matrix("b", b))
+        if not b.size:
+            raise ShapeError(f"b must have at least one row and column, got shape {b.shape}")
         logical_k, logical_n = b.shape
         handle = SparseHandle(
             compressed=compress(self.pattern, b),
@@ -196,8 +210,8 @@ class NMSpMM:
         params: TileParams | None = None,
     ) -> ExecutionPlan:
         """A freshly built launch plan for batch size ``m`` against
-        these weights.  Nothing is cached: pass the plan back as
-        :meth:`execute`'s ``plan=`` to reuse it."""
+        these weights' padded ``n`` and ``k`` (a layer spec has them
+        too).  Nothing is cached: pass it back as ``execute(plan=)``."""
         return build_plan(
             m,
             handle.n,

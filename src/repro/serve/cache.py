@@ -11,7 +11,9 @@ batcher's row bucketing collapses the batch-size distribution onto a
 few buckets, so the cache converges to near-100% hits after warm-up.
 ``ColumnInfo`` (Listing 3's offline pre-processing) is likewise reused
 — it lives on each model's :class:`~repro.core.api.SparseHandle` and is
-built at most once per block shape.
+built at most once per block shape.  Only a traced run reads a launch's
+analytic trace (:attr:`PlanEntry.trace`), so only a traced run reads
+``ColumnInfo`` at all.
 
 A walk of a model's stack (its layers, or a plain entry's one
 launch) is priced once per run (see ``InferenceServer._price``): in an
@@ -27,6 +29,7 @@ its hits (:class:`LRUCache`), so a repeated decode step is O(1) here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from repro.core.api import NMSpMM, SparseHandle
@@ -40,28 +43,36 @@ __all__ = ["CacheStats", "LRUCache", "PlanEntry", "PlanCache"]
 class PlanEntry:
     """What the serving engine needs per launch geometry: the execution
     plan, its perf-model report (modeled seconds drive the simulated
-    clock), and the closed-form :class:`~repro.kernels.blocked.
-    KernelTrace` of the launch (FLOP and global-memory byte counts),
-    which the tracer stamps onto every ``gpu.launch`` span so the
-    trace-analytics roofline attribution never re-derives work from
-    shapes."""
+    clock), and the weights it was planned for, from which
+    :attr:`trace` derives the launch's closed-form FLOP and byte counts
+    when a traced run first asks for them."""
 
     plan: ExecutionPlan
     report: object  # KernelReport; kept untyped to avoid a model import
-    trace: object = None  # KernelTrace; same import-avoidance
+    #: A SparseHandle, or a layer spec that builds its weights on
+    #: demand (only a packing plan's trace reads them, via col_info).
+    handle: object = field(default=None, repr=False, compare=False)
 
     @property
     def modeled_seconds(self) -> float:
         return self.report.seconds  # type: ignore[attr-defined]
 
+    @cached_property
+    def trace(self):
+        """The launch's closed-form :class:`~repro.kernels.blocked.
+        KernelTrace`, built on first read."""
+        plan, handle = self.plan, self.handle
+        packing = plan.uses_packing
+        col_info = handle.col_info(plan.ws, plan.params.ns) if packing else None
+        return plan.analytic_trace(col_info, index_itemsize=handle.index_itemsize)
+
     @property
     def launch_cost(self) -> "tuple[int, int, int]":
         """``(flops, ldg_bytes, stg_bytes)`` of one launch — the
-        roofline-attribution counts, zeros if no trace was built."""
-        if self.trace is None:
-            return (0, 0, 0)
+        roofline-attribution counts the tracer stamps on its
+        ``gpu.launch`` span."""
         t = self.trace
-        return (t.flops, t.ldg_bytes, t.stg_bytes)  # type: ignore[attr-defined]
+        return (t.flops, t.ldg_bytes, t.stg_bytes)
 
 
 @dataclass
@@ -84,7 +95,8 @@ class PlanCache:
         self, model: str, op: NMSpMM, handle: SparseHandle, m: int
     ) -> PlanEntry:
         """The plan + modeled report for an ``m``-row launch of
-        ``model``, building both on first use.
+        ``model``, building both on first use.  ``handle`` is the
+        launch's weights, or a layer spec priced from its shapes.
 
         Hit/miss accounting lives in :attr:`stats`; a tracing server
         reads the stats delta around this call to emit
@@ -97,16 +109,7 @@ class PlanCache:
             # This LRU is the single owner of serving plans (handles
             # cache none), so evicting an entry really frees it.
             plan = op.plan_for(m, handle)
-            col_info = (
-                handle.col_info(plan.ws, plan.params.ns)
-                if plan.uses_packing
-                else None
-            )
-            trace = plan.analytic_trace(
-                col_info,
-                index_itemsize=handle.compressed.indices.dtype.itemsize,
-            )
-            return PlanEntry(plan=plan, report=plan.simulate(), trace=trace)
+            return PlanEntry(plan=plan, report=plan.simulate(), handle=handle)
 
         return self._lru.get_or_build(key, build)
 

@@ -18,6 +18,7 @@ separate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "bursty_arrivals",
     "TrafficSource",
     "generate_requests",
+    "check_rate",
     "DECODE_ROWS_CHOICES",
     "DEFAULT_DECODE_STEPS_CHOICES",
 ]
@@ -46,11 +48,12 @@ DECODE_ROWS_CHOICES: tuple[int, ...] = (1, 2, 4)
 DEFAULT_DECODE_STEPS_CHOICES: tuple[int, ...] = (2, 4, 8)
 
 
-def _check_rate(qps: float, duration_s: float) -> None:
-    if not qps > 0:
-        raise ServeError(f"qps must be > 0, got {qps}")
-    if not duration_s > 0:
-        raise ServeError(f"duration_s must be > 0, got {duration_s}")
+def check_rate(qps: float, duration_s: float) -> None:
+    """Reject a rate or a horizon that is not a finite number > 0 (an
+    infinite one would never end the arrival loop)."""
+    for name, value in (("qps", qps), ("duration_s", duration_s)):
+        if not (math.isfinite(value) and value > 0):
+            raise ServeError(f"{name} must be a finite number > 0, got {value}")
 
 
 def poisson_arrivals(
@@ -58,7 +61,7 @@ def poisson_arrivals(
 ) -> list[float]:
     """Homogeneous Poisson arrivals at ``qps`` over ``[0, duration_s)``
     (i.i.d. exponential gaps)."""
-    _check_rate(qps, duration_s)
+    check_rate(qps, duration_s)
     times: list[float] = []
     t = float(rng.exponential(1.0 / qps))
     while t < duration_s:
@@ -85,7 +88,7 @@ def bursty_arrivals(
     standard conditional-uniformity construction), keeping the trace a
     pure function of the seed.
     """
-    _check_rate(qps, duration_s)
+    check_rate(qps, duration_s)
     if burst_factor < 1:
         raise ServeError(f"burst_factor must be >= 1, got {burst_factor}")
     if not 0 < burst_fraction < 1:

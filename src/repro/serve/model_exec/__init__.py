@@ -3,11 +3,12 @@
 This subpackage turns the per-matmul serving engine into an LLM
 inference simulator:
 
-* :class:`~repro.serve.model_exec.executor.ModelExecutor` hosts every
-  layer shape of a ``workloads.llama`` model on the
-  :class:`~repro.nn.linear.NMSparseLinear` stack and walks prefill and
-  per-token decode through the backend registry — one gather-GEMM
-  launch per layer per step, each charged through the perf model.
+* :class:`~repro.serve.model_exec.executor.ModelSpec` holds every layer
+  shape of a ``workloads.llama`` model, and no weights; the engine walks
+  prefill and per-token decode over it — one gather-GEMM launch per
+  layer per step, each priced through the perf model.
+  :class:`~repro.serve.model_exec.executor.ModelExecutor` (a spec with
+  weights) runs the numerics.
 * :class:`~repro.serve.model_exec.memory.DeviceMemoryModel` tracks a
   simulated HBM budget (compressed weights + per-sequence KV cache
   that grows every decode step) and caps continuous-batch residency:
@@ -18,12 +19,12 @@ inference simulator:
   ``long_context_summarization``, ``agentic_short_decodes``).
 """
 
-from repro.serve.model_exec.executor import LayerSpec, ModelExecutor
+from repro.serve.model_exec.executor import LayerSpec, ModelExecutor, ModelSpec
 from repro.serve.model_exec.memory import DeviceMemoryModel
 
 #: Lazily re-exported from :mod:`repro.serve.model_exec.scenarios` —
 #: that module needs the fully built serving engine, while
-#: :mod:`repro.serve.server` imports this package for the executor, so
+#: :mod:`repro.serve.server` imports this package for the model spec, so
 #: an eager import here would be circular.
 _SCENARIO_EXPORTS = (
     "ModelServingScenario",
@@ -45,6 +46,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "LayerSpec",
+    "ModelSpec",
     "ModelExecutor",
     "DeviceMemoryModel",
     "ModelServingScenario",

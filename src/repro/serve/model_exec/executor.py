@@ -1,38 +1,41 @@
-"""Full-model execution on the NM-SpMM stack.
+"""Whole Llama models on the NM-SpMM stack: priced from shapes, run
+from weights.
 
-:class:`ModelExecutor` hosts every layer shape of a
-``workloads.llama`` model — the five shapes
-:func:`~repro.workloads.llama.llama_layer_shapes` derives (fused QKV,
-attention output, MLP gate/up, MLP down, LM head) — as
-:class:`~repro.nn.linear.NMSparseLinear` layers, repeated per
-transformer block.  Each layer keeps its own compressed handle and
-routes through the pluggable backend registry, so format/backend
-choice can differ per layer shape (the customized-storage argument of
-Shi et al.); the serving engine charges one gather-GEMM launch per
-layer per step through the perf model.
+:class:`ModelSpec` describes every layer of a ``workloads.llama`` model
+— the five :func:`~repro.workloads.llama.llama_layer_shapes` (fused
+QKV, attention output, MLP gate/up, MLP down, LM head), repeated per
+transformer block — as :class:`LayerSpec` records whose padded shapes
+and compressed bytes are pattern arithmetic.  The paper's performance
+model prices a launch from ``(m, n, k, N:M, GPU)`` alone, so serving
+reads only these: :meth:`ModelSpec.stack_seconds` sums the per-layer
+modeled seconds at a padded row count, and
+:meth:`ModelSpec.modeled_prefill_s` (one walk at a sequence's token
+count) is the continuous batcher's cost-of-recompute.
 
-The executor provides both views the simulator needs:
-
-* *numerics* — :meth:`hidden_states` / :meth:`logits` run the actual
-  NumPy forward walk (tests compare it against a dense reference);
-* *modeled time* — :meth:`stack_seconds` sums the per-layer
-  perf-model seconds at a padded row count, memoized per bucket, and
-  :meth:`modeled_prefill_s` is one such walk at a sequence's token
-  count: the continuous batcher's cost-of-recompute preemption model
-  for the victim's restart.  The serving engine prices its own prefill
-  and decode walks through its plan caches.
+:class:`ModelExecutor` is the numerics class: a spec that also builds
+every layer as an :class:`~repro.nn.linear.NMSparseLinear` (routed
+through the backend registry, so format and backend can differ per
+layer shape, as Shi et al. argue) and runs the NumPy forward walk.  A
+packing plan's analytic trace reads ``D``, so a traced run builds its
+spec's executor, from the same seed, on first use (:meth:`ModelSpec.built`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property, partial
+from typing import Callable
 
 import numpy as np
 
+from repro.constants import FP32_BYTES
+from repro.core.api import NMSpMM, SparseHandle
+from repro.distributed.shard import DeviceShard, ShardedHandle, shard_handle, shard_shapes
 from repro.errors import ServeError
 from repro.nn.linear import Linear, NMSparseLinear
 from repro.nn.mlp import relu
 from repro.sparsity.config import NMPattern
+from repro.sparsity.index_matrix import index_dtype_for
 from repro.utils.validation import check_real, is_int
 from repro.workloads.llama import (
     LlamaModel,
@@ -40,7 +43,7 @@ from repro.workloads.llama import (
     llama_layer_shapes,
 )
 
-__all__ = ["LayerSpec", "ModelExecutor"]
+__all__ = ["LayerSpec", "ModelSpec", "ModelExecutor"]
 
 #: Per-block layer kinds, in walk order (the LM head runs once at the
 #: end of the stack, not per block).
@@ -54,7 +57,12 @@ DRAW_CHUNK_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One resident layer of the executor's walk order."""
+    """One layer of a model's walk order.
+
+    Pricing reads a spec as it reads a
+    :class:`~repro.core.api.SparseHandle`: padded ``k``/``n``,
+    ``pattern``, ``index_itemsize``, ``col_info`` and :meth:`shard`.
+    """
 
     #: Unique name, e.g. ``"block0/mlp-gate-up"`` or ``"lm-head"``.
     name: str
@@ -62,18 +70,59 @@ class LayerSpec:
     kind: str
     #: Transformer block index, or ``None`` for the LM head.
     block: "int | None"
-    #: The hosted N:M-sparse layer (owns op + compressed handle).
-    layer: NMSparseLinear
+    pattern: NMPattern
+    #: The dense weight's ``(k, n)``, before compression pads them.
+    k_logical: int
+    n_logical: int
+    #: Builds the weights on first call (a packing trace reads ``D``).
+    weights: "Callable[[], SparseHandle]" = field(repr=False, compare=False)
+    #: The hosted N:M-sparse layer (a :class:`ModelExecutor`'s only).
+    layer: "NMSparseLinear | None" = None
+
+    @property
+    def k(self) -> int:
+        return self.pattern.padded_k(self.k_logical)
+
+    @property
+    def n(self) -> int:
+        return self.pattern.padded_n(self.n_logical)
+
+    @property
+    def index_itemsize(self) -> int:
+        return index_dtype_for(self.pattern.m).itemsize
 
     @property
     def weight_bytes(self) -> int:
-        """Compressed footprint (values + indices) of this layer."""
-        compressed = self.layer.handle.compressed
-        return int(compressed.values_bytes() + compressed.indices_bytes())
+        """Compressed bytes: ``B'`` (fp32) and ``D``, ``w = k*N/M`` rows each."""
+        w = self.pattern.compressed_rows(self.k)
+        q = self.n // self.pattern.vector_length
+        return w * (self.n * FP32_BYTES + q * self.index_itemsize)
+
+    def col_info(self, ws: int, ns: int):
+        return self.weights().col_info(ws, ns)
+
+    def shard(self, devices: int, mode: str) -> ShardedHandle:
+        """This layer cut as :func:`shard_handle` cuts its weights, by
+        :func:`shard_shapes`: device ``d`` gets a spec of its
+        ``(n_d, k_d)`` whose weights are shard ``d`` of this layer's."""
+        pieces, start = [], 0
+        shapes = shard_shapes(self.pattern, self.n, self.k, devices, mode)
+        for d, (n_d, k_d) in enumerate(shapes):
+            stop = start + (n_d if mode == "column" else k_d)
+            piece = replace(
+                self, k_logical=k_d, n_logical=n_d, layer=None,
+                weights=lambda d=d: shard_handle(self.weights(), devices, mode).shards[d].handle,
+            )
+            pieces.append(DeviceShard(device=d, handle=piece, start=start, stop=stop))
+            start = stop
+        return ShardedHandle(
+            mode=mode, pattern=self.pattern, shards=tuple(pieces), k=self.k, n=self.n
+        )
 
 
-class ModelExecutor:
-    """A whole Llama model hosted on the NM-SpMM serving stack.
+class ModelSpec:
+    """A whole Llama model as the serving engine prices it: one
+    :class:`LayerSpec` per layer in walk order, and no weights.
 
     Parameters
     ----------
@@ -84,10 +133,11 @@ class ModelExecutor:
         Down-scaling divisor applied via ``LlamaModel.scaled`` so the
         simulator runs at laptop sizes; ``1`` keeps paper dimensions.
     blocks:
-        Transformer blocks to instantiate (each gets independent
-        weights for all four block-layer shapes).
+        Transformer blocks (each has all four block-layer shapes).
     pattern:
         N:M pruning pattern shared by every layer.
+    seed:
+        Seeds the weights :meth:`built` synthesizes.
     kv_dtype_bytes:
         Bytes per cached element (2 ~= fp16 KV cache).
     """
@@ -105,26 +155,14 @@ class ModelExecutor:
         seed: int = 0,
         kv_dtype_bytes: int = 2,
     ):
-        if not is_int(scale):
-            raise ServeError(f"scale must be an int, got {scale!r}")
-        if scale < 1:
-            raise ServeError(f"scale must be >= 1, got {scale}")
-        if not is_int(seed):
-            raise ServeError(f"seed must be an int, got {seed!r}")
-        if seed < 0:
-            raise ServeError(f"seed must be >= 0, got {seed}")
-        if not is_int(blocks):
-            raise ServeError(f"blocks must be an int, got {blocks!r}")
-        if blocks < 1:
-            raise ServeError(f"blocks must be >= 1, got {blocks}")
-        if not is_int(kv_dtype_bytes):
-            raise ServeError(
-                f"kv_dtype_bytes must be an int, got {kv_dtype_bytes!r}"
-            )
-        if kv_dtype_bytes < 1:
-            raise ServeError(
-                f"kv_dtype_bytes must be >= 1, got {kv_dtype_bytes}"
-            )
+        for name, value, low in (
+            ("scale", scale, 1), ("seed", seed, 0), ("blocks", blocks, 1),
+            ("kv_dtype_bytes", kv_dtype_bytes, 1),
+        ):
+            if not is_int(value):
+                raise ServeError(f"{name} must be an int, got {value!r}")
+            if value < low:
+                raise ServeError(f"{name} must be >= {low}, got {value}")
         base = get_llama_model(model) if isinstance(model, str) else model
         self.base_model = base
         self.model = base.scaled(scale) if scale != 1 else base
@@ -137,7 +175,14 @@ class ModelExecutor:
         self.backend = backend
         self.seed = seed
         self.kv_dtype_bytes = kv_dtype_bytes
-        self.layers = self._build_layers()
+        # A cached builder, not a method of self: the layers' weight
+        # thunks hold it, and a cycle through self would keep a dropped
+        # executor's weights alive until the next collection.
+        self._build = cache(partial(
+            ModelExecutor, base, scale=scale, blocks=blocks, pattern=self.pattern,
+            gpu=gpu, version=version, backend=backend, seed=seed, kv_dtype_bytes=kv_dtype_bytes,
+        ))
+        self.layers = self._layers()
         self._by_name = {spec.name: spec for spec in self.layers}
         #: padded-row bucket -> summed per-layer modeled seconds.
         self._stack_seconds: dict[int, float] = {}
@@ -145,41 +190,39 @@ class ModelExecutor:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_layers(self) -> "tuple[LayerSpec, ...]":
+    def _layers(self) -> "tuple[LayerSpec, ...]":
         # llama_layer_shapes yields (kind, n, k): the layer computes
         # [m, k] @ [k, n], so the dense weight is (k, n).
-        shapes = {
-            kind: (k, n) for kind, n, k in llama_layer_shapes(self.model)
-        }
-        rng = np.random.default_rng([self.seed, 0x11A])
-        specs: list[LayerSpec] = []
-
-        def host(name: str, kind: str, block: "int | None") -> None:
-            k, n = shapes[kind]
-            weight = np.empty((k, n), dtype=np.float32)
-            step = max(1, DRAW_CHUNK_ELEMENTS // n)
-            for r0 in range(0, k, step):
-                rows = rng.standard_normal((min(step, k - r0), n))
-                rows *= k**-0.5
-                weight[r0 : r0 + len(rows)] = rows
-            sparse = NMSparseLinear.from_dense(
-                Linear(weight), self.pattern, gpu=self.gpu, version=self.version
+        shapes = {kind: (k, n) for kind, n, k in llama_layer_shapes(self.model)}
+        roster = [
+            (f"block{b}/{kind}", kind, b) for b in range(self.blocks) for kind in BLOCK_LAYER_KINDS
+        ]
+        roster.append((HEAD_LAYER_KIND, HEAD_LAYER_KIND, None))
+        build = self._build
+        return tuple(
+            LayerSpec(
+                name, kind, block, self.pattern, *shapes[kind],
+                weights=lambda name=name: build().layer(name).layer.handle,
             )
-            sparse.backend = self.backend
-            specs.append(LayerSpec(name=name, kind=kind, block=block, layer=sparse))
+            for name, kind, block in roster
+        )
 
-        for b in range(self.blocks):
-            for kind in BLOCK_LAYER_KINDS:
-                host(f"block{b}/{kind}", kind, b)
-        host(HEAD_LAYER_KIND, HEAD_LAYER_KIND, None)
-        return tuple(specs)
+    @cached_property
+    def op(self) -> NMSpMM:
+        """The operator every layer is priced with (built on first use)."""
+        return NMSpMM(self.pattern, gpu=self.gpu, version=self.version)
+
+    def built(self) -> "ModelExecutor":
+        """The executor of this model, built on first call from the
+        same arguments (so the same seed and the same weight bits)."""
+        return self._build()
 
     def layer(self, name: str) -> LayerSpec:
         try:
             return self._by_name[name]
         except KeyError:
             raise ServeError(
-                f"executor hosts no layer {name!r}; "
+                f"model hosts no layer {name!r}; "
                 f"layers are {[s.name for s in self.layers]}"
             ) from None
 
@@ -214,6 +257,80 @@ class ModelExecutor:
         if tokens < 0:
             raise ServeError(f"tokens must be >= 0, got {tokens}")
         return tokens * self.kv_bytes_per_token
+
+    # ------------------------------------------------------------------
+    # Modeled time
+    # ------------------------------------------------------------------
+    def stack_seconds(self, padded_rows: int) -> float:
+        """Summed per-layer modeled seconds for one walk of the whole
+        stack at ``padded_rows`` activation rows (memoized per bucket;
+        single-device — the server models sharded walks itself)."""
+        if padded_rows < 1:
+            raise ServeError(f"padded_rows must be >= 1, got {padded_rows}")
+        cached = self._stack_seconds.get(padded_rows)
+        if cached is not None:
+            return cached
+        total = 0.0
+        for spec in self.layers:
+            total += self.op.plan_for(padded_rows, spec).simulate().seconds
+        self._stack_seconds[padded_rows] = total
+        return total
+
+    def modeled_prefill_s(self, tokens: int, policy=None) -> float:
+        """Modeled seconds to (re)build a sequence's KV cache: one walk
+        at ``tokens`` rows (bucketed by ``policy`` when given).  Also
+        the preemption cost-of-recompute for a victim holding that many
+        tokens."""
+        if tokens < 1:
+            raise ServeError(f"tokens must be >= 1, got {tokens}")
+        rows = policy.bucket_rows(tokens) if policy is not None else tokens
+        return self.stack_seconds(rows)
+
+    def describe(self) -> dict:
+        return {
+            "model": self.model.name,
+            "hidden": self.model.hidden,
+            "ffn": self.model.ffn,
+            "vocab": self.model.vocab,
+            "blocks": self.blocks,
+            "layers": len(self.layers),
+            "pattern": str(self.pattern),
+            "gpu": self.gpu,
+            "version": self.version,
+            "backend": self.backend,
+            "weight_bytes": self.weight_bytes,
+            "kv_bytes_per_token": self.kv_bytes_per_token,
+        }
+
+
+class ModelExecutor(ModelSpec):
+    """A :class:`ModelSpec` that hosts every layer's weights: the
+    numerics class.  The constructor (same arguments) synthesizes each
+    dense weight from ``seed``, then prunes and compresses it into the
+    layer's :class:`~repro.nn.linear.NMSparseLinear` (``spec.layer``);
+    :meth:`hidden_states` / :meth:`logits` run the NumPy forward walk.
+    """
+
+    def _layers(self) -> "tuple[LayerSpec, ...]":
+        rng = np.random.default_rng([self.seed, 0x11A])
+        return tuple(self._host(spec, rng) for spec in super()._layers())
+
+    def _host(self, spec: LayerSpec, rng: np.random.Generator) -> LayerSpec:
+        k, n = spec.k_logical, spec.n_logical
+        weight = np.empty((k, n), dtype=np.float32)
+        step = max(1, DRAW_CHUNK_ELEMENTS // n)
+        for r0 in range(0, k, step):
+            rows = rng.standard_normal((min(step, k - r0), n))
+            rows *= k**-0.5
+            weight[r0 : r0 + len(rows)] = rows
+        sparse = NMSparseLinear.from_dense(
+            Linear(weight), self.pattern, gpu=self.gpu, version=self.version
+        )
+        sparse.backend = self.backend
+        return replace(spec, layer=sparse, weights=lambda: sparse.handle)
+
+    def built(self) -> "ModelExecutor":
+        return self
 
     # ------------------------------------------------------------------
     # Numerics (the NumPy walk; modeled-time serving never calls this)
@@ -256,48 +373,3 @@ class ModelExecutor:
         return self._by_name[HEAD_LAYER_KIND].layer(self.hidden_states(x))
 
     __call__ = logits
-
-    # ------------------------------------------------------------------
-    # Modeled time
-    # ------------------------------------------------------------------
-    def stack_seconds(self, padded_rows: int) -> float:
-        """Summed per-layer modeled seconds for one walk of the whole
-        stack at ``padded_rows`` activation rows (memoized per bucket;
-        single-device — the server models sharded walks itself)."""
-        if padded_rows < 1:
-            raise ServeError(f"padded_rows must be >= 1, got {padded_rows}")
-        cached = self._stack_seconds.get(padded_rows)
-        if cached is not None:
-            return cached
-        total = 0.0
-        for spec in self.layers:
-            plan = spec.layer.op.plan_for(padded_rows, spec.layer.handle)
-            total += plan.simulate().seconds
-        self._stack_seconds[padded_rows] = total
-        return total
-
-    def modeled_prefill_s(self, tokens: int, policy=None) -> float:
-        """Modeled seconds to (re)build a sequence's KV cache: one walk
-        at ``tokens`` rows (bucketed by ``policy`` when given).  Also
-        the preemption cost-of-recompute for a victim holding that many
-        tokens."""
-        if tokens < 1:
-            raise ServeError(f"tokens must be >= 1, got {tokens}")
-        rows = policy.bucket_rows(tokens) if policy is not None else tokens
-        return self.stack_seconds(rows)
-
-    def describe(self) -> dict:
-        return {
-            "model": self.model.name,
-            "hidden": self.model.hidden,
-            "ffn": self.model.ffn,
-            "vocab": self.model.vocab,
-            "blocks": self.blocks,
-            "layers": len(self.layers),
-            "pattern": str(self.pattern),
-            "gpu": self.gpu,
-            "version": self.version,
-            "backend": self.backend,
-            "weight_bytes": self.weight_bytes,
-            "kv_bytes_per_token": self.kv_bytes_per_token,
-        }

@@ -3,8 +3,9 @@
 Shared by ``python -m repro serve-sim --model-mode``,
 ``benchmarks/bench_model_serving.py``, and the test suite, so the CLI
 demo, the tracked benchmark, and the properties all run the identical
-setup: one :class:`~repro.serve.model_exec.executor.ModelExecutor` per
-requested checkpoint registered on an
+setup: one :class:`~repro.serve.model_exec.executor.ModelSpec` per
+requested checkpoint (priced from its layer shapes; no weights are
+built) registered on an
 :class:`~repro.serve.server.InferenceServer`, model-mode traffic
 (``prompt_len``/``max_new_tokens``), and a simulated HBM budget sized
 in *KV tokens* of headroom above the compressed weights — the knob
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.batcher import BatchingPolicy
-from repro.serve.loadgen import TrafficSource, generate_requests
-from repro.serve.model_exec.executor import ModelExecutor
+from repro.serve.loadgen import TrafficSource, check_rate, generate_requests
+from repro.serve.model_exec.executor import ModelExecutor, ModelSpec
 from repro.serve.model_exec.memory import KV_ADMISSION_MODES
 from repro.serve.scenarios import TrafficTier
 from repro.serve.scheduling import SchedulingPolicy
@@ -46,10 +47,10 @@ class ModelServingScenario:
     Parameters
     ----------
     model:
-        Llama checkpoint name registered as one executor-backed model.
+        Llama checkpoint name registered as one model.
     scale / blocks / pattern / gpu / version / backend / kv_dtype_bytes:
-        Executor construction knobs (see
-        :class:`~repro.serve.model_exec.executor.ModelExecutor`).
+        Model construction knobs (see
+        :class:`~repro.serve.model_exec.executor.ModelSpec`).
     qps / duration_s / arrival / seed:
         Load-generation knobs (see :mod:`repro.serve.loadgen`).
     prompt_len_choices / max_new_tokens_choices:
@@ -59,7 +60,7 @@ class ModelServingScenario:
         tagged with the scenario-level ``slo_ms``.
     hbm_tokens:
         HBM budget expressed as KV headroom: the budget is the
-        executor's compressed ``weight_bytes`` plus this many tokens of
+        model's compressed ``weight_bytes`` plus this many tokens of
         KV cache.  ``None`` leaves ``hbm_bytes`` (or the GPU catalog
         spec) in charge.
     hbm_bytes:
@@ -123,11 +124,13 @@ class ModelServingScenario:
                 f"unknown kv admission mode {self.kv_admission!r}; "
                 f"pick one of {KV_ADMISSION_MODES}"
             )
+        check_rate(self.qps, self.duration_s)
         SchedulingPolicy.parse(self.scheduling)  # fail fast on typos
 
     # ------------------------------------------------------------------
-    def build_executor(self) -> ModelExecutor:
-        return ModelExecutor(
+    def build_spec(self) -> ModelSpec:
+        """The served model's layer shapes (no weights)."""
+        return ModelSpec(
             self.model,
             scale=self.scale,
             blocks=self.blocks,
@@ -139,22 +142,24 @@ class ModelServingScenario:
             kv_dtype_bytes=self.kv_dtype_bytes,
         )
 
-    def budget_bytes(
-        self, executor: "ModelExecutor | None" = None
-    ) -> "int | None":
+    def build_executor(self) -> ModelExecutor:
+        """The served model with its weights, for numerics."""
+        return self.build_spec().built()
+
+    def budget_bytes(self, spec: "ModelSpec | None" = None) -> "int | None":
         """The explicit HBM budget this scenario runs under, or
         ``None`` to defer to the GPU catalog spec."""
         if self.hbm_bytes is not None:
             return self.hbm_bytes
         if self.hbm_tokens is None:
             return None
-        ex = executor if executor is not None else self.build_executor()
-        return ex.weight_bytes + self.hbm_tokens * ex.kv_bytes_per_token
+        spec = spec if spec is not None else self.build_spec()
+        return spec.weight_bytes + self.hbm_tokens * spec.kv_bytes_per_token
 
     def build_server(self) -> "tuple[InferenceServer, list[TrafficSource]]":
-        """Register the executor (offline phase) and return the server
-        plus the scenario's traffic sources."""
-        executor = self.build_executor()
+        """Register the model (priced from its layer shapes) and return
+        the server plus the scenario's traffic sources."""
+        spec = self.build_spec()
         server = InferenceServer(
             policy=self.policy,
             plan_cache_capacity=self.plan_cache_capacity,
@@ -169,19 +174,19 @@ class ModelServingScenario:
             tracer=self.tracer,
             faults=self.faults,
             resilience=self.resilience,
-            hbm_bytes=self.budget_bytes(executor),
+            hbm_bytes=self.budget_bytes(spec),
             kv_admission=self.kv_admission,
             host_link_bytes_per_s=self.host_link_bytes_per_s,
         )
         registered = self.model.lower()
-        server.register_executor(registered, executor)
+        server.register_executor(registered, spec)
         sources: list[TrafficSource] = []
         if self.tiers:
             for tier in self.tiers:
                 sources.append(
                     TrafficSource(
                         model=registered,
-                        k=executor.hidden,
+                        k=spec.hidden,
                         share=tier.share,
                         priority=tier.priority,
                         slo_ms=tier.slo_ms,
@@ -193,7 +198,7 @@ class ModelServingScenario:
             sources.append(
                 TrafficSource(
                     model=registered,
-                    k=executor.hidden,
+                    k=spec.hidden,
                     slo_ms=self.slo_ms,
                     prompt_len_choices=self.prompt_len_choices,
                     max_new_tokens_choices=self.max_new_tokens_choices,

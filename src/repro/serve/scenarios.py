@@ -19,6 +19,7 @@ from repro.serve.batcher import BatchingPolicy
 from repro.serve.loadgen import (
     DEFAULT_ROWS_CHOICES,
     TrafficSource,
+    check_rate,
     generate_requests,
 )
 from repro.serve.scheduling import SchedulingPolicy
@@ -163,6 +164,7 @@ class LlamaServingScenario:
                 "scale must be >= 1 (1 serves the true shapes), got "
                 f"{self.scale}"
             )
+        check_rate(self.qps, self.duration_s)
         SchedulingPolicy.parse(self.scheduling)  # fail fast on typos
 
     # ------------------------------------------------------------------

@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.backends.registry import backend_names
 from repro.core.api import NMSpMM, SparseHandle
-from repro.distributed.shard import SHARD_MODES, ShardedHandle, shard_handle
+from repro.distributed.shard import SHARD_MODES, ShardedHandle
 from repro.distributed.sharded import DistributedStep, sharded_execute
 from repro.distributed.topology import CommEvent, DeviceGroup, Link, get_link
 from repro.errors import ServeError
@@ -83,7 +83,7 @@ from repro.serve.metrics import (
     StepRecord,
     fill_registry,
 )
-from repro.serve.model_exec.executor import ModelExecutor
+from repro.serve.model_exec.executor import LayerSpec, ModelSpec
 from repro.serve.model_exec.memory import (
     KV_ADMISSION_MODES,
     DeviceMemoryModel,
@@ -126,15 +126,16 @@ class ModelEntry:
 
     name: str
     op: NMSpMM
-    handle: SparseHandle
+    #: The weights, or (model mode) the layer spec priced in their place.
+    handle: "SparseHandle | LayerSpec"
     devices: "tuple[int, ...]" = (0,)
     sharded: "ShardedHandle | None" = None
     group: "DeviceGroup | None" = None
-    #: Model-mode: the whole-model executor this entry serves, plus
-    #: one per-layer sub-entry per hosted layer (each with its own
-    #: handle, shards, and plan-cache key, on the same ``devices``).
-    #: Plain matmul entries leave both unset.
-    executor: "ModelExecutor | None" = None
+    #: Model-mode: the model this entry serves (a :class:`ModelSpec`,
+    #: priced from its layer shapes), plus one per-layer sub-entry per
+    #: layer (each with its own spec, shards, and plan-cache key, on the
+    #: same ``devices``).  Plain matmul entries leave both unset.
+    executor: "ModelSpec | None" = None
     layers: "tuple[ModelEntry, ...]" = ()
 
     @property
@@ -241,7 +242,7 @@ class _RunState:
     next_arrival_s: float = math.inf
     resharded: bool = False
     #: Simulated HBM pool of the run (set when any registered model
-    #: carries a ModelExecutor).
+    #: is a model entry).
     memory: "DeviceMemoryModel | None" = None
     #: The run's aggregate HBM budget at full device count — the base
     #: a fail-stop's survivor budget is scaled from.
@@ -597,15 +598,16 @@ class InferenceServer:
         return entry
 
     def register_executor(
-        self, name: str, executor: ModelExecutor
+        self, name: str, executor: ModelSpec
     ) -> ModelEntry:
-        """Register a whole-model :class:`ModelExecutor` under
-        ``name``.  Every hosted layer becomes a per-layer sub-entry
-        (own handle, own shards on a distributed server, own
-        plan-cache key), and requests against ``name`` must be
-        model-mode (``prompt_len``/``max_new_tokens``): the engine
-        walks prefill and per-token decode through the sub-entries,
-        one modeled gather-GEMM launch per layer per step."""
+        """Register a whole model under ``name``: a :class:`ModelSpec`,
+        priced from its layer shapes (a built ``ModelExecutor`` is one
+        too).  Every layer becomes a per-layer sub-entry (own spec, own
+        shards on a distributed server, own plan-cache key), and
+        requests against ``name`` must be model-mode
+        (``prompt_len``/``max_new_tokens``): the engine walks prefill
+        and per-token decode through the sub-entries, one modeled
+        gather-GEMM launch per layer per step."""
         if not name:
             raise ServeError("model name must be nonempty")
         if name in self._models:
@@ -621,9 +623,8 @@ class InferenceServer:
                 "model-mode serving decodes through the rolling batch; "
                 "build the server with continuous_batching=True"
             )
-        first = executor.layers[0].layer
         entry = self._placed(
-            name, first.op, first.handle, tuple(range(self.devices)),
+            name, executor.op, executor.layers[0], tuple(range(self.devices)),
             executor,
         )
         self._models[name] = entry
@@ -633,21 +634,18 @@ class InferenceServer:
         self,
         name: str,
         op: NMSpMM,
-        handle: SparseHandle,
+        handle: "SparseHandle | LayerSpec",
         devices: "tuple[int, ...]",
-        executor: "ModelExecutor | None" = None,
+        executor: "ModelSpec | None" = None,
     ) -> ModelEntry:
         """An entry for ``handle`` placed on the physical ``devices``
         (shard-slot order): sharded tensor-parallel over a device group
         when there are at least two, else a single-device entry (no
         partition, no group).  With an ``executor`` the entry is a
-        model entry whose every hosted layer is placed the same way."""
+        model entry whose every layer spec is placed the same way."""
         if executor is not None:
             layers = tuple(
-                self._placed(
-                    f"{name}/{spec.name}", spec.layer.op, spec.layer.handle,
-                    devices,
-                )
+                self._placed(f"{name}/{spec.name}", op, spec, devices)
                 for spec in executor.layers
             )
             return ModelEntry(
@@ -658,7 +656,7 @@ class InferenceServer:
             return ModelEntry(name=name, op=op, handle=handle, devices=devices)
         return ModelEntry(
             name=name, op=op, handle=handle, devices=devices,
-            sharded=shard_handle(handle, len(devices), self.shard),
+            sharded=handle.shard(len(devices), self.shard),
             group=DeviceGroup(
                 gpu=op.gpu, devices=len(devices), link=self.link
             ),
@@ -814,7 +812,9 @@ class InferenceServer:
         where ``cost`` is the launch's ``(flops, ldg_bytes,
         stg_bytes)`` from the cached plans' analytic traces (summed
         over device shards) — the counts roofline attribution places
-        against the GPU's peaks.
+        against the GPU's peaks.  Only a traced run reads them (a
+        model's weights are built for its first packing trace); an
+        untraced launch's ``cost`` is ``None``.
 
         Single-device entries read the shared plan cache (plan
         returned for the numerics path, no comm event).  Distributed
@@ -829,6 +829,7 @@ class InferenceServer:
         gates the whole tensor-parallel launch.
         """
         injector = None if state is None else state.injector
+        traced = self.tracer is not None
         phys = entry.devices
         if not entry.distributed:
             device = phys[0]
@@ -839,9 +840,10 @@ class InferenceServer:
             seconds = plan_entry.modeled_seconds
             if injector is not None:
                 seconds *= injector.device_factor(device, t_s)
-            return seconds, (), None, plan_entry.plan, plan_entry.launch_cost
+            cost = plan_entry.launch_cost if traced else None
+            return seconds, (), None, plan_entry.plan, cost
         per_device = []
-        flops = ldg_bytes = stg_bytes = 0
+        costs = []
         for shard in entry.sharded.shards:
             device = phys[shard.device]
             plan_entry = self._cached_plan(
@@ -852,19 +854,15 @@ class InferenceServer:
             if injector is not None:
                 seconds *= injector.device_factor(device, t_s)
             per_device.append(seconds)
-            shard_flops, shard_ldg, shard_stg = plan_entry.launch_cost
-            flops += shard_flops
-            ldg_bytes += shard_ldg
-            stg_bytes += shard_stg
+            if traced:
+                costs.append(plan_entry.launch_cost)
         group = entry.group
         if injector is not None:
             group = injector.degraded_group(group, t_s)
         comm = entry.sharded.collective(group, padded_rows)
         step = DistributedStep(tuple(per_device), comm)
-        return (
-            step.seconds, step.per_device_seconds, comm, None,
-            (flops, ldg_bytes, stg_bytes),
-        )
+        cost = tuple(map(sum, zip(*costs, strict=True))) if traced else None
+        return step.seconds, step.per_device_seconds, comm, None, cost
 
     def _price(
         self,
@@ -1221,7 +1219,7 @@ class InferenceServer:
             else:
                 compressed = entry.handle.compressed
                 payload = compressed.total_bytes()
-            # A model entry re-partitions each layer's own handle.
+            # A model entry re-partitions each layer's own spec.
             lane.entry = self._placed(
                 name, entry.op, entry.handle, survivors, entry.executor
             )
@@ -2077,7 +2075,7 @@ class InferenceServer:
         )
 
     # ------------------------------------------------------------------
-    # Model-mode serving (ModelExecutor entries)
+    # Model-mode serving (ModelSpec entries)
     # ------------------------------------------------------------------
     def _refill_kv(
         self, lane: _Lane, start_s: float, state: _RunState

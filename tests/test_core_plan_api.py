@@ -147,6 +147,13 @@ class TestNMSpMMFacade:
             tracemalloc.stop()
         assert peak <= 3.0 * b.nbytes
 
+    @pytest.mark.parametrize("shape", [(0, 32), (32, 0), (0, 0)])
+    def test_empty_weights_rejected_by_shape(self, shape):
+        # The message names the weight's shape, not the padded logical
+        # k the handle would have checked next.
+        with pytest.raises(ShapeError, match=rf"^b must .*got shape \({shape[0]}, {shape[1]}\)$"):
+            NMSpMM(NMPattern(2, 8, vector_length=8)).prepare(np.zeros(shape))
+
     def test_short_a_rejected(self, op_and_data):
         op, a, b = op_and_data
         handle = op.prepare(b)

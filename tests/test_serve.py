@@ -1,8 +1,11 @@
 """Tests for the serving runtime: queue, batcher, plan cache, engine,
 load generation, scenarios, and the serve-sim CLI."""
 
+import math
+
 import numpy as np
 import pytest
+from test_serve_fuzz import watchdog
 
 from repro.cli import main
 from repro.core.api import NMSpMM
@@ -16,6 +19,7 @@ from repro.serve.loadgen import (
     poisson_arrivals,
 )
 from repro.serve.metrics import LatencySummary, percentile
+from repro.serve.model_exec import ModelServingScenario
 from repro.serve.queue import RequestQueue
 from repro.serve.request import InferenceRequest, RequestRecord
 from repro.serve.scenarios import LlamaServingScenario, parse_pattern
@@ -424,6 +428,64 @@ class TestLoadgen:
             generate_requests(
                 [TrafficSource(model="m", k=8)], 10.0, 1.0, arrival="uniform"
             )
+
+
+BAD_RATES = [
+    ("qps", math.inf), ("qps", math.nan), ("qps", -1.0), ("qps", 0.0),
+    ("duration_s", math.inf), ("duration_s", math.nan), ("duration_s", -1.0),
+]
+
+
+class TestBadRates:
+    """A non-finite or non-positive ``qps`` or ``duration_s`` fails with
+    one line wherever it enters; an infinite one used to hang the
+    arrival loop, so every case runs under a watchdog."""
+
+    @pytest.mark.parametrize("arrival", ["poisson", "bursty"])
+    @pytest.mark.parametrize("name, value", BAD_RATES)
+    def test_generate_requests(self, name, value, arrival):
+        rates = {"qps": 10.0, "duration_s": 0.1, name: value}
+        with watchdog(5.0), pytest.raises(
+            ServeError, match=f"^{name} must be a finite number > 0"
+        ):
+            generate_requests(
+                [TrafficSource(model="m", k=8)], rates["qps"],
+                rates["duration_s"], arrival=arrival,
+            )
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            LlamaServingScenario,
+            LlamaServingScenario.priority_tiered,
+            ModelServingScenario,
+        ],
+        ids=["llama", "priority-tiered", "model"],
+    )
+    @pytest.mark.parametrize("name, value", BAD_RATES)
+    def test_scenarios_refuse_to_build(self, name, value, factory):
+        with watchdog(5.0), pytest.raises(
+            ServeError, match=f"^{name} must be a finite number > 0"
+        ):
+            factory(**{name: value})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--qps", "inf"],
+            ["--qps", "nan"],
+            ["--duration", "inf"],
+            ["--duration", "-1"],
+            ["--model-mode", "--qps", "inf"],
+            ["--model-mode", "--duration", "nan"],
+        ],
+    )
+    def test_serve_sim_exits_with_one_line(self, argv):
+        with watchdog(5.0), pytest.raises(SystemExit) as exc:
+            main(["serve-sim", *argv])
+        message = str(exc.value.code)
+        assert message.startswith("serve-sim: ") and "\n" not in message
+        assert "must be a finite number > 0" in message
 
 
 # ---------------------------------------------------------------------------

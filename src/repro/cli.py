@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     pss.add_argument("--max-batch-requests", type=int, default=16)
     pss.add_argument("--max-batch-rows", type=int, default=256)
     pss.add_argument("--max-wait-ms", type=float, default=2.0)
-    pss.add_argument("--cache-size", type=int, default=64,
-                     help="plan-cache capacity (entries)")
+    pss.add_argument("--cache-size", type=int, default=None,
+                     help="plan-cache capacity (entries; default 64, or in "
+                          "--model-mode every layer at every row bucket)")
     pss.add_argument("--backend", default="auto",
                      choices=list(backend_names()),
                      help="execution backend batches run with (from the "
@@ -510,7 +511,7 @@ def _run(args: argparse.Namespace) -> int:
                     arrival=args.arrival,
                     seed=args.seed,
                     policy=policy,
-                    plan_cache_capacity=args.cache_size,
+                    plan_cache_capacity=64 if args.cache_size is None else args.cache_size,
                     execute_numerics=not args.no_numerics,
                     backend=args.backend,
                     scheduling=args.sched,

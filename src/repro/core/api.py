@@ -32,7 +32,7 @@ from repro.sparsity.compress import NMCompressedMatrix, compress
 from repro.sparsity.config import NMPattern
 from repro.sparsity.gather import GatherLayout, build_gather_layout
 from repro.utils.arrays import as_f32_any_order
-from repro.utils.validation import check_matrix, check_real
+from repro.utils.validation import check_matrix, check_real, check_weights
 
 __all__ = ["SparseHandle", "NMSpMM", "nm_spmm"]
 
@@ -102,6 +102,11 @@ class SparseHandle:
     def index_itemsize(self) -> int:
         """Bytes per stored entry of the index matrix ``D``."""
         return self.compressed.indices.dtype.itemsize
+
+    @property
+    def weight_bytes(self) -> int:
+        """Compressed bytes: ``B'`` and ``D``."""
+        return self.compressed.total_bytes()
 
     def shard(self, devices: int, mode: str):
         """These weights partitioned over ``devices`` (see
@@ -188,9 +193,7 @@ class NMSpMM:
         :class:`SparseHandle` reusable across many :meth:`execute`
         calls.
         """
-        b = check_real("b", check_matrix("b", b))
-        if not b.size:
-            raise ShapeError(f"b must have at least one row and column, got shape {b.shape}")
+        b = check_weights("b", b)
         logical_k, logical_n = b.shape
         handle = SparseHandle(
             compressed=compress(self.pattern, b),

@@ -125,20 +125,29 @@ def shard_shapes(
     pure shape arithmetic, shared with the benchmark so modeled
     strong-scaling curves use exactly the geometry the partitioners
     cut."""
-    _check_mode(mode)
+    extents = _mode_extents(pattern, n, k, devices, _check_mode(mode))
     if mode == "column":
-        q = pattern.window_count_n(n)
         ell = pattern.vector_length
-        return [
-            ((j1 - j0) * ell, pattern.padded_k(k))
-            for j0, j1 in shard_extents(q, devices)
-        ]
-    g = pattern.window_count_k(k)
+        return [((j1 - j0) * ell, pattern.padded_k(k)) for j0, j1 in extents]
     n_pad = pattern.padded_n(n)
-    return [
-        (n_pad, (g1 - g0) * pattern.m)
-        for g0, g1 in shard_extents(g, devices)
-    ]
+    return [(n_pad, (g1 - g0) * pattern.m) for g0, g1 in extents]
+
+
+def _mode_extents(
+    pattern: NMPattern, n: int, k: int, devices: int, mode: str
+) -> list[tuple[int, int]]:
+    """:func:`shard_extents` of the windows ``mode`` cuts: output
+    windows (column) or pruning windows (row)."""
+    if mode == "column":
+        windows = pattern.window_count_n(n)
+        cut = f"n={n} has q={windows} L={pattern.vector_length}-wide output windows"
+    else:
+        windows = pattern.window_count_k(k)
+        cut = f"k={k} has {windows} M={pattern.m}-row pruning windows"
+    try:
+        return shard_extents(windows, devices)
+    except ShardError as exc:
+        raise ShardError(f"{mode}-parallel: {exc} ({cut})") from None
 
 
 @dataclass(frozen=True)
@@ -241,13 +250,7 @@ def shard_column(handle: "SparseHandle", devices: int) -> ShardedHandle:
     comp = handle.compressed
     pattern = comp.pattern
     ell = pattern.vector_length
-    try:
-        extents = shard_extents(comp.q, devices)
-    except ShardError as exc:
-        raise ShardError(
-            f"column-parallel: {exc} (n={comp.n} has q={comp.q} "
-            f"L={ell}-wide output windows)"
-        ) from None
+    extents = _mode_extents(pattern, comp.n, comp.k, devices, "column")
     shards = []
     for device, (j0, j1) in enumerate(extents):
         piece = NMCompressedMatrix(
@@ -276,13 +279,7 @@ def shard_row(handle: "SparseHandle", devices: int) -> ShardedHandle:
     ``n`` and produces a partial product."""
     comp = handle.compressed
     pattern = comp.pattern
-    try:
-        extents = shard_extents(comp.num_windows_k, devices)
-    except ShardError as exc:
-        raise ShardError(
-            f"row-parallel: {exc} (k={comp.k} has "
-            f"{comp.num_windows_k} M={pattern.m}-row pruning windows)"
-        ) from None
+    extents = _mode_extents(pattern, comp.n, comp.k, devices, "row")
     shards = []
     for device, (g0, g1) in enumerate(extents):
         piece = NMCompressedMatrix(

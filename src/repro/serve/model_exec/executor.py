@@ -34,6 +34,7 @@ from repro.distributed.shard import DeviceShard, ShardedHandle, shard_handle, sh
 from repro.errors import ServeError
 from repro.nn.linear import Linear, NMSparseLinear
 from repro.nn.mlp import relu
+from repro.sparsity.compress import NMCompressedMatrix
 from repro.sparsity.config import NMPattern
 from repro.sparsity.index_matrix import index_dtype_for
 from repro.utils.validation import check_real, is_int
@@ -57,18 +58,22 @@ DRAW_CHUNK_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of a model's walk order.
+    """One layer of a model's walk order, or a plain serving entry's
+    weight matrix (:meth:`plain`).
 
     Pricing reads a spec as it reads a
     :class:`~repro.core.api.SparseHandle`: padded ``k``/``n``,
-    ``pattern``, ``index_itemsize``, ``col_info`` and :meth:`shard`.
+    ``pattern``, ``index_itemsize``, ``weight_bytes``, ``col_info`` and
+    :meth:`shard`.
     """
 
     #: Unique name, e.g. ``"block0/mlp-gate-up"`` or ``"lm-head"``.
     name: str
-    #: The :func:`llama_layer_shapes` kind this layer instantiates.
+    #: The :func:`llama_layer_shapes` kind this layer instantiates (a
+    #: plain entry's is its name).
     kind: str
-    #: Transformer block index, or ``None`` for the LM head.
+    #: Transformer block index, or ``None`` for the LM head (and a
+    #: plain entry).
     block: "int | None"
     pattern: NMPattern
     #: The dense weight's ``(k, n)``, before compression pads them.
@@ -78,14 +83,21 @@ class LayerSpec:
     weights: "Callable[[], SparseHandle]" = field(repr=False, compare=False)
     #: The hosted N:M-sparse layer (a :class:`ModelExecutor`'s only).
     layer: "NMSparseLinear | None" = None
+    #: The padded ``(k, n)``, set once: the engine reads ``k`` every step.
+    k: int = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def k(self) -> int:
-        return self.pattern.padded_k(self.k_logical)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "k", self.pattern.padded_k(self.k_logical))
+        object.__setattr__(self, "n", self.pattern.padded_n(self.n_logical))
 
-    @property
-    def n(self) -> int:
-        return self.pattern.padded_n(self.n_logical)
+    @classmethod
+    def plain(
+        cls, name: str, op: NMSpMM, k: int, n: int, draw: "Callable[[], np.ndarray]"
+    ) -> "LayerSpec":
+        """A plain serving entry: one ``(k, n)`` weight matrix, which
+        ``op`` prepares from ``draw()`` on first read."""
+        return cls(name, name, None, op.pattern, k, n, weights=cache(lambda: op.prepare(draw())))
 
     @property
     def index_itemsize(self) -> int:
@@ -97,6 +109,11 @@ class LayerSpec:
         w = self.pattern.compressed_rows(self.k)
         q = self.n // self.pattern.vector_length
         return w * (self.n * FP32_BYTES + q * self.index_itemsize)
+
+    @property
+    def compressed(self) -> NMCompressedMatrix:
+        """The compressed weights (built on first read)."""
+        return self.weights().compressed
 
     def col_info(self, ws: int, ns: int):
         return self.weights().col_info(ws, ns)

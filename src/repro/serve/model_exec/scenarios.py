@@ -87,7 +87,9 @@ class ModelServingScenario:
     seed: int = 0
     scheduling: str = SchedulingPolicy.FIFO.value
     policy: BatchingPolicy = field(default_factory=BatchingPolicy)
-    plan_cache_capacity: int = 64
+    #: ``None`` sizes each plan cache to the run (see
+    #: :meth:`plan_cache_size`).
+    plan_cache_capacity: "int | None" = None
     prompt_len_choices: tuple[int, ...] = (64, 128, 256)
     max_new_tokens_choices: tuple[int, ...] = (8, 16)
     slo_ms: "float | None" = None
@@ -156,13 +158,28 @@ class ModelServingScenario:
         spec = spec if spec is not None else self.build_spec()
         return spec.weight_bytes + self.hbm_tokens * spec.kv_bytes_per_token
 
+    def plan_cache_size(self, spec: ModelSpec) -> int:
+        """The plan-cache capacity: ``plan_cache_capacity`` if set,
+        else room for every layer at every row bucket a walk can take
+        (a decode batch up to ``max_batch_rows``, a (re)prefill up to
+        the longest prompt plus its new tokens), and at least 64."""
+        if self.plan_cache_capacity is not None:
+            return self.plan_cache_capacity
+        prefill = max(self.prompt_len_choices) + max(self.max_new_tokens_choices)
+        top = max(self.policy.max_batch_rows, prefill)
+        buckets, rows = 0, 1
+        while rows <= top:  # one step per bucket: each one buckets to itself
+            rows = self.policy.bucket_rows(rows) + 1
+            buckets += 1
+        return max(64, len(spec.layers) * buckets)
+
     def build_server(self) -> "tuple[InferenceServer, list[TrafficSource]]":
         """Register the model (priced from its layer shapes) and return
         the server plus the scenario's traffic sources."""
         spec = self.build_spec()
         server = InferenceServer(
             policy=self.policy,
-            plan_cache_capacity=self.plan_cache_capacity,
+            plan_cache_capacity=self.plan_cache_size(spec),
             execute_numerics=False,
             backend=self.backend,
             scheduling=self.scheduling,

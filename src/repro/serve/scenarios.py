@@ -4,16 +4,20 @@ Shared by ``python -m repro serve-sim`` and
 ``benchmarks/bench_serving.py`` so the CLI demo and the tracked
 benchmark run the identical setup: each requested Llama checkpoint is
 shrunk by ``scale`` (geometry-preserving), one linear layer's weight
-matrix is synthesized from the seed, registered on the server, and a
-:class:`~repro.serve.loadgen.TrafficSource` is attached to it.
+matrix is registered on the server (synthesized from the seed when the
+server reads weights, else priced from its shape and synthesized on
+first read), and a :class:`~repro.serve.loadgen.TrafficSource` is
+attached to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from repro.core.api import NMSpMM
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.batcher import BatchingPolicy
 from repro.serve.loadgen import (
@@ -22,6 +26,7 @@ from repro.serve.loadgen import (
     check_rate,
     generate_requests,
 )
+from repro.serve.model_exec.executor import LayerSpec
 from repro.serve.scheduling import SchedulingPolicy
 from repro.serve.server import (
     DEFAULT_HOST_OVERHEAD_S,
@@ -32,6 +37,18 @@ from repro.sparsity.config import NMPattern
 from repro.workloads.llama import get_llama_model, llama_layer_shapes
 
 __all__ = ["parse_pattern", "TrafficTier", "LlamaServingScenario"]
+
+
+def _draw(seed: int, shapes: "tuple[tuple[int, int], ...]", integer_values: bool) -> np.ndarray:
+    """The weights of the last of ``shapes``: one seeded stream draws
+    every model's weights in turn, so the earlier ones are replayed."""
+    rng = np.random.default_rng(seed)
+    for shape in shapes:
+        if integer_values:
+            weights = rng.integers(-4, 5, size=shape)
+        else:
+            weights = rng.standard_normal(shape)
+    return weights.astype(np.float32)
 
 
 def parse_pattern(spec: str, vector_length: int = 8) -> NMPattern:
@@ -169,8 +186,9 @@ class LlamaServingScenario:
 
     # ------------------------------------------------------------------
     def build_server(self) -> "tuple[InferenceServer, list[TrafficSource]]":
-        """Register every model (offline phase) and return the server
-        plus one traffic source per model."""
+        """Register every model and return the server plus one traffic
+        source per model.  Weights are drawn (and prepared) now only
+        if the server reads them."""
         server = InferenceServer(
             policy=self.policy,
             plan_cache_capacity=self.plan_cache_capacity,
@@ -187,7 +205,7 @@ class LlamaServingScenario:
             resilience=self.resilience,
         )
         sources: list[TrafficSource] = []
-        rng = np.random.default_rng(self.seed)
+        weight_shapes: list[tuple[int, int]] = []  # this model's and every earlier one's
         for model_name in self.models:
             base = get_llama_model(model_name)
             scaled = base.scaled(self.scale) if self.scale > 1 else base
@@ -200,18 +218,17 @@ class LlamaServingScenario:
                     f"{sorted(shapes)}"
                 )
             n, k = shapes[self.layer]
-            if self.integer_values:
-                weights = rng.integers(-4, 5, size=(k, n)).astype(np.float32)
-            else:
-                weights = rng.standard_normal((k, n)).astype(np.float32)
+            weight_shapes.append((k, n))
             registered = f"{model_name.lower()}/{self.layer}"
-            server.register_model(
-                registered,
-                weights,
-                self.pattern,
-                gpu=self.gpu,
-                version=self.version,
-            )
+            draw = partial(_draw, self.seed, tuple(weight_shapes), self.integer_values)
+            if server.reads_weights:
+                server.register_model(
+                    registered, draw(), self.pattern, gpu=self.gpu, version=self.version
+                )
+            else:
+                op = NMSpMM(self.pattern, gpu=self.gpu, version=self.version)
+                spec = LayerSpec.plain(registered, op, k, n, draw)
+                server.register_handle(registered, op, spec)
             if self.tiers:
                 for tier in self.tiers:
                     sources.append(

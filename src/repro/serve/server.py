@@ -2,7 +2,9 @@
 
 :class:`InferenceServer` owns the registered models (each an
 :class:`~repro.core.api.NMSpMM` operator plus its prepared
-:class:`~repro.core.api.SparseHandle`), per-device plan caches, and a
+:class:`~repro.core.api.SparseHandle`, or, on a server that reads no
+weights, a :class:`~repro.serve.model_exec.executor.LayerSpec` of its
+shape), per-device plan caches, and a
 simulated GPU — or, with ``devices > 1``, a simulated multi-GPU
 :class:`~repro.distributed.topology.DeviceGroup` that every model's
 weights are sharded tensor-parallel across at registration.
@@ -93,7 +95,7 @@ from repro.serve.request import InferenceRequest, RequestRecord
 from repro.serve.resilience import ResiliencePolicy
 from repro.serve.scheduling import SchedulingPolicy, request_order_key
 from repro.sparsity.config import NMPattern
-from repro.utils.validation import is_int
+from repro.utils.validation import check_weights, is_int
 
 __all__ = ["ModelEntry", "ServingReport", "InferenceServer"]
 
@@ -126,7 +128,8 @@ class ModelEntry:
 
     name: str
     op: NMSpMM
-    #: The weights, or (model mode) the layer spec priced in their place.
+    #: The weights, or the layer spec priced in their place (model mode,
+    #: and a plain entry on a server that reads no weights).
     handle: "SparseHandle | LayerSpec"
     devices: "tuple[int, ...]" = (0,)
     sharded: "ShardedHandle | None" = None
@@ -389,7 +392,8 @@ class InferenceServer:
     execute_numerics:
         When True each batch also runs through the NumPy kernels and
         every request record carries its output slice; when False only
-        the modeled timing is produced (pure scheduling study).
+        the modeled timing is produced (pure scheduling study), and
+        without a ``tracer`` no registered weight is prepared.
     host_overhead_s:
         Fixed per-launch host cost added to the modeled GPU time.
     backend:
@@ -576,16 +580,29 @@ class InferenceServer:
         gpu: "str | GPUSpec" = "A100",
         version: str = "V3",
     ) -> ModelEntry:
-        """Prepare ``weights`` (the offline phase) and register the
-        handle under ``name``."""
+        """Register ``weights`` under ``name``.  A server that
+        :attr:`reads_weights` prepares them now (the offline phase);
+        any other is priced from their shape, and its entry prepares a
+        float32 copy taken here only when something reads it."""
+        weights = check_weights("weights", weights)
         op = NMSpMM(pattern, gpu=gpu, version=version)
-        handle = op.prepare(weights)
-        return self.register_handle(name, op, handle)
+        if self.reads_weights:
+            return self.register_handle(name, op, op.prepare(weights))
+        copy = weights.astype(np.float32)
+        spec = LayerSpec.plain(name, op, *copy.shape, lambda: copy)
+        return self.register_handle(name, op, spec)
+
+    @property
+    def reads_weights(self) -> bool:
+        """Whether runs read registered weights: numerics execute them,
+        and a traced launch's cost reads a packing plan's ``D``."""
+        return self.execute_numerics or self.tracer is not None
 
     def register_handle(
-        self, name: str, op: NMSpMM, handle: SparseHandle
+        self, name: str, op: NMSpMM, handle: "SparseHandle | LayerSpec"
     ) -> ModelEntry:
-        """Register an already-prepared handle under ``name``.  On a
+        """Register an already-prepared handle (or a plain
+        :class:`LayerSpec`) under ``name``.  On a
         distributed server this is where the offline phase pays the
         tensor-parallel partition (plus the per-shard gather layouts),
         so serving steps only execute and communicate."""
@@ -1214,11 +1231,7 @@ class InferenceServer:
             entry = lane.entry
             if not entry.distributed or device not in entry.devices:
                 continue
-            if entry.executor is not None:
-                payload = entry.executor.weight_bytes
-            else:
-                compressed = entry.handle.compressed
-                payload = compressed.total_bytes()
+            payload = (entry.executor or entry.handle).weight_bytes
             # A model entry re-partitions each layer's own spec.
             lane.entry = self._placed(
                 name, entry.op, entry.handle, survivors, entry.executor

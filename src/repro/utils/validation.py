@@ -20,6 +20,7 @@ __all__ = [
     "check_divides",
     "check_matrix",
     "check_real",
+    "check_weights",
     "check_fraction",
 ]
 
@@ -96,4 +97,15 @@ def check_real(
     as numbers or fail inside NumPy.  Raises ``error``."""
     if array.dtype.kind not in "iuf":
         raise error(f"{name} must be real numbers, got dtype {array.dtype}")
+    return array
+
+
+def check_weights(name: str, array: np.ndarray) -> np.ndarray:
+    """Validate a dense weight matrix: a 2-D ndarray of real numbers
+    with at least one row and column.  Raises :class:`ShapeError`."""
+    array = check_real(name, check_matrix(name, array))
+    if not array.size:
+        raise ShapeError(
+            f"{name} must have at least one row and column, got shape {array.shape}"
+        )
     return array

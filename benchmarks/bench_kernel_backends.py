@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import time
 
@@ -51,6 +52,7 @@ import numpy as np
 from repro.backends import available_backends
 from repro.core.api import NMSpMM, SparseHandle
 from repro.gpu.catalog import resolve_gpu
+from repro.kernels import fast as fast_kernel
 from repro.kernels.blocked import nm_spmm_blocked
 from repro.kernels.fast import nm_spmm_fast
 from repro.kernels.functional import nm_spmm_functional
@@ -290,24 +292,25 @@ def run_kernel_bench(
             run_config(name, shape, DECODE_PATTERN, repeats=repeats)
             for name, shape in DECODE_SHAPES
         )
-    return {
-        "schema": SCHEMA,
-        "meta": bench_meta(
-            SCHEMA,
-            config={
-                "shapes": [[name, list(shape)] for name, shape in shapes],
-                "patterns": [p.label() for p in PATTERNS],
-                "repeats": repeats,
-                "funcbench": not smoke,
-                "decode_shapes": [
-                    [name, list(shape)]
-                    for name, shape in (() if smoke else DECODE_SHAPES)
-                ],
-            },
-            generated_at=generated_at,
-        ),
-        "configs": configs,
-    }
+    meta = bench_meta(
+        SCHEMA,
+        config={
+            "shapes": [[name, list(shape)] for name, shape in shapes],
+            "patterns": [p.label() for p in PATTERNS],
+            "repeats": repeats,
+            "funcbench": not smoke,
+            "decode_shapes": [
+                [name, list(shape)]
+                for name, shape in (() if smoke else DECODE_SHAPES)
+            ],
+        },
+        generated_at=generated_at,
+    )
+    # Host provenance, outside the fingerprint: the BLAS threads the
+    # caller set, and the spans a fast call above SPLIT_MACS runs on.
+    meta["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    meta["kernel_workers"] = fast_kernel._cpus()
+    return {"schema": SCHEMA, "meta": meta, "configs": configs}
 
 
 def write_results(result: dict) -> pathlib.Path:

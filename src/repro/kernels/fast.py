@@ -4,7 +4,8 @@ Where :func:`repro.kernels.functional.nm_spmm_functional` re-derives
 the gather rows from ``D`` and loops over column windows in Python,
 this kernel consumes a precomputed
 :class:`~repro.sparsity.gather.GatherLayout` and evaluates windows in
-cache-sized groups, one batched ``matmul`` per group.  Each group
+groups sized to a core's L2, one batched ``matmul`` per group, and one
+contiguous span of windows per CPU above :data:`SPLIT_MACS`.  Each group
 gathers its rows of A^T -- one contiguous m-vector per gather index --
 into a ``(cq, w, m)`` block with one ``np.take``, and multiplies it
 against the layout's ``(cq, w, L)`` value blocks in one of two
@@ -25,6 +26,10 @@ at full rate — which is why ``execute(backend="fast")`` is the default.
 
 from __future__ import annotations
 
+import os
+import threading
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import ShapeError
@@ -33,16 +38,54 @@ from repro.sparsity.gather import GatherLayout, build_gather_layout
 from repro.utils.arrays import as_f32
 from repro.utils.validation import check_matrix
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 __all__ = ["nm_spmm_fast", "nm_spmm_fast_t", "GATHER_BUFFER_ELEMENTS"]
 
 #: Bound on one group's gathered block of A, in float32 elements
 #: (512 KiB).  The gather holds q * w * m floats, 1/L of the MACs, so
 #: groups are sized like the paper's hierarchical blocking (§III-B,
-#: Fig. 8) but to the host's per-core L2: the block and its product
-#: stay cached from the gather to the matmul instead of going
-#: out to DRAM.  One window is the floor; the per-window GEMMs, and so
-#: the output bits, do not depend on the bound.
+#: Fig. 8) but to the host's per-core L2: each span's block and its
+#: product stay in its own core's L2 from the gather to the matmul
+#: instead of going out to DRAM.  One window is the floor; the
+#: per-window GEMMs, and so the output bits, do not depend on the bound.
 GATHER_BUFFER_ELEMENTS = 1 << 17
+
+#: Multiply-adds (q * L * w * m) from which a call splits its windows.  On
+#: a 2-core AMD EPYC VM (one BLAS thread), Llama-7B/8 2:8 layers split ran
+#: x0.54-0.71 of one thread's time at m=256 (17-131M), x0.60-0.88 at m=64
+#: (11-33M), x0.63-2.7 at m <= 16 (<= 8.2M; ~20 us hand-off); decode <= 0.5M.
+SPLIT_MACS = 1 << 23
+
+_pool: "ThreadPoolExecutor | None" = None
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _span_pool() -> ThreadPoolExecutor:
+    """The pool that runs every span but the caller's, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent import futures  # loaded only by a process that splits
+            _pool = futures.ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="nm-spmm")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child gets the pool but none of its threads
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def nm_spmm_fast(
@@ -127,19 +170,36 @@ def _gather_gemm(
     else:
         out = np.empty((m_rows, q * ell), dtype=np.float32)
         out_w = out.reshape(m_rows, q, ell).transpose(1, 0, 2)
-    for j0 in range(0, q, chunk_q):
-        j1 = min(j0 + chunk_q, q)
-        block = np.take(at, layout.rows[j0:j1].reshape(-1), axis=0).reshape(
-            j1 - j0, w, m_rows
-        )
-        if feature_major:
-            np.matmul(
-                layout.values[j0:j1].transpose(0, 2, 1), block, out=out_w[j0:j1]
+
+    def span(s0: int, s1: int) -> None:
+        for j0 in range(s0, s1, chunk_q):
+            j1 = min(j0 + chunk_q, s1)
+            block = np.take(at, layout.rows[j0:j1].reshape(-1), axis=0).reshape(
+                j1 - j0, w, m_rows
             )
-        else:
-            np.matmul(
-                block.transpose(0, 2, 1), layout.values[j0:j1], out=out_w[j0:j1]
-            )
+            if feature_major:
+                np.matmul(
+                    layout.values[j0:j1].transpose(0, 2, 1), block, out=out_w[j0:j1]
+                )
+            else:
+                np.matmul(
+                    block.transpose(0, 2, 1), layout.values[j0:j1], out=out_w[j0:j1]
+                )
+            del block  # before the next gather: one block per span at a time
+
+    spans = min(q, _cpus()) if q * ell * w * m_rows >= SPLIT_MACS else 1
+    if spans == 1:
+        span(0, q)
+    else:
+        bounds = [q * i // spans for i in range(spans + 1)]
+        futures = [_span_pool().submit(span, s0, s1) for s0, s1 in zip(bounds[1:-1], bounds[2:])]
+        try:
+            span(0, bounds[1])
+        finally:
+            for future in futures:
+                future.exception()  # waits: every span ends before anything raises
+        for future in futures:
+            future.result()
     if rescale:
         out *= np.float32(pattern.m / pattern.n)
     return out

@@ -1,9 +1,19 @@
 """Equivalence and contract tests for the fast gather-GEMM kernel."""
 
+import contextlib
 import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.kernels.fast as fast_module
 from repro.errors import ShapeError
@@ -321,3 +331,172 @@ class TestFeatureMajorContract:
         np.testing.assert_array_equal(
             ct.T, nm_spmm_fast(self.a, self.comp, rescale=True)
         )
+
+
+# ----------------------------------------------------------------------
+# Window spans over host cores: above ``SPLIT_MACS`` a call splits its
+# windows into one contiguous span per CPU; the bits must not move.
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _split_over(workers):
+    """Split every call over ``workers`` spans, whatever its size."""
+    with mock.patch.object(fast_module, "_cpus", return_value=workers), mock.patch.object(
+        fast_module, "SPLIT_MACS", 0
+    ):
+        yield
+
+
+def _span_case(pattern, m, q, seed):
+    k = 3 * pattern.m
+    a, comp, _ = _setup(pattern, m, q * pattern.vector_length, k, seed=seed)
+    return a, build_gather_layout(comp)
+
+
+def _run_kernel(a, layout, feature_major, rescale=False):
+    """C (row-major) from either entry point."""
+    if feature_major:
+        ct = nm_spmm_fast_t(np.ascontiguousarray(a.T), layout, rescale=rescale)
+        return np.ascontiguousarray(ct.T)
+    return nm_spmm_fast(a, layout, rescale=rescale)
+
+
+@st.composite
+def _span_cases(draw):
+    pattern = draw(st.sampled_from(PATTERNS))
+    m = draw(st.sampled_from([1, 2, 5, 16]))
+    chunk = draw(st.integers(2, 4))
+    q = draw(st.integers(3, 25).map(lambda i: 2 * i + 1).filter(lambda q: q % chunk))
+    return (
+        pattern,
+        m,
+        q,
+        chunk,
+        draw(st.sampled_from([1, 2, 3])),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_span_cases())
+def test_split_matches_frozen_group_loop(case):
+    """Any worker count, an odd q and a q the group size does not
+    divide: both orientations, with and without Eq. 1's prefactor, keep
+    the frozen loop's bits."""
+    pattern, m, q, chunk, workers, feature_major, rescale, seed = case
+    a, layout = _span_case(pattern, m, q, seed)
+    bound = chunk * layout.w * m
+    expected = _reference_group_loop(a, layout, bound)
+    if rescale:
+        expected *= np.float32(pattern.m / pattern.n)
+    with _split_over(workers), mock.patch.object(fast_module, "GATHER_BUFFER_ELEMENTS", bound):
+        _assert_bitwise(_run_kernel(a, layout, feature_major, rescale), expected)
+
+
+class TestWindowSpans:
+    PATTERN = NMPattern(2, 8, vector_length=8)
+
+    def test_concurrent_callers_get_single_thread_bits(self):
+        a, layout = _span_case(self.PATTERN, 64, 41, seed=7)
+        with _split_over(1):
+            expected = {fm: _run_kernel(a, layout, fm) for fm in (False, True)}
+        errors, results = [], []
+
+        def caller(feature_major):
+            try:
+                for _ in range(20):
+                    results.append(
+                        _run_kernel(a, layout, feature_major).tobytes()
+                        == expected[feature_major].tobytes()
+                    )
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _split_over(2):
+                threads = [threading.Thread(target=caller, args=(fm,)) for fm in (False, True)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [True] * 40
+
+    def test_error_in_a_pool_span_waits_for_every_span_then_raises(self):
+        a, layout = _span_case(self.PATTERN, 4, 9, seed=3)
+        bad = dataclasses.replace(layout, rows=layout.rows.copy())
+        bad.rows[4, 0] = layout.k  # out of range in the middle span only
+        submitted = []
+        with ThreadPoolExecutor(2) as pool:
+
+            class SlowLastSpan:
+                """Delays the last span, so a call that raised as soon
+                as the middle span failed would leave it running."""
+
+                def submit(self, fn, s0, s1):
+                    def run():
+                        if s1 == layout.q:
+                            time.sleep(0.2)
+                        fn(s0, s1)
+
+                    submitted.append(pool.submit(run))
+                    return submitted[-1]
+
+            with _split_over(3), mock.patch.object(fast_module, "_span_pool", SlowLastSpan):
+                with pytest.raises(IndexError):
+                    nm_spmm_fast(a, bad)
+                assert len(submitted) == 2
+                assert all(f.done() for f in submitted)
+                after = nm_spmm_fast(a, layout)
+        with _split_over(1):
+            _assert_bitwise(after, nm_spmm_fast(a, layout))
+
+    def test_decode_never_reaches_the_pool(self, monkeypatch):
+        from repro.serve.model_exec.executor import ModelExecutor
+
+        executor = ModelExecutor(
+            "llama-7b", scale=8, blocks=2, pattern=self.PATTERN, seed=0
+        )
+        calls = []
+        factory = fast_module._span_pool
+        monkeypatch.setattr(
+            fast_module, "_span_pool", lambda: calls.append(1) or factory()
+        )
+        rng = np.random.default_rng(0)
+        executor.logits(rng.standard_normal((1, executor.hidden)).astype(np.float32))
+        assert calls == []
+        # The same walk at prefill size does split, on a 2-core host.
+        monkeypatch.setattr(fast_module, "_cpus", lambda: 2)
+        executor.logits(rng.standard_normal((256, executor.hidden)).astype(np.float32))
+        assert len(calls) == len(executor.layers)
+
+
+def _split_call_in_child(a, layout, expected):
+    with _split_over(2):
+        ok = nm_spmm_fast(a, layout).tobytes() == expected.tobytes()
+    os._exit(0 if ok else 1)
+
+
+def test_forked_child_runs_split_calls():
+    """A child forked after the pool started has none of its threads;
+    its split calls must start a pool of its own instead of hanging."""
+    a, layout = _span_case(NMPattern(2, 8, vector_length=8), 16, 21, seed=5)
+    with _split_over(2):
+        expected = nm_spmm_fast(a, layout)  # the parent's pool is running
+    assert fast_module._pool is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_split_call_in_child, args=(a, layout, expected)
+    )
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's split call hung")
+    assert child.exitcode == 0

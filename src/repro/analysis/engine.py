@@ -114,9 +114,7 @@ def lint_source(
         )
         return [finding], 0
     suppressions = collect_suppressions(source)
-    context = RuleContext(
-        path=path, tree=tree, source_lines=source.splitlines()
-    )
+    context = RuleContext(path=path, tree=tree)
     findings: list[Finding] = []
     suppressed = 0
     rule_list = list(rules) if rules is not None else list(iter_rules())

@@ -12,7 +12,7 @@ the CLI listing and the JSON report.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.analysis.finding import Finding, Severity
@@ -36,18 +36,11 @@ class RuleContext:
     ``path`` is the display path (posix separators, relative to the
     lint root when the file lies under it) — rules that sanction
     specific files (DET002's measured-host-span sites) match on its
-    suffix.  ``tree`` is the parsed module; ``source_lines`` the raw
-    text for message excerpts.
+    suffix.  ``tree`` is the parsed module.
     """
 
     path: str
     tree: ast.Module
-    source_lines: list[str] = field(default_factory=list)
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.source_lines):
-            return self.source_lines[lineno - 1]
-        return ""
 
     def finding(
         self,

@@ -189,10 +189,6 @@ class AutoSelector:
         when memoization is disabled)."""
         return self._memo.stats if self._memo is not None else None
 
-    def clear_memo(self) -> None:
-        if self._memo is not None:
-            self._memo.clear()
-
     # ------------------------------------------------------------------
     def select(self, request: ExecutionRequest) -> str:
         """The chosen backend's name (shorthand for

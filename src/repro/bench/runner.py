@@ -45,19 +45,6 @@ class Sweep:
 
     cells: list[SweepCell] = field(default_factory=list)
 
-    def filter(self, **criteria) -> "Sweep":
-        """Subset by any SweepCell attribute (pattern, gpu, version...)."""
-        out = []
-        for cell in self.cells:
-            ok = True
-            for key, want in criteria.items():
-                if getattr(cell, key) != want:
-                    ok = False
-                    break
-            if ok:
-                out.append(cell)
-        return Sweep(out)
-
     def geomean_speedup(self) -> float:
         if not self.cells:
             raise ValueError("empty sweep")

@@ -40,10 +40,6 @@ class Table1Row:
 class Table1Result:
     rows: tuple[Table1Row, ...]
 
-    @property
-    def all_block_shapes_match(self) -> bool:
-        return all(r.block_shape_matches for r in self.rows)
-
 
 def run_table1(
     gpu: str = "A100",

@@ -50,20 +50,6 @@ class PipelineDesign:
     def compute_cycles(self) -> float:
         return sum(s.cycles for s in self.stages if s.kind == "compute")
 
-    @property
-    def covering_stage(self) -> str:
-        """Which side masks the other — "compute covers load" in the
-        Fig. 5 regime, "load covers compute" in the Fig. 6 regime."""
-        if self.compute_cycles >= self.load_cycles:
-            return "compute covers load"
-        return "load covers compute"
-
-    def iteration_cycles(self) -> float:
-        """Steady-state cycles per iteration."""
-        if self.double_buffered:
-            return max(self.load_cycles, self.compute_cycles)
-        return self.load_cycles + self.compute_cycles
-
 
 def design_pipeline(
     strategy: LoadStrategy,

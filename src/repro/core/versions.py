@@ -33,16 +33,6 @@ class OptimizationVersion(str, Enum):
         """V2 and V3 enable the packing path (when sparsity is high)."""
         return self is not OptimizationVersion.V1
 
-    @property
-    def uses_double_buffering(self) -> bool:
-        """Only V3 runs the Listing-4 pipeline."""
-        return self is OptimizationVersion.V3
-
-    @property
-    def prefetches_indices(self) -> bool:
-        """Only V3 prefetches Ds indices into registers."""
-        return self is OptimizationVersion.V3
-
     def strategy_for(self, pattern: NMPattern) -> LoadStrategy:
         """Effective load strategy for a pattern at this version."""
         if not self.uses_packing:

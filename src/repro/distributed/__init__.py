@@ -8,7 +8,7 @@ communication model):
 * :mod:`repro.distributed.topology` — :class:`DeviceGroup` /
   :class:`Link` built from the Table III GPU catalog, with ring-cost
   modeled collectives (:meth:`~DeviceGroup.all_gather`,
-  :meth:`~DeviceGroup.all_reduce`, :meth:`~DeviceGroup.reduce_scatter`);
+  :meth:`~DeviceGroup.all_reduce`);
 * :mod:`repro.distributed.shard` — column-parallel (shard ``n``,
   all-gather outputs) and row-parallel (shard ``k``, all-reduce
   partials) partitioners that slice the compressed ``(B', D)`` pair at

@@ -5,9 +5,8 @@ sparse format scales across devices only when it is paired with an
 *explicit communication model*.  Ours is deliberately small — a
 :class:`DeviceGroup` is ``devices`` copies of one catalogued
 :class:`~repro.gpu.spec.GPUSpec` joined by a :class:`Link`, and every
-collective a tensor-parallel NM-SpMM needs (all-gather, all-reduce,
-reduce-scatter) is priced with the standard ring-algorithm cost
-formula::
+collective a tensor-parallel NM-SpMM needs (all-gather, all-reduce)
+is priced with the standard ring-algorithm cost formula::
 
     T(steps, payload) = steps * (payload / devices / bandwidth
                                  + latency)
@@ -192,11 +191,6 @@ class DeviceGroup:
         """Every device ends with the full ``payload_bytes`` tensor of
         which it held a ``1/devices`` shard (column-parallel epilogue)."""
         return self._ring("all-gather", payload_bytes, self.devices - 1)
-
-    def reduce_scatter(self, payload_bytes: int) -> CommEvent:
-        """Every device ends with its ``1/devices`` shard of the
-        element-wise sum of all devices' ``payload_bytes`` tensors."""
-        return self._ring("reduce-scatter", payload_bytes, self.devices - 1)
 
     def all_reduce(self, payload_bytes: int) -> CommEvent:
         """Every device ends with the full element-wise sum

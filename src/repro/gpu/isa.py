@@ -61,9 +61,6 @@ class IssueModel:
         conflicts."""
         return bytes_read * conflict_mult / self.lds_bytes_per_cycle
 
-    def sts_cycles(self, bytes_written: float) -> float:
-        return bytes_written / self.sts_bytes_per_cycle
-
 
 def issue_model_for(spec: GPUSpec) -> IssueModel:
     """Derive the issue model from a :class:`GPUSpec`.

@@ -82,13 +82,7 @@ class MemoryHierarchy:
     """L2/DRAM parameters consumed by the traffic model."""
 
     spec: GPUSpec
-    l2_usable_fraction: float = 0.8
     dram_efficiency: float = 0.85
-
-    @property
-    def usable_l2_bytes(self) -> float:
-        """L2 capacity available for tile reuse."""
-        return self.spec.l2_bytes * self.l2_usable_fraction
 
     @property
     def achievable_dram_bytes_per_s(self) -> float:
@@ -99,10 +93,3 @@ class MemoryHierarchy:
     def achievable_dram_bytes_per_cycle(self) -> float:
         """Sustained DRAM bytes per core clock (whole device)."""
         return self.achievable_dram_bytes_per_s / self.spec.effective_clock_hz
-
-    @property
-    def l2_bytes_per_cycle(self) -> float:
-        """L2-to-SM bandwidth per cycle (whole device).  Modelled as a
-        multiple of DRAM bandwidth; Ampere/Ada L2 sustains roughly 2-3x
-        DRAM."""
-        return self.achievable_dram_bytes_per_cycle * 2.5

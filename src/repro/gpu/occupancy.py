@@ -40,10 +40,6 @@ class OccupancyResult:
     registers_per_thread: int
     smem_bytes_per_block: int
 
-    @property
-    def active_threads_per_sm(self) -> int:
-        return self.warps_per_sm * WARP_SIZE
-
 
 def compute_occupancy(
     spec: GPUSpec,

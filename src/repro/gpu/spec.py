@@ -149,32 +149,9 @@ class GPUSpec:
     # Per-cycle rates (per SM)
     # ------------------------------------------------------------------
     @property
-    def flops_per_cycle_per_sm(self) -> int:
-        return self.fp32_flops_per_clock_per_sm
-
-    @property
-    def dram_bytes_per_cycle_per_sm(self) -> float:
-        """DRAM bytes available to one SM per core clock when all SMs
-        stream concurrently."""
-        return self.dram_bytes_per_s / (self.effective_clock_hz * self.num_sms)
-
-    @property
     def smem_bytes_per_cycle_per_sm(self) -> float:
         """Shared-memory bandwidth per SM: 32 banks x 4 B per cycle."""
         return 128.0
-
-    @property
-    def ridge_flops_per_byte(self) -> float:
-        """Roofline ridge point at the effective clock: arithmetic
-        intensity above which the device is compute bound."""
-        return self.locked_peak_flops / self.dram_bytes_per_s
-
-    @property
-    def compute_to_bw_ratio(self) -> float:
-        """Boost-clock FLOPs per DRAM byte — the paper's observation
-        that 3090/4090 have a much larger gap between SM compute power
-        and memory bandwidth than A100 (§IV-B)."""
-        return self.peak_fp32_flops / self.dram_bytes_per_s
 
     def __str__(self) -> str:
         return (

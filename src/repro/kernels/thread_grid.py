@@ -79,16 +79,6 @@ class ThreadGrid:
             out[tid] = self.thread_tile_origin(warp_id, lane_id)
         return out
 
-    def ownership_map(self) -> np.ndarray:
-        """``(ms, ns)`` map of which thread owns each C element; every
-        element must be owned by exactly one thread (validated in
-        tests)."""
-        p = self.params
-        owner = np.full((p.ms, p.ns), -1, dtype=np.int64)
-        for tid, (ti, tj) in enumerate(self.all_origins()):
-            owner[ti : ti + p.mt, tj : tj + p.nt] = tid
-        return owner
-
     def warp_row_addresses(self, p_step: int) -> list[np.ndarray]:
         """Shared-memory *word* addresses each warp reads from Bs for
         one inner-kernel step ``p_step`` (row ``p`` of Bs, Listing 2
@@ -101,21 +91,6 @@ class ThreadGrid:
             for lane_id in range(WARP_SIZE):
                 _, tj = self.thread_tile_origin(warp_id, lane_id)
                 addrs[lane_id] = p_step * p.ns + tj
-            per_warp.append(addrs)
-        return per_warp
-
-    def warp_col_addresses(self, p_step: int, ms_leading: int | None = None) -> list[np.ndarray]:
-        """Shared-memory word addresses each warp reads from As (stored
-        transposed as ``As[ks][ms]``, Listing 2 signature) for inner
-        step ``p_step``: lane reads ``As[p][ti..ti+mt)``."""
-        p = self.params
-        lead = p.ms if ms_leading is None else ms_leading
-        per_warp: list[np.ndarray] = []
-        for warp_id in range(self.num_warps):
-            addrs = np.empty(WARP_SIZE, dtype=np.int64)
-            for lane_id in range(WARP_SIZE):
-                ti, _ = self.thread_tile_origin(warp_id, lane_id)
-                addrs[lane_id] = p_step * lead + ti
             per_warp.append(addrs)
         return per_warp
 

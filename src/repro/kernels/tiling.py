@@ -195,16 +195,6 @@ class TileParams:
         """Pruning windows per block row, ``qs = ns/L``."""
         return ceil_div(self.ns, pattern.vector_length)
 
-    def smem_bytes_used(self, pattern: NMPattern, packed: bool = False) -> int:
-        """Shared-memory footprint of one buffer set per Eq. 4:
-        ``4*(ks*ms + ws*ns + ws*qs)`` (As charged at packed width when
-        ``packed``)."""
-        self._require_ks()
-        ws = self.ws(pattern)
-        qs = self.qs(pattern)
-        a_cols = ws if packed else self.ks
-        return 4 * (a_cols * self.ms + ws * self.ns + ws * qs)
-
     def _require_ks(self) -> None:
         if self.ks <= 0:
             raise ConfigurationError(

@@ -92,11 +92,6 @@ class KernelReport:
         """FLOPs per staged byte (x4 gives Eq. 3's element AI)."""
         return self.traffic.arithmetic_intensity(self.useful_flops)
 
-    @property
-    def arithmetic_intensity_elements(self) -> float:
-        """Eq. 3-style AI in FLOPs per *element* moved."""
-        return self.arithmetic_intensity * 4.0
-
     def roofline_point(self, spec: GPUSpec) -> tuple[float, float]:
         """(AI FLOP/byte, achieved FLOP/s) for Fig. 10."""
         return self.arithmetic_intensity, self.useful_flops / self.seconds
@@ -111,10 +106,6 @@ class KernelReport:
         roof = Roofline.for_gpu(spec)
         attainable = roof.attainable(self.arithmetic_intensity)
         return self.useful_flops / self.seconds / attainable if attainable else 0.0
-
-    def speedup_over(self, other: "KernelReport") -> float:
-        """Wall-clock speedup of *this* kernel over ``other``."""
-        return other.seconds / self.seconds
 
     def summary(self) -> str:
         return (

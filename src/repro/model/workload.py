@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernels.dense import gemm_flops
 from repro.sparsity.config import NMPattern
 from repro.utils.validation import check_positive_int
 
@@ -24,16 +23,6 @@ class ProblemShape:
         check_positive_int("m", self.m)
         check_positive_int("n", self.n)
         check_positive_int("k", self.k)
-
-    @property
-    def dense_flops(self) -> int:
-        """FLOPs of the dense product, ``2*m*n*k``."""
-        return gemm_flops(self.m, self.n, self.k)
-
-    @property
-    def dense_bytes(self) -> int:
-        """Compulsory FP32 bytes (A + B + C, each touched once)."""
-        return 4 * (self.m * self.k + self.k * self.n + self.m * self.n)
 
     def label(self) -> str:
         return f"{self.m}x{self.n}x{self.k}"

@@ -133,10 +133,6 @@ class Batch:
     def n_requests(self) -> int:
         return len(self.requests)
 
-    @property
-    def padding_rows(self) -> int:
-        return self.padded_rows - self.rows
-
     def trace_attrs(self) -> dict:
         """The batch's identity as span attributes (what a trace
         viewer needs to tie a launch back to its requests)."""

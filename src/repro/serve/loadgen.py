@@ -47,13 +47,24 @@ DEFAULT_ROWS_WEIGHTS: tuple[float, ...] = (0.45, 0.25, 0.15, 0.10, 0.05)
 DECODE_ROWS_CHOICES: tuple[int, ...] = (1, 2, 4)
 DEFAULT_DECODE_STEPS_CHOICES: tuple[int, ...] = (2, 4, 8)
 
+#: Most arrivals a trace may expect (``qps * duration_s``): far above
+#: any canned scenario's 6,000, and low enough that the arrival loop
+#: and the trace it builds stay bounded.
+MAX_EXPECTED_ARRIVALS = 1_000_000
+
 
 def check_rate(qps: float, duration_s: float) -> None:
     """Reject a rate or a horizon that is not a finite number > 0 (an
-    infinite one would never end the arrival loop)."""
+    infinite one would never end the arrival loop), or whose product
+    expects more than :data:`MAX_EXPECTED_ARRIVALS` arrivals."""
     for name, value in (("qps", qps), ("duration_s", duration_s)):
         if not (math.isfinite(value) and value > 0):
             raise ServeError(f"{name} must be a finite number > 0, got {value}")
+    if qps * duration_s > MAX_EXPECTED_ARRIVALS:
+        raise ServeError(
+            f"qps * duration_s expects {qps * duration_s:g} arrivals, "
+            f"more than {MAX_EXPECTED_ARRIVALS:,}"
+        )
 
 
 def poisson_arrivals(

@@ -108,15 +108,6 @@ class BatchRecord:
     #: but no request finished (its requests retried or failed).
     failed: bool = False
 
-    @property
-    def padding_fraction(self) -> float:
-        """Share of the launched rows that are zero padding.  A
-        zero-row record (possible for synthetic/edge records; a formed
-        batch always has >= 1 row) pads nothing, not everything."""
-        if self.padded_rows <= 0:
-            return 0.0
-        return 1.0 - self.rows / self.padded_rows
-
 
 @dataclass(frozen=True)
 class StepRecord:

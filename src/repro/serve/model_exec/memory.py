@@ -23,7 +23,6 @@ discipline the request ledger already enforces.
 from __future__ import annotations
 
 from repro.errors import ServeError
-from repro.gpu.catalog import resolve_gpu
 from repro.serve.ledger import CostLedger
 from repro.utils.validation import is_int
 
@@ -60,22 +59,6 @@ class DeviceMemoryModel:
         self.kv_evictions = 0
         self.overflow_steps = 0
         self.budget_shrinks = 0
-
-    @classmethod
-    def from_gpu(
-        cls,
-        gpu,
-        *,
-        devices: int = 1,
-        admission: str = "kv-aware",
-    ) -> "DeviceMemoryModel":
-        """Budget from the catalog spec's ``dram_gb``, scaled by the
-        device-group size (the pool is modeled as one aggregate)."""
-        spec = resolve_gpu(gpu)
-        if devices < 1:
-            raise ServeError(f"devices must be >= 1, got {devices}")
-        budget = int(spec.dram_gb) * (1 << 30) * devices
-        return cls(budget, admission=admission)
 
     # ------------------------------------------------------------------
     # State

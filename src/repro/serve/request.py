@@ -224,11 +224,6 @@ class RequestRecord:
         return self.started_s - self.request.arrival_s
 
     @property
-    def service_s(self) -> float:
-        """Modeled GPU + host time of the batch this request rode in."""
-        return self.finished_s - self.started_s
-
-    @property
     def slo_met(self) -> "bool | None":
         """Whether the request finished inside its SLO (``None`` when
         it carries none)."""

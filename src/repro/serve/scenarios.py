@@ -34,6 +34,7 @@ from repro.serve.server import (
     ServingReport,
 )
 from repro.sparsity.config import NMPattern
+from repro.utils.validation import check_non_negative_int
 from repro.workloads.llama import get_llama_model, llama_layer_shapes
 
 __all__ = ["parse_pattern", "TrafficTier", "LlamaServingScenario"]
@@ -182,6 +183,7 @@ class LlamaServingScenario:
                 f"{self.scale}"
             )
         check_rate(self.qps, self.duration_s)
+        check_non_negative_int("seed", self.seed)
         SchedulingPolicy.parse(self.scheduling)  # fail fast on typos
 
     # ------------------------------------------------------------------

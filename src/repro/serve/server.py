@@ -311,12 +311,6 @@ class ServingReport:
     def request_records(self) -> list[RequestRecord]:
         return self.metrics.request_records
 
-    def record_for(self, request_id: int) -> RequestRecord:
-        for record in self.metrics.request_records:
-            if record.request.request_id == request_id:
-                return record
-        raise ServeError(f"no record for request {request_id}")
-
     def summary(self, extra: "dict | None" = None) -> dict:
         out = self.metrics.summary(
             {

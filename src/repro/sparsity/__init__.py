@@ -33,13 +33,6 @@ from repro.sparsity.quality import (
     pruning_energy_kept,
     relative_frobenius_error,
 )
-from repro.sparsity.permutation import (
-    PermutationResult,
-    apply_permutation,
-    greedy_channel_permutation,
-    retained_energy,
-)
-from repro.sparsity.transposable import is_transposable_mask, transposable_mask
 
 __all__ = [
     "NMPattern",
@@ -69,10 +62,4 @@ __all__ = [
     "mean_abs_error",
     "relative_frobenius_error",
     "pruning_energy_kept",
-    "PermutationResult",
-    "greedy_channel_permutation",
-    "apply_permutation",
-    "retained_energy",
-    "transposable_mask",
-    "is_transposable_mask",
 ]

@@ -121,37 +121,10 @@ class ColumnInfo:
     def num_k_blocks(self) -> int:
         return len(self.cols)
 
-    @property
-    def num_n_blocks(self) -> int:
-        return len(self.cols[0]) if self.cols else 0
-
-    def packed_width(self, kb: int, jb: int) -> int:
-        """Packed A-tile column count for tile (kb, jb)."""
-        return int(self.cols[kb][jb].size)
-
-    def max_packed_width(self) -> int:
-        """Worst packed width over all tiles (shared-memory sizing)."""
-        return max(
-            (int(c.size) for row in self.cols for c in row),
-            default=0,
-        )
-
-    def mean_packed_fraction(self, ks: int) -> float:
-        """Average packed width divided by the unpacked tile width."""
-        widths = [int(c.size) for row in self.cols for c in row]
-        if not widths or ks == 0:
-            return 0.0
-        return float(np.mean(widths)) / ks
-
     def col_info_bytes(self) -> int:
         """Extra global memory the packing metadata occupies — the
         paper bounds this at "1% to 10% GPU memory overhead"."""
         return sum(int(c.size) * FP32_BYTES for row in self.cols for c in row)
-
-    def overhead_vs_values(self, compressed: NMCompressedMatrix) -> float:
-        """col_info bytes relative to B' bytes (the paper's overhead
-        metric)."""
-        return self.col_info_bytes() / max(1, compressed.values_bytes())
 
 
 def preprocess_offline(

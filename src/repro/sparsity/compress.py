@@ -14,8 +14,8 @@ Storage order: ``B'`` is held window-major, one C-contiguous
 ``(q, w, L)`` float32 array whose ``blocks[jq]`` is ``B'[:, jq*L:(jq+1)*L]``,
 the operand order of the fast gather-GEMM: the
 :class:`~repro.sparsity.gather.GatherLayout` uses this array, not a copy.
-Row-major readers (the structural executors, :mod:`repro.sparsity.io`)
-take a temporary from :attr:`NMCompressedMatrix.values`.
+Row-major readers (the structural executors) take a temporary from
+:attr:`NMCompressedMatrix.values`.
 """
 
 from __future__ import annotations

@@ -91,12 +91,6 @@ class NMPattern:
         return self.n / self.m
 
     @property
-    def is_dense(self) -> bool:
-        """True when N == M (the 0%-sparsity configuration of Fig. 7,
-        where the paper sets ``M = N = 32``)."""
-        return self.n == self.m
-
-    @property
     def is_high_sparsity(self) -> bool:
         """True when sparsity exceeds the 70% moderate/high threshold
         (paper §III-A); high sparsity enables the packing strategy."""
@@ -117,10 +111,6 @@ class NMPattern:
     # ------------------------------------------------------------------
     # Shape arithmetic
     # ------------------------------------------------------------------
-    def window_rows(self) -> int:
-        """Rows of B covered by one pruning window (== M)."""
-        return self.m
-
     def compressed_rows(self, k: int) -> int:
         """``w = ceil(k*N/M)``: row count of the compressed matrix B'.
 

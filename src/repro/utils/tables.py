@@ -66,10 +66,6 @@ class TextTable:
             )
         self.rows.append(row)
 
-    def add_section(self, label: str) -> None:
-        """Insert a full-width section separator row."""
-        self.rows.append([f"== {label}"] + [""] * (len(self.headers) - 1))
-
     def render(self) -> str:
         widths = [len(h) for h in self.headers]
         for row in self.rows:

@@ -375,13 +375,6 @@ class TestDecisionMemo:
         selector.explain(request)
         assert selector.memo_stats is None
 
-    def test_clear_memo(self, rng):
-        op, _, request = _request((8, 32), 32, False, rng)
-        op.selector.explain(request)
-        op.selector.clear_memo()
-        op.selector.explain(request)
-        assert op.selector.memo_stats.misses == 2
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError, match="memo_capacity"):
             AutoSelector(memo_capacity=-1)

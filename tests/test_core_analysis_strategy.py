@@ -10,6 +10,8 @@ from repro.errors import ConfigurationError, PlanError
 from repro.gpu.catalog import A100_80G
 from repro.gpu.roofline import BoundKind
 from repro.kernels.tiling import TABLE_I, MatrixSizeClass
+from repro.model.calibration import DEFAULT_CALIBRATION
+from repro.model.profiles import OverlapMode, profile_for_version
 from repro.sparsity.config import NMPattern
 
 
@@ -17,6 +19,21 @@ def _params(pattern, k=4096):
     return TABLE_I[MatrixSizeClass.LARGE].with_ks(
         pattern, A100_80G.smem_bytes_per_sm, k
     )
+
+
+def _profile(version: OptimizationVersion):
+    return profile_for_version(version.value, DEFAULT_CALIBRATION, high_sparsity=True)
+
+
+def _uses_double_buffering(version: OptimizationVersion) -> bool:
+    """Only V3 runs the Listing-4 pipeline."""
+    return _profile(version).overlap is OverlapMode.DOUBLE_BUFFER
+
+
+def _prefetches_indices(version: OptimizationVersion) -> bool:
+    """Only V3 prefetches Ds indices into registers, which cuts its
+    index-handling instructions per step below V1/V2's."""
+    return _profile(version).aux_instr_per_step < DEFAULT_CALIBRATION.aux_instr_per_step_v1v2
 
 
 class TestEq3:
@@ -132,9 +149,9 @@ class TestVersions:
     def test_capabilities(self):
         assert not OptimizationVersion.V1.uses_packing
         assert OptimizationVersion.V2.uses_packing
-        assert not OptimizationVersion.V2.uses_double_buffering
-        assert OptimizationVersion.V3.uses_double_buffering
-        assert OptimizationVersion.V3.prefetches_indices
+        assert not _uses_double_buffering(OptimizationVersion.V2)
+        assert _uses_double_buffering(OptimizationVersion.V3)
+        assert _prefetches_indices(OptimizationVersion.V3)
 
     def test_strategy_for(self):
         hi = NMPattern(4, 32)

@@ -57,10 +57,6 @@ class TestOccupancyValues:
         assert 0 < occ.occupancy <= 1.0
         assert occ.warps_per_sm == occ.blocks_per_sm * 4
 
-    def test_active_threads(self):
-        occ = compute_occupancy(A100_80G, 128, 64, 0)
-        assert occ.active_threads_per_sm == occ.warps_per_sm * 32
-
     def test_3090_smaller_smem(self):
         a = compute_occupancy(A100_80G, 128, 64, 60 * 1024)
         b = compute_occupancy(RTX_3090, 128, 64, 60 * 1024)

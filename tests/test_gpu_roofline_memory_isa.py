@@ -89,17 +89,9 @@ class TestSmemFootprint:
 
 
 class TestMemoryHierarchy:
-    def test_l2_fraction(self):
-        mh = MemoryHierarchy(A100_80G, l2_usable_fraction=0.5)
-        assert mh.usable_l2_bytes == A100_80G.l2_bytes * 0.5
-
     def test_dram_efficiency(self):
         mh = MemoryHierarchy(A100_80G, dram_efficiency=0.8)
         assert mh.achievable_dram_bytes_per_s == pytest.approx(1935e9 * 0.8)
-
-    def test_l2_faster_than_dram(self):
-        mh = MemoryHierarchy(A100_80G)
-        assert mh.l2_bytes_per_cycle > mh.achievable_dram_bytes_per_cycle
 
 
 class TestIssueModel:

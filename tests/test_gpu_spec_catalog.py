@@ -7,6 +7,13 @@ from repro.gpu.catalog import A100_80G, RTX_3090, RTX_4090, get_gpu, list_gpus, 
 from repro.gpu.spec import GPUSpec
 
 
+def _compute_to_bw_ratio(spec: GPUSpec) -> float:
+    """Boost-clock FLOPs per DRAM byte — the paper's observation
+    that 3090/4090 have a much larger gap between SM compute power
+    and memory bandwidth than A100 (§IV-B)."""
+    return spec.peak_fp32_flops / spec.dram_bytes_per_s
+
+
 class TestTableIII:
     """Every Table III row must be reproduced exactly."""
 
@@ -54,18 +61,14 @@ class TestDerivedRates:
     def test_ridge_point_ordering(self):
         """The paper's §IV-B observation: consumer parts have a much
         larger compute:bandwidth gap than the A100."""
-        assert A100_80G.compute_to_bw_ratio < RTX_3090.compute_to_bw_ratio
-        assert RTX_3090.compute_to_bw_ratio < RTX_4090.compute_to_bw_ratio
+        assert _compute_to_bw_ratio(A100_80G) < _compute_to_bw_ratio(RTX_3090)
+        assert _compute_to_bw_ratio(RTX_3090) < _compute_to_bw_ratio(RTX_4090)
 
     def test_smem_bytes(self):
         assert A100_80G.smem_bytes_per_sm == 192 * 1024
 
     def test_registers_per_sm(self):
         assert A100_80G.registers_per_sm == 65536
-
-    def test_dram_bytes_per_cycle_positive(self):
-        for g in list_gpus():
-            assert g.dram_bytes_per_cycle_per_sm > 0
 
     def test_block_smem_limit(self):
         assert A100_80G.smem_bytes_per_block_limit == 164 * 1024

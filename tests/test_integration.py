@@ -4,6 +4,9 @@ These tie the functional layer, the planning layer, and the
 performance model together the way a downstream user would.
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -28,10 +31,22 @@ from repro.workloads.synthetic import random_dense
 
 class TestPublicApiSurface:
     def test_top_level_exports(self):
+        """Every name in ``__all__`` of ``repro`` and of each of its
+        subpackages resolves (a stale re-export fails here)."""
         import repro
 
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        missing = [
+            f"{package.__name__}.{name}"
+            for package in packages
+            for name in getattr(package, "__all__", ())
+            if not hasattr(package, name)
+        ]
+        assert len(packages) > 10 and not missing, missing
 
     def test_version_string(self):
         import repro

@@ -1,102 +1,14 @@
-"""Tests for persistence (sparsity.io) and the sweep runner."""
+"""Tests for the sweep runner."""
 
-import io
-
-import numpy as np
 import pytest
 
 from repro.bench.runner import Sweep, run_sweep
-from repro.errors import CompressionError
-from repro.sparsity.compress import compress
 from repro.sparsity.config import NMPattern
-from repro.sparsity.io import FORMAT_VERSION, load_compressed, save_compressed
-from repro.sparsity.pruning import prune_dense
-from repro.workloads.synthetic import random_dense
 
 
-def _compressed(rng, pattern=None, k=32, n=16):
-    pattern = pattern or NMPattern(2, 8, vector_length=4)
-    b = random_dense(k, n, rng)
-    pruned, mask = prune_dense(pattern, b)
-    return compress(pattern, pruned, mask)
-
-
-class TestSaveLoad:
-    def test_round_trip_file(self, tmp_path, rng):
-        comp = _compressed(rng)
-        path = tmp_path / "weights.npz"
-        save_compressed(path, comp)
-        back = load_compressed(path)
-        assert back.pattern == comp.pattern
-        assert back.k == comp.k
-        assert np.array_equal(back.values, comp.values)
-        assert np.array_equal(back.indices, comp.indices)
-
-    def test_round_trip_buffer(self, rng):
-        comp = _compressed(rng)
-        buf = io.BytesIO()
-        save_compressed(buf, comp)
-        buf.seek(0)
-        back = load_compressed(buf)
-        assert np.array_equal(back.to_dense(), comp.to_dense())
-
-    def test_product_preserved_through_disk(self, tmp_path, rng):
-        from repro.kernels.functional import nm_spmm_functional
-
-        comp = _compressed(rng)
-        a = random_dense(8, comp.k, rng)
-        path = tmp_path / "w.npz"
-        save_compressed(path, comp)
-        back = load_compressed(path)
-        np.testing.assert_array_equal(
-            nm_spmm_functional(a, comp), nm_spmm_functional(a, back)
-        )
-
-    def test_version_mismatch_rejected(self, tmp_path, rng):
-        comp = _compressed(rng)
-        path = tmp_path / "w.npz"
-        meta = np.array(
-            [comp.pattern.n, comp.pattern.m, comp.pattern.vector_length,
-             comp.k, FORMAT_VERSION + 1],
-            dtype=np.int64,
-        )
-        np.savez(path, values=comp.values, indices=comp.indices, meta=meta)
-        with pytest.raises(CompressionError, match="version"):
-            load_compressed(path)
-
-    def test_missing_key_rejected(self, tmp_path, rng):
-        comp = _compressed(rng)
-        path = tmp_path / "w.npz"
-        np.savez(path, values=comp.values)
-        with pytest.raises(CompressionError, match="missing"):
-            load_compressed(path)
-
-    def test_corrupted_indices_rejected(self, tmp_path, rng):
-        """Failure injection: out-of-range D entries must not load."""
-        comp = _compressed(rng)
-        bad = comp.indices.copy()
-        bad[0, 0] = comp.pattern.m  # out of range
-        meta = np.array(
-            [comp.pattern.n, comp.pattern.m, comp.pattern.vector_length,
-             comp.k, FORMAT_VERSION],
-            dtype=np.int64,
-        )
-        path = tmp_path / "w.npz"
-        np.savez(path, values=comp.values, indices=bad, meta=meta)
-        with pytest.raises(CompressionError):
-            load_compressed(path)
-
-    def test_truncated_values_rejected(self, tmp_path, rng):
-        comp = _compressed(rng)
-        meta = np.array(
-            [comp.pattern.n, comp.pattern.m, comp.pattern.vector_length,
-             comp.k, FORMAT_VERSION],
-            dtype=np.int64,
-        )
-        path = tmp_path / "w.npz"
-        np.savez(path, values=comp.values[:-1], indices=comp.indices, meta=meta)
-        with pytest.raises(CompressionError):
-            load_compressed(path)
+def _version(sweep: Sweep, version: str) -> Sweep:
+    """The cells of ``sweep`` run at ``version``."""
+    return Sweep([cell for cell in sweep.cells if cell.version == version])
 
 
 class TestSweepRunner:
@@ -112,11 +24,6 @@ class TestSweepRunner:
     def test_cell_count(self, sweep):
         assert len(sweep.cells) == 2 * 2 * 1 * 2
 
-    def test_filter(self, sweep):
-        v3 = sweep.filter(version="V3")
-        assert len(v3.cells) == 4
-        assert all(c.version == "V3" for c in v3.cells)
-
     def test_geomean_positive(self, sweep):
         assert sweep.geomean_speedup() > 0
 
@@ -125,8 +32,8 @@ class TestSweepRunner:
 
     def test_v3_geomean_beats_v1(self, sweep):
         assert (
-            sweep.filter(version="V3").geomean_speedup()
-            >= sweep.filter(version="V1").geomean_speedup()
+            _version(sweep, "V3").geomean_speedup()
+            >= _version(sweep, "V1").geomean_speedup()
         )
 
     def test_render(self, sweep):

@@ -3,16 +3,42 @@
 import numpy as np
 import pytest
 
+from repro.constants import WARP_SIZE
 from repro.errors import ConfigurationError
 from repro.kernels.thread_grid import ThreadGrid, thread_offsets
 from repro.kernels.tiling import TABLE_I, MatrixSizeClass, TileParams
+
+
+def _ownership_map(grid: ThreadGrid) -> np.ndarray:
+    """``(ms, ns)`` map of which thread owns each C element; every
+    element must be owned by exactly one thread."""
+    p = grid.params
+    owner = np.full((p.ms, p.ns), -1, dtype=np.int64)
+    for tid, (ti, tj) in enumerate(grid.all_origins()):
+        owner[ti : ti + p.mt, tj : tj + p.nt] = tid
+    return owner
+
+
+def _warp_col_addresses(grid: ThreadGrid, p_step: int) -> list[np.ndarray]:
+    """Shared-memory word addresses each warp reads from As (stored
+    transposed as ``As[ks][ms]``, Listing 2 signature) for inner
+    step ``p_step``: lane reads ``As[p][ti..ti+mt)``."""
+    p = grid.params
+    per_warp: list[np.ndarray] = []
+    for warp_id in range(grid.num_warps):
+        addrs = np.empty(WARP_SIZE, dtype=np.int64)
+        for lane_id in range(WARP_SIZE):
+            ti, _ = grid.thread_tile_origin(warp_id, lane_id)
+            addrs[lane_id] = p_step * p.ms + ti
+        per_warp.append(addrs)
+    return per_warp
 
 
 @pytest.mark.parametrize("cls", list(MatrixSizeClass))
 class TestOwnership:
     def test_every_element_owned_once(self, cls):
         grid = ThreadGrid(TABLE_I[cls])
-        owner = grid.ownership_map()
+        owner = _ownership_map(grid)
         assert owner.min() >= 0  # full coverage
         # each thread owns exactly mt*nt elements
         p = TABLE_I[cls]
@@ -78,12 +104,12 @@ class TestAddressEnumeration:
     def test_col_addresses(self):
         p = TABLE_I[MatrixSizeClass.SMALL]
         grid = ThreadGrid(p)
-        addrs = grid.warp_col_addresses(0)[0]
+        addrs = _warp_col_addresses(grid, 0)[0]
         assert addrs.min() >= 0
         assert addrs.max() < p.ms
 
     def test_custom_tile(self):
         p = TileParams(ms=64, ns=64, mr=32, nr=32, mt=8, nt=4, ks=32)
         grid = ThreadGrid(p)
-        owner = grid.ownership_map()
+        owner = _ownership_map(grid)
         assert owner.min() >= 0

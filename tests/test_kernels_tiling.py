@@ -21,6 +21,16 @@ from repro.workloads.cases import TABLE_II_CASES
 A100_SMEM = 192 * 1024
 
 
+def _smem_bytes_used(p: TileParams, pattern: NMPattern, packed: bool = False) -> int:
+    """Shared-memory footprint of one buffer set per Eq. 4:
+    ``4*(ks*ms + ws*ns + ws*qs)`` (As charged at packed width when
+    ``packed``)."""
+    ws = p.ws(pattern)
+    qs = p.qs(pattern)
+    a_cols = ws if packed else p.ks
+    return 4 * (a_cols * p.ms + ws * p.ns + ws * qs)
+
+
 class TestTableI:
     def test_small_row(self):
         p = TABLE_I[MatrixSizeClass.SMALL]
@@ -168,7 +178,7 @@ class TestKsDerivation:
     def test_smem_bytes_used(self):
         pattern = NMPattern(16, 32, vector_length=32)
         p = TABLE_I[MatrixSizeClass.LARGE].with_ks(pattern, A100_SMEM, 4096)
-        used = p.smem_bytes_used(pattern)
+        used = _smem_bytes_used(p, pattern)
         assert used <= A100_SMEM  # Eq. 4 with the x0.5 margin folded in
-        packed = p.smem_bytes_used(pattern, packed=True)
+        packed = _smem_bytes_used(p, pattern, packed=True)
         assert packed < used

@@ -286,13 +286,6 @@ class TestDeviceMemoryModel:
         with pytest.raises(ServeError, match="budget"):
             mem.set_budget(0, 2.0)
 
-    def test_from_gpu_uses_catalog_dram(self):
-        from repro.gpu.catalog import resolve_gpu
-
-        spec = resolve_gpu("A100")
-        mem = DeviceMemoryModel.from_gpu("A100", devices=2)
-        assert mem.budget_bytes == int(spec.dram_gb) * (1 << 30) * 2
-
     def test_leaked_kv_fails_reconcile(self):
         mem = DeviceMemoryModel(1000)
         mem.add_weights("m", 100, 0.0)

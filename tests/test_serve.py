@@ -13,8 +13,10 @@ from repro.errors import ConfigurationError, ServeError
 from repro.serve.batcher import BatchingPolicy, DynamicBatcher
 from repro.serve.cache import LRUCache, PlanCache
 from repro.serve.loadgen import (
+    MAX_EXPECTED_ARRIVALS,
     TrafficSource,
     bursty_arrivals,
+    check_rate,
     generate_requests,
     poisson_arrivals,
 )
@@ -32,6 +34,12 @@ def int_matrix(rng, rows, cols):
     """Small-integer float32 data: exactly representable, so any
     accumulation order gives bitwise-identical products."""
     return rng.integers(-4, 5, size=(rows, cols)).astype(np.float32)
+
+
+def record_for(report, request_id):
+    """The :class:`RequestRecord` of ``request_id`` in ``report``."""
+    (record,) = [r for r in report.request_records if r.request.request_id == request_id]
+    return record
 
 
 def make_request(request_id, model, rows, k, arrival_s, rng):
@@ -65,7 +73,6 @@ class TestInferenceRequest:
         rec = RequestRecord(request=req, batch_id=0, started_s=1.5, finished_s=2.0)
         assert rec.latency_s == pytest.approx(1.0)
         assert rec.queue_wait_s == pytest.approx(0.5)
-        assert rec.service_s == pytest.approx(0.5)
 
     def test_record_rejects_time_travel(self, rng):
         req = make_request(0, "m", 2, 8, 1.0, rng)
@@ -190,7 +197,6 @@ class TestDynamicBatcher:
         batch = batcher.form_batch(q)
         assert batch.rows == 5
         assert batch.padded_rows == 8
-        assert batch.padding_rows == 3
         assert batch.a.shape == (8, 4)
         # Stacked block holds each request's rows at its offset; the
         # padding rows are zero.
@@ -487,6 +493,39 @@ class TestBadRates:
         assert message.startswith("serve-sim: ") and "\n" not in message
         assert "must be a finite number > 0" in message
 
+    @pytest.mark.parametrize("arrivals", [poisson_arrivals, bursty_arrivals])
+    def test_too_many_arrivals_refused_before_any_draw(self, arrivals):
+        """A finite rate whose trace would hold ~5e298 arrivals fails
+        before the first draw, so the arrival loop never starts."""
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew rng.{name}")
+
+        with watchdog(5.0), pytest.raises(ServeError, match="arrivals"):
+            arrivals(1e300, 0.05, NoDraws())
+
+    def test_arrival_cap_is_inclusive(self):
+        check_rate(MAX_EXPECTED_ARRIVALS / 2, 2.0)
+        with pytest.raises(ServeError, match="arrivals"):
+            check_rate(MAX_EXPECTED_ARRIVALS, 1.5)
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["--seed", "-1"], "seed must be"),
+            (["--model-mode", "--seed", "-1"], "seed must be"),
+            (["--qps", "1e300", "--duration", "0.05"], "arrivals"),
+            (["--model-mode", "--qps", "1e300", "--duration", "0.05"], "arrivals"),
+        ],
+    )
+    def test_bad_seed_and_arrival_count_exit_with_one_line(self, argv, fragment):
+        with watchdog(5.0), pytest.raises(SystemExit) as exc:
+            main(["serve-sim", "--duration", "0.1", *argv])
+        message = str(exc.value.code)
+        assert message.startswith("serve-sim: ") and "\n" not in message
+        assert fragment in message
+
 
 # ---------------------------------------------------------------------------
 # Registry + engine
@@ -570,7 +609,7 @@ class TestEngine:
         # The first batch launches exactly at the oldest request's
         # deadline, not before.
         assert batches[0].started_s == pytest.approx(1e-3)
-        rec0, rec1 = report.record_for(0), report.record_for(1)
+        rec0, rec1 = record_for(report, 0), record_for(report, 1)
         assert rec0.batch_id == rec1.batch_id
         assert rec0.queue_wait_s == pytest.approx(1e-3)
 
@@ -789,8 +828,9 @@ class TestEngine:
             [make_request(0, "narrow", 2, 64, 0.0, rng)]
         )
         rec = report.request_records[0]
-        assert rec.latency_s == pytest.approx(rec.queue_wait_s + rec.service_s)
-        assert rec.service_s > 0  # modeled GPU time + host overhead
+        service_s = rec.finished_s - rec.started_s
+        assert rec.latency_s == pytest.approx(rec.queue_wait_s + service_s)
+        assert service_s > 0  # modeled GPU time + host overhead
 
     def test_empty_trace_rejected(self, rng):
         with pytest.raises(ServeError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_serve import record_for
 
 from repro.cli import main
 from repro.core.api import NMSpMM
@@ -297,28 +298,6 @@ class TestPriorityQueueing:
             assert len(q) == len(live)
         assert q.total_rows == sum(live.values())
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        rows=st.integers(min_value=0, max_value=512),
-        padding=st.integers(min_value=0, max_value=128),
-    )
-    def test_padding_fraction_total_and_in_range(self, rows, padding):
-        """Satellite property test: ``padding_fraction`` is a true
-        fraction for any record shape — including the zero-row record
-        that used to raise ``ZeroDivisionError``."""
-        from repro.serve.metrics import BatchRecord
-
-        record = BatchRecord(
-            batch_id=0, model="m", n_requests=1, rows=rows,
-            padded_rows=rows + padding, started_s=0.0, finished_s=1.0,
-            modeled_gpu_s=1.0,
-        )
-        fraction = record.padding_fraction
-        assert 0.0 <= fraction <= 1.0
-        if record.padded_rows > 0:
-            assert fraction == pytest.approx(padding / record.padded_rows)
-        else:
-            assert fraction == 0.0  # nothing launched pads nothing
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +942,7 @@ class TestSchedulingEngine:
             rng, policy=policy, execute_numerics=False, scheduling="priority"
         ).simulate(trace)
         assert (
-            pri.record_for(8).finished_s < fifo.record_for(8).finished_s
+            record_for(pri, 8).finished_s < record_for(fifo, 8).finished_s
         )
         # Both serve the identical work overall.
         assert fifo.metrics.completed == pri.metrics.completed == 9
@@ -981,10 +960,10 @@ class TestSchedulingEngine:
         step_s = (
             batch.modeled_gpu_s / 4 + server.host_overhead_s
         )
-        assert report.record_for(0).finished_s == pytest.approx(
+        assert record_for(report, 0).finished_s == pytest.approx(
             batch.started_s + 4 * step_s
         )
-        assert report.record_for(1).finished_s == pytest.approx(
+        assert record_for(report, 1).finished_s == pytest.approx(
             batch.started_s + 1 * step_s
         )
         assert batch.finished_s == pytest.approx(batch.started_s + 4 * step_s)
@@ -1050,8 +1029,8 @@ class TestSchedulingEngine:
             continuous_batching=True,
         ).simulate(trace)
         assert (
-            rolling.record_for(0).latency_s
-            < waiting.record_for(0).latency_s
+            record_for(rolling, 0).latency_s
+            < record_for(waiting, 0).latency_s
         )
 
     def test_decode_urgency_reflects_resident_sequences(self, rng):

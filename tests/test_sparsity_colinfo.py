@@ -86,34 +86,38 @@ class TestQueryColInfo:
             query_col_info(pattern_2_4, comp.indices[1:3], 1)
 
 
+def _packed_widths(info):
+    """``(k-blocks, n-blocks)`` packed A-tile column counts."""
+    return np.array([[c.size for c in row] for row in info.cols])
+
+
 class TestPreprocessOffline:
     def test_tile_grid_shape(self, pattern_2_4):
         comp = _compressed(pattern_2_4, 32, 16)  # w=16, q=4
         info = preprocess_offline(comp, ws=8, ns=8)
         assert info.num_k_blocks == 2
-        assert info.num_n_blocks == 2
+        assert len(info.cols[0]) == 2  # n-blocks
 
     def test_packed_width_bounds(self, pattern_2_4):
         comp = _compressed(pattern_2_4, 32, 16)
         info = preprocess_offline(comp, ws=8, ns=8)
         ks = 16  # 8 compressed rows * M/N
-        for kb in range(info.num_k_blocks):
-            for jb in range(info.num_n_blocks):
-                width = info.packed_width(kb, jb)
-                assert 8 <= width <= ks  # >= ws, <= ks
+        widths = _packed_widths(info)
+        assert widths.min() >= 8 and widths.max() <= ks  # >= ws, <= ks
 
     def test_max_and_mean(self, pattern_2_4):
         comp = _compressed(pattern_2_4, 32, 16)
         info = preprocess_offline(comp, ws=8, ns=8)
-        assert info.max_packed_width() <= 16
-        assert 0 < info.mean_packed_fraction(16) <= 1.0
+        widths = _packed_widths(info)
+        assert widths.max() <= 16
+        assert 0 < widths.mean() / 16 <= 1.0
 
     def test_overhead_small(self):
         # Paper: col_info adds 1-10% memory overhead.
         p = NMPattern(4, 32, vector_length=32)
         comp = _compressed(p, 256, 256)
         info = preprocess_offline(comp, ws=32, ns=128)
-        assert info.overhead_vs_values(comp) < 0.5
+        assert info.col_info_bytes() / comp.values_bytes() < 0.5
 
     def test_ws_alignment_enforced(self, pattern_2_4):
         comp = _compressed(pattern_2_4, 32, 16)
@@ -140,4 +144,4 @@ class TestPreprocessOffline:
         comp = compress(p, b)
         info = preprocess_offline(comp, ws=8, ns=16)
         # packed width = ws exactly (identical patterns)
-        assert info.max_packed_width() == 8
+        assert _packed_widths(info).max() == 8

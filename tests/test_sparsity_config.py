@@ -25,7 +25,6 @@ class TestNMPatternBasics:
         p = NMPattern(2, 4, vector_length=4)
         assert p.sparsity == 0.5
         assert p.density == 0.5
-        assert not p.is_dense
         assert not p.is_high_sparsity
 
     def test_paper_patterns_sparsity(self):
@@ -43,7 +42,6 @@ class TestNMPatternBasics:
 
     def test_dense_pattern(self):
         p = NMPattern(32, 32)
-        assert p.is_dense
         assert p.sparsity == 0.0
         assert p.ideal_speedup == 1.0
 

@@ -58,9 +58,3 @@ class TestTextTable:
         t = TextTable(["v"])
         t.add_row([1.23456])
         assert "1.235" in t.render()
-
-    def test_section(self):
-        t = TextTable(["a", "b"])
-        t.add_section("part 1")
-        t.add_row([1, 2])
-        assert "== part 1" in t.render()

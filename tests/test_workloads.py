@@ -105,7 +105,7 @@ class TestPaperPatterns:
 
     def test_include_dense(self):
         pats = paper_patterns(include_dense=True)
-        assert pats[0].is_dense
+        assert pats[0].n == pats[0].m
         assert len(pats) == 5
 
     def test_m32_everywhere(self):
@@ -146,7 +146,3 @@ class TestSparseProblem:
         assert problem.sparsity == 0.75
         assert problem.ideal_speedup == 4.0
 
-    def test_dense_bytes(self):
-        shape = ProblemShape(2, 3, 4)
-        assert shape.dense_bytes == 4 * (8 + 12 + 6)
-        assert shape.dense_flops == 48

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.analysis.finding import Finding, Severity
 from repro.errors import LintError
+from repro.utils.validation import check_choice
 
 __all__ = [
     "RuleContext",
@@ -101,22 +102,12 @@ def register_rule(rule: Rule, *, replace: bool = False) -> Rule:
 
 def unregister_rule(code: str) -> Rule:
     """Remove and return a registered rule (mainly for tests)."""
-    try:
-        return _REGISTRY.pop(code)
-    except KeyError:
-        raise LintError(
-            f"unknown rule {code!r}; registered: {list(_REGISTRY)}"
-        ) from None
+    return _REGISTRY.pop(check_choice("rule", code, _REGISTRY, error=LintError))
 
 
 def get_rule(code: str) -> Rule:
     """Look a rule up by code."""
-    try:
-        return _REGISTRY[code]
-    except KeyError:
-        raise LintError(
-            f"unknown rule {code!r}; expected one of {rule_codes()}"
-        ) from None
+    return _REGISTRY[check_choice("rule", code, _REGISTRY, error=LintError)]
 
 
 def _ensure_default_rules() -> None:

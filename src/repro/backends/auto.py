@@ -46,6 +46,7 @@ from repro.backends.registry import (
 )
 from repro.errors import ConfigurationError
 from repro.utils.cache import LRUCache
+from repro.utils.validation import check_float, check_int
 
 __all__ = [
     "GATHER_FULL_EFFICIENCY_L",
@@ -143,20 +144,9 @@ class AutoSelector:
         scatter_macs_per_element: float = SCATTER_MACS_PER_ELEMENT,
         memo_capacity: int = DECISION_MEMO_CAPACITY,
     ):
-        if gather_full_efficiency_l < 1:
-            raise ConfigurationError(
-                "gather_full_efficiency_l must be >= 1, got "
-                f"{gather_full_efficiency_l}"
-            )
-        if scatter_macs_per_element < 0:
-            raise ConfigurationError(
-                "scatter_macs_per_element must be >= 0, got "
-                f"{scatter_macs_per_element}"
-            )
-        if memo_capacity < 0:
-            raise ConfigurationError(
-                f"memo_capacity must be >= 0, got {memo_capacity}"
-            )
+        check_int("gather_full_efficiency_l", gather_full_efficiency_l, 1)
+        check_float("scatter_macs_per_element", scatter_macs_per_element, ge=0)
+        check_int("memo_capacity", memo_capacity, 0)
         self.gather_full_efficiency_l = gather_full_efficiency_l
         self.scatter_macs_per_element = scatter_macs_per_element
         self._memo: "LRUCache | None" = (

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+from repro.utils.validation import check_choice
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import Backend
@@ -91,12 +92,7 @@ def register_backend(backend: "Backend", *, replace: bool = False) -> "Backend":
 def unregister_backend(name: str) -> "Backend":
     """Remove and return a registered backend (mainly for tests)."""
     global _GENERATION
-    try:
-        removed = _REGISTRY.pop(name)
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; registered: {list(_REGISTRY)}"
-        ) from None
+    removed = _REGISTRY.pop(check_choice("backend", name, _REGISTRY))
     _GENERATION += 1
     return removed
 

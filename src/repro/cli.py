@@ -287,6 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: serve-sim flags only --model-mode reads; plain mode refuses each one
+#: set to anything but its default.
+MODEL_MODE_FLAGS = (
+    "blocks", "hbm_tokens", "hbm_bytes", "kv_admission", "slo_ms", "prompt_lens",
+    "max_new_tokens",
+)
+
+
 def render_backends() -> str:
     """The ``backends`` subcommand's listing: every registered backend
     with its capabilities, plus the auto-selector's policy."""
@@ -499,6 +507,11 @@ def _run(args: argparse.Namespace) -> int:
                     resilience=args.resilience or None,
                 )
             else:
+                defaults = build_parser().parse_args(["serve-sim"])
+                for dest in MODEL_MODE_FLAGS:
+                    if getattr(args, dest) != getattr(defaults, dest):
+                        flag = "--" + dest.replace("_", "-")
+                        raise SystemExit(f"serve-sim: {flag} applies only in --model-mode")
                 scenario = LlamaServingScenario(
                     models=tuple(args.models),
                     layer=args.layer,

@@ -32,7 +32,7 @@ from repro.sparsity.compress import NMCompressedMatrix, compress
 from repro.sparsity.config import NMPattern
 from repro.sparsity.gather import GatherLayout, build_gather_layout
 from repro.utils.arrays import as_f32_any_order
-from repro.utils.validation import check_matrix, check_real, check_weights
+from repro.utils.validation import check_int, check_matrix, check_real, check_type, check_weights
 
 __all__ = ["SparseHandle", "NMSpMM", "nm_spmm"]
 
@@ -59,20 +59,9 @@ class SparseHandle:
     _gather_layout: "GatherLayout | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.logical_k is not None and not (
-            1 <= self.logical_k <= self.compressed.k
-        ):
-            raise ShapeError(
-                f"logical_k={self.logical_k} must be in [1, "
-                f"{self.compressed.k}] (the compressed k)"
-            )
-        if self.logical_n is not None and not (
-            1 <= self.logical_n <= self.compressed.n
-        ):
-            raise ShapeError(
-                f"logical_n={self.logical_n} must be in [1, "
-                f"{self.compressed.n}] (the compressed n)"
-            )
+        c = self.compressed
+        check_int("logical_k", self.logical_k, 1, c.k, error=ShapeError, optional=True)
+        check_int("logical_n", self.logical_n, 1, c.n, error=ShapeError, optional=True)
 
     @property
     def pattern(self) -> NMPattern:
@@ -175,7 +164,7 @@ class NMSpMM:
         version: "str | OptimizationVersion" = "V3",
         selector: "AutoSelector | None" = None,
     ):
-        self.pattern = pattern
+        self.pattern = check_type("pattern", pattern, NMPattern)
         self.gpu = resolve_gpu(gpu)
         self.version = OptimizationVersion.parse(version)
         self.selector = selector if selector is not None else AutoSelector()

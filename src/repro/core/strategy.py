@@ -14,7 +14,7 @@ from enum import Enum
 from repro.constants import HIGH_SPARSITY_THRESHOLD
 from repro.sparsity.colinfo import expected_packed_fraction
 from repro.sparsity.config import NMPattern
-from repro.utils.validation import check_fraction
+from repro.utils.validation import check_float
 
 __all__ = ["LoadStrategy", "select_strategy", "packing_benefit"]
 
@@ -37,7 +37,7 @@ def select_strategy(
     >>> select_strategy(NMPattern(4, 32))
     <LoadStrategy.PACKING: 'packing'>
     """
-    check_fraction("threshold", threshold)
+    check_float("threshold", threshold, ge=0, le=1)
     if pattern.sparsity > threshold:
         return LoadStrategy.PACKING
     return LoadStrategy.NON_PACKING

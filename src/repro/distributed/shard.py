@@ -40,7 +40,7 @@ from repro.constants import FP32_BYTES
 from repro.errors import ShardError
 from repro.sparsity.compress import NMCompressedMatrix
 from repro.sparsity.config import NMPattern
-from repro.utils.validation import is_int
+from repro.utils.validation import check_choice, check_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import SparseHandle
@@ -79,18 +79,11 @@ def mode_collective(
 
 
 def _check_mode(mode: str) -> str:
-    if mode not in SHARD_MODES:
-        raise ShardError(
-            f"unknown shard mode {mode!r}; expected one of {SHARD_MODES}"
-        )
-    return mode
+    return check_choice("shard mode", mode, SHARD_MODES, error=ShardError)
 
 
 def _check_devices(devices: int) -> None:
-    if not is_int(devices):
-        raise ShardError(f"devices must be an integer, got {devices!r}")
-    if devices < 1:
-        raise ShardError(f"devices must be >= 1, got {devices}")
+    check_int("devices", devices, 1, error=ShardError)
 
 
 def shard_extents(windows: int, devices: int) -> list[tuple[int, int]]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.gpu.catalog import resolve_gpu
 from repro.gpu.spec import GPUSpec
-from repro.utils.validation import is_int
+from repro.utils.validation import check_choice, check_float, check_int
 
 __all__ = [
     "Link",
@@ -37,7 +37,12 @@ __all__ = [
     "get_link",
     "CommEvent",
     "DeviceGroup",
+    "MAX_DEVICES",
 ]
+
+#: Most devices a group may hold: far above any node or test (64), and
+#: few enough that per-device state stays small.
+MAX_DEVICES = 1024
 
 
 @dataclass(frozen=True)
@@ -50,14 +55,8 @@ class Link:
     latency_s: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gb_s <= 0:
-            raise ConfigurationError(
-                f"link bandwidth must be positive, got {self.bandwidth_gb_s}"
-            )
-        if self.latency_s < 0:
-            raise ConfigurationError(
-                f"link latency must be >= 0, got {self.latency_s}"
-            )
+        check_float("bandwidth_gb_s", self.bandwidth_gb_s, gt=0)
+        check_float("latency_s", self.latency_s, ge=0)
 
     @property
     def bytes_per_s(self) -> float:
@@ -85,12 +84,7 @@ def get_link(link: "str | Link") -> Link:
     if isinstance(link, Link):
         return link
     if isinstance(link, str):
-        key = link.strip().lower()
-        if key in LINKS:
-            return LINKS[key]
-        raise ConfigurationError(
-            f"unknown link {link!r}; known: {sorted(LINKS)}"
-        )
+        return LINKS[check_choice("link", link.strip().lower(), LINKS)]
     raise ConfigurationError(f"cannot interpret {link!r} as a link")
 
 
@@ -138,14 +132,7 @@ class DeviceGroup:
     link: Link
 
     def __post_init__(self) -> None:
-        if not is_int(self.devices):
-            raise ConfigurationError(
-                f"device count must be an integer, got {self.devices!r}"
-            )
-        if self.devices < 1:
-            raise ConfigurationError(
-                f"a device group needs >= 1 device, got {self.devices}"
-            )
+        check_int("devices", self.devices, 1, MAX_DEVICES)
 
     @classmethod
     def build(

@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from repro.errors import FaultError
+from repro.utils.validation import check_choice, check_float, check_int, check_type
 
 __all__ = [
     "LaunchFaultWindow",
@@ -62,13 +63,10 @@ __all__ = [
 ]
 
 
-def _check_window(start_s: float, end_s: float, what: str) -> None:
-    if not (start_s >= 0 and math.isfinite(start_s)):
-        raise FaultError(f"{what}: start_s must be finite >= 0, got {start_s}")
-    if end_s <= start_s:
-        raise FaultError(
-            f"{what}: end_s={end_s} must be > start_s={start_s}"
-        )
+def _check_window(start_s: float, end_s: float) -> None:
+    check_float("start_s", start_s, ge=0, error=FaultError)
+    if end_s != math.inf:  # inf leaves the window open
+        check_float("end_s", end_s, gt=start_s, error=FaultError)
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,9 @@ class LaunchFaultWindow:
     device: "int | None" = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.p <= 1:
-            raise FaultError(
-                f"launch fault probability must be in (0, 1], got {self.p}"
-            )
-        _check_window(self.start_s, self.end_s, "launch fault")
-        if self.device is not None and self.device < 0:
-            raise FaultError(f"device must be >= 0, got {self.device}")
+        check_float("p", self.p, gt=0, le=1, error=FaultError)
+        _check_window(self.start_s, self.end_s)
+        check_int("device", self.device, 0, error=FaultError, optional=True)
 
     def active(self, model: str, t_s: float) -> bool:
         if self.model is not None and self.model != model:
@@ -104,12 +98,8 @@ class DeviceFailStop:
     at_s: float
 
     def __post_init__(self) -> None:
-        if self.device < 0:
-            raise FaultError(f"device must be >= 0, got {self.device}")
-        if not (self.at_s >= 0 and math.isfinite(self.at_s)):
-            raise FaultError(
-                f"fail-stop at_s must be finite >= 0, got {self.at_s}"
-            )
+        check_int("device", self.device, 0, error=FaultError)
+        check_float("at_s", self.at_s, ge=0, error=FaultError)
 
 
 @dataclass(frozen=True)
@@ -122,13 +112,9 @@ class DeviceSlowdown:
     end_s: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.device < 0:
-            raise FaultError(f"device must be >= 0, got {self.device}")
-        if not self.factor >= 1:
-            raise FaultError(
-                f"slowdown factor must be >= 1, got {self.factor}"
-            )
-        _check_window(self.start_s, self.end_s, "slowdown")
+        check_int("device", self.device, 0, error=FaultError)
+        check_float("factor", self.factor, ge=1, error=FaultError)
+        _check_window(self.start_s, self.end_s)
 
     def active(self, t_s: float) -> bool:
         return self.start_s <= t_s < self.end_s
@@ -153,20 +139,11 @@ class LinkDegradation:
     duty: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.bandwidth_factor <= 1:
-            raise FaultError(
-                "link bandwidth_factor must be in (0, 1], got "
-                f"{self.bandwidth_factor}"
-            )
-        if self.extra_latency_s < 0:
-            raise FaultError(
-                f"extra_latency_s must be >= 0, got {self.extra_latency_s}"
-            )
-        _check_window(self.start_s, self.end_s, "link degradation")
-        if self.period_s is not None and not self.period_s > 0:
-            raise FaultError(f"period_s must be > 0, got {self.period_s}")
-        if not 0 < self.duty <= 1:
-            raise FaultError(f"duty must be in (0, 1], got {self.duty}")
+        check_float("bandwidth_factor", self.bandwidth_factor, gt=0, le=1, error=FaultError)
+        check_float("extra_latency_s", self.extra_latency_s, ge=0, error=FaultError)
+        _check_window(self.start_s, self.end_s)
+        check_float("period_s", self.period_s, gt=0, error=FaultError, optional=True)
+        check_float("duty", self.duty, gt=0, le=1, error=FaultError)
 
     def active(self, t_s: float) -> bool:
         if not self.start_s <= t_s < self.end_s:
@@ -188,6 +165,9 @@ class FaultPlan:
     link_faults: tuple[LinkDegradation, ...] = ()
     #: The spec string the plan was parsed from (reporting only).
     spec: "str | None" = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        check_int("seed", self.seed, 0, error=FaultError)
 
     @property
     def empty(self) -> bool:
@@ -275,12 +255,7 @@ _SPEC_REQUIRED = {
 
 def _parse_clause(clause: str):
     kind, _, rest = clause.partition(":")
-    kind = kind.strip().lower()
-    if kind not in _SPEC_FIELDS:
-        raise FaultError(
-            f"unknown fault kind {kind!r} in clause {clause!r}; "
-            f"known: {sorted(_SPEC_FIELDS)}"
-        )
+    kind = check_choice("fault kind", kind.strip().lower(), _SPEC_FIELDS, error=FaultError)
     mapping = _SPEC_FIELDS[kind]
     kwargs: dict = {}
     for pair in rest.split(","):
@@ -322,7 +297,7 @@ def parse_fault_spec(spec: str, *, seed: int = 0) -> FaultPlan:
     >>> len(plan.launch_faults), len(plan.device_failures)
     (1, 1)
     """
-    if not spec or not spec.strip():
+    if not check_type("fault spec", spec, str, error=FaultError).strip():
         raise FaultError("empty fault spec")
     buckets: dict[str, list] = {k: [] for k in _SPEC_FIELDS}
     for clause in spec.split(";"):

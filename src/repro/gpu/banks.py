@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import SMEM_BANKS
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_int
 
 __all__ = ["bank_conflict_degree", "warp_transactions", "conflict_multiplier"]
 
@@ -36,7 +36,7 @@ def bank_conflict_degree(word_addresses: np.ndarray, banks: int = SMEM_BANKS) ->
     addrs = np.asarray(word_addresses, dtype=np.int64).ravel()
     if addrs.size == 0:
         return 1
-    check_positive_int("banks", banks)
+    check_int("banks", banks, 1)
     bank = addrs % banks
     degree = 1
     for b in np.unique(bank):
@@ -59,7 +59,7 @@ def warp_transactions(
     phases; each phase pays its own conflict degree.
     """
     addrs = np.asarray(word_addresses, dtype=np.int64).ravel()
-    check_positive_int("words_per_thread", words_per_thread)
+    check_int("words_per_thread", words_per_thread, 1)
     # A wide LDS is executed in phases of <= 128 bytes: with w-word
     # accesses, 32/w lanes are served per phase.  Each phase pays one
     # transaction per distinct word mapped to the busiest bank.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.constants import WARP_SIZE
 from repro.errors import SimulationError
 from repro.gpu.spec import GPUSpec
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_int
 
 __all__ = ["OccupancyResult", "compute_occupancy"]
 
@@ -52,10 +52,8 @@ def compute_occupancy(
     Raises :class:`SimulationError` when the block cannot launch at all
     (register or shared-memory demand exceeds the SM).
     """
-    threads_per_block = check_positive_int("threads_per_block", threads_per_block)
-    registers_per_thread = check_positive_int(
-        "registers_per_thread", registers_per_thread
-    )
+    threads_per_block = check_int("threads_per_block", threads_per_block, 1)
+    registers_per_thread = check_int("registers_per_thread", registers_per_thread, 1)
     if threads_per_block % WARP_SIZE != 0:
         raise SimulationError(
             f"threads_per_block={threads_per_block} is not a warp multiple"
@@ -65,8 +63,7 @@ def compute_occupancy(
             f"threads_per_block={threads_per_block} exceeds the "
             f"{spec.max_threads_per_block} limit"
         )
-    if smem_bytes_per_block < 0:
-        raise SimulationError("smem_bytes_per_block must be non-negative")
+    check_int("smem_bytes_per_block", smem_bytes_per_block, 0, error=SimulationError)
 
     warps_per_block = threads_per_block // WARP_SIZE
 

@@ -12,6 +12,7 @@ from enum import Enum
 
 from repro.errors import SimulationError
 from repro.gpu.spec import GPUSpec
+from repro.utils.validation import check_float
 
 __all__ = ["BoundKind", "Roofline", "RooflinePoint"]
 
@@ -45,8 +46,8 @@ class Roofline:
     bandwidth_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if self.peak_flops <= 0 or self.bandwidth_bytes_per_s <= 0:
-            raise SimulationError("roofline peaks must be positive")
+        for name in ("peak_flops", "bandwidth_bytes_per_s"):
+            check_float(name, getattr(self, name), gt=0, error=SimulationError)
 
     @classmethod
     def for_gpu(cls, spec: GPUSpec, *, locked: bool = True) -> "Roofline":
@@ -62,10 +63,7 @@ class Roofline:
 
     def attainable(self, arithmetic_intensity: float) -> float:
         """Attainable FLOP/s at the given arithmetic intensity."""
-        if arithmetic_intensity < 0:
-            raise SimulationError(
-                f"arithmetic intensity must be non-negative, got {arithmetic_intensity}"
-            )
+        check_float("arithmetic_intensity", arithmetic_intensity, ge=0, error=SimulationError)
         return min(self.peak_flops, arithmetic_intensity * self.bandwidth_bytes_per_s)
 
     def bound_kind(self, arithmetic_intensity: float) -> BoundKind:

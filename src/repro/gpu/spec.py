@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_float, check_int
 
 __all__ = ["GPUSpec"]
 
@@ -76,23 +76,19 @@ class GPUSpec:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_positive_int("boost_clock_mhz", self.boost_clock_mhz)
-        check_positive_int("num_sms", self.num_sms)
-        check_positive_int("fp32_cores_per_sm", self.fp32_cores_per_sm)
-        if self.peak_fp32_tflops <= 0:
-            raise ConfigurationError("peak_fp32_tflops must be positive")
-        if self.dram_bw_gbps <= 0:
-            raise ConfigurationError("dram_bw_gbps must be positive")
+        check_int("boost_clock_mhz", self.boost_clock_mhz, 1)
+        check_int("num_sms", self.num_sms, 1)
+        check_int("fp32_cores_per_sm", self.fp32_cores_per_sm, 1)
+        check_float("peak_fp32_tflops", self.peak_fp32_tflops, gt=0)
+        check_float("dram_bw_gbps", self.dram_bw_gbps, gt=0)
         if self.fp32_flops_per_clock_per_sm != 2 * self.fp32_cores_per_sm:
             raise ConfigurationError(
                 "fp32_flops_per_clock_per_sm must equal 2*fp32_cores_per_sm "
                 f"(FMA = 2 FLOPs): got {self.fp32_flops_per_clock_per_sm} "
                 f"vs cores {self.fp32_cores_per_sm}"
             )
-        if self.locked_clock_mhz < 0:
-            raise ConfigurationError("locked_clock_mhz must be non-negative")
-        if self.max_smem_per_block_kb < 0:
-            raise ConfigurationError("max_smem_per_block_kb must be non-negative")
+        check_int("locked_clock_mhz", self.locked_clock_mhz, 0)
+        check_int("max_smem_per_block_kb", self.max_smem_per_block_kb, 0)
 
     # ------------------------------------------------------------------
     # Clocks and peaks

@@ -34,7 +34,7 @@ from repro.constants import (
 from repro.errors import ConfigurationError
 from repro.sparsity.config import NMPattern
 from repro.utils.intmath import ceil_div, round_down
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_choice, check_int
 
 __all__ = [
     "TileParams",
@@ -65,9 +65,9 @@ def classify_matrix(m: int, n: int, k: int) -> MatrixSizeClass:
     use the geometric mean of the output dimensions, which reproduces
     that assignment exactly (see tests against Table II).
     """
-    check_positive_int("m", m)
-    check_positive_int("n", n)
-    check_positive_int("k", k)
+    check_int("m", m, 1)
+    check_int("n", n, 1)
+    check_int("k", k, 1)
     output_scale = (m * n) ** 0.5
     if output_scale <= 768:
         return MatrixSizeClass.SMALL
@@ -81,12 +81,9 @@ def cmar(mt: int, nt: int, lds_width_floats: int = 4) -> float:
     Eq. 6: ``CMAR = (1/alpha) * mt*nt / (mt + nt)`` with
     ``alpha = 4 / lds_width_floats`` (alpha=4 for LDS.32, 2 for LDS.64,
     1 for LDS.128)."""
-    check_positive_int("mt", mt)
-    check_positive_int("nt", nt)
-    if lds_width_floats not in (1, 2, 4):
-        raise ConfigurationError(
-            f"lds_width_floats must be 1, 2 or 4, got {lds_width_floats}"
-        )
+    check_int("mt", mt, 1)
+    check_int("nt", nt, 1)
+    check_choice("lds_width_floats", lds_width_floats, (1, 2, 4))
     alpha = 4 // lds_width_floats
     return (mt * nt) / (alpha * (mt + nt))
 
@@ -109,9 +106,8 @@ class TileParams:
 
     def __post_init__(self) -> None:
         for name in ("ms", "ns", "mr", "nr", "mt", "nt"):
-            check_positive_int(name, getattr(self, name))
-        if self.ks < 0:
-            raise ConfigurationError(f"ks must be non-negative, got {self.ks}")
+            check_int(name, getattr(self, name), 1)
+        check_int("ks", self.ks, 0)
         # §III-B1: "To avoid bank conflict in shared memory access, ms
         # and ns are set as multiples of 32."
         if self.ms % WARP_SIZE != 0 or self.ns % WARP_SIZE != 0:
@@ -218,7 +214,7 @@ def max_ks_eq5(
     The factor 8 is ``4 bytes / SMEM_USABLE_FRACTION``: half the shared
     memory is reserved for double buffering and temporaries.
     """
-    check_positive_int("smem_bytes", smem_bytes)
+    check_int("smem_bytes", smem_bytes, 1)
     budget = smem_bytes * SMEM_USABLE_FRACTION
     denom = 4.0 * (ms + ns * pattern.density)
     ks = int(budget / denom)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import CalibrationError
 from repro.gpu.spec import GPUSpec
+from repro.utils.validation import check_float
 
 __all__ = ["Calibration", "calibration_for", "DEFAULT_CALIBRATION"]
 
@@ -120,23 +121,12 @@ class Calibration:
             ("nm_issue_efficiency", 0.5, 1.0),
             ("nmsparse_issue_efficiency", 0.2, 1.0),
             ("sputnik_issue_efficiency", 0.05, 1.0),
+            ("sync_load_bw_factor", 0.2, 1.0),
+            ("nmsparse_load_bw_factor", 0.2, 1.0),
+            ("sync_exposure_cycles", 0.0, None),
+            ("fill_latency_cycles", 0.0, None),
         ]:
-            value = getattr(self, name)
-            if not (low <= value <= high):
-                raise CalibrationError(
-                    f"{name}={value} outside its documented range [{low}, {high}]"
-                )
-        if self.sync_exposure_cycles < 0 or self.fill_latency_cycles < 0:
-            raise CalibrationError("latency cycle constants must be non-negative")
-        if not (0.2 <= self.sync_load_bw_factor <= 1.0):
-            raise CalibrationError(
-                f"sync_load_bw_factor={self.sync_load_bw_factor} outside [0.2, 1.0]"
-            )
-        if not (0.2 <= self.nmsparse_load_bw_factor <= 1.0):
-            raise CalibrationError(
-                f"nmsparse_load_bw_factor={self.nmsparse_load_bw_factor} "
-                "outside [0.2, 1.0]"
-            )
+            check_float(name, getattr(self, name), ge=low, le=high, error=CalibrationError)
 
     def with_overrides(self, **kwargs: float) -> "Calibration":
         """Return a copy with selected constants replaced (used by the

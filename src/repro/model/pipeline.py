@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.utils.intmath import clamp
+from repro.utils.validation import check_float, check_int
 
 __all__ = ["PipelineStage", "SoftwarePipeline", "steady_state_cycles"]
 
@@ -57,10 +58,9 @@ def steady_state_cycles(
     buffering (``max(load, compute)`` per iteration, plus one load fill
     and one compute drain).
     """
-    if iterations <= 0:
-        raise SimulationError(f"iterations must be positive, got {iterations}")
-    if load_cycles < 0 or compute_cycles < 0:
-        raise SimulationError("stage costs must be non-negative")
+    check_int("iterations", iterations, 1, error=SimulationError)
+    check_float("load_cycles", load_cycles, ge=0, error=SimulationError)
+    check_float("compute_cycles", compute_cycles, ge=0, error=SimulationError)
     overlap = clamp(overlap, 0.0, 1.0)
     serial = load_cycles + compute_cycles
     pipelined = max(load_cycles, compute_cycles)
@@ -83,9 +83,7 @@ class SoftwarePipeline:
     """
 
     def __init__(self, buffers: int = 2):
-        if buffers < 1:
-            raise SimulationError(f"buffers must be >= 1, got {buffers}")
-        self.buffers = buffers
+        self.buffers = check_int("buffers", buffers, 1, error=SimulationError)
 
     def schedule(
         self,

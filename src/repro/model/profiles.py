@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.errors import ConfigurationError
 from repro.model.calibration import Calibration
 
 __all__ = ["OverlapMode", "ALoadMode", "ExecutionProfile", "profile_for_version"]
@@ -106,4 +107,4 @@ def profile_for_version(
             aux_instr_per_step=calib.aux_instr_per_step_v3,
             issue_efficiency=calib.nm_issue_efficiency,
         )
-    raise ValueError(f"unknown NM-SpMM version {version!r}; expected V1/V2/V3")
+    raise ConfigurationError(f"unknown NM-SpMM version {version!r}; expected V1/V2/V3")

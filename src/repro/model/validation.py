@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.gpu.catalog import resolve_gpu
 from repro.gpu.spec import GPUSpec
 from repro.kernels.blocked import KernelTrace, nm_spmm_blocked
@@ -109,6 +110,13 @@ def validate_model(
     """Cross-check the analytic traffic/instruction model against the
     executable kernels on a small instance."""
     pattern = pattern or NMPattern(2, 8, vector_length=4)
+    if pattern.m > k or pattern.vector_length > n:
+        # The instance must hold one pruning window, which also bounds
+        # the operands drawn below.
+        raise ConfigurationError(
+            f"pattern {pattern.label()} does not fit the {k}x{n} validation "
+            "weights (needs M <= k and L <= n)"
+        )
     spec = resolve_gpu(gpu)
     calib = calibration_for(spec)
     if params is None:

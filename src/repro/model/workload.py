@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sparsity.config import NMPattern
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_int
 
 __all__ = ["ProblemShape", "SparseProblem"]
 
@@ -20,9 +20,9 @@ class ProblemShape:
     k: int
 
     def __post_init__(self) -> None:
-        check_positive_int("m", self.m)
-        check_positive_int("n", self.n)
-        check_positive_int("k", self.k)
+        check_int("m", self.m, 1)
+        check_int("n", self.n, 1)
+        check_int("k", self.k, 1)
 
     def label(self) -> str:
         return f"{self.m}x{self.n}x{self.k}"

@@ -33,6 +33,7 @@ from typing import Any, Iterator, Protocol
 
 from repro.errors import ObsError
 from repro.obs.metrics import MetricsRegistry
+from repro.utils.validation import check_float, check_int
 
 __all__ = ["Span", "TraceEvent", "TraceSink", "Tracer"]
 
@@ -161,14 +162,8 @@ class Tracer:
                 "retain=False would silently drop every record; "
                 "attach a sink"
             )
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ObsError(
-                f"sample_rate must be in [0, 1], got {sample_rate}"
-            )
-        if ring_capacity is not None and ring_capacity < 1:
-            raise ObsError(
-                f"ring_capacity must be >= 1, got {ring_capacity}"
-            )
+        check_float("sample_rate", sample_rate, ge=0, le=1, error=ObsError)
+        check_int("ring_capacity", ring_capacity, 1, error=ObsError, optional=True)
         self.now: float = 0.0
         if ring_capacity is None:
             self.spans: list[Span] = []

@@ -33,6 +33,7 @@ from repro.serve.queue import RequestQueue
 from repro.serve.request import InferenceRequest
 from repro.serve.scheduling import SchedulingPolicy, request_order_key
 from repro.utils.intmath import ilog2_ceil, round_up
+from repro.utils.validation import check_float, check_int
 
 __all__ = [
     "BatchingPolicy",
@@ -79,27 +80,14 @@ class BatchingPolicy:
     decode_rows_threshold: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_batch_requests < 1:
-            raise ServeError(
-                f"max_batch_requests must be >= 1, got {self.max_batch_requests}"
-            )
-        if self.max_batch_rows < 1:
-            raise ServeError(
-                f"max_batch_rows must be >= 1, got {self.max_batch_rows}"
-            )
-        if not np.isfinite(self.max_wait_s) or self.max_wait_s < 0:
-            raise ServeError(
-                f"max_wait_s must be finite and >= 0, got {self.max_wait_s}"
-            )
-        if self.pad_rows_quantum < 1:
-            raise ServeError(
-                f"pad_rows_quantum must be >= 1, got {self.pad_rows_quantum}"
-            )
-        if not 1 <= self.decode_rows_threshold <= self.max_batch_rows:
-            raise ServeError(
-                f"decode_rows_threshold must be in [1, max_batch_rows="
-                f"{self.max_batch_rows}], got {self.decode_rows_threshold}"
-            )
+        for name in ("max_batch_requests", "max_batch_rows", "pad_rows_quantum"):
+            check_int(name, getattr(self, name), 1, error=ServeError)
+        check_float("max_wait_s", self.max_wait_s, ge=0, error=ServeError)
+        # Relates two fields: the decode cut-off must fit the row budget.
+        check_int(
+            "decode_rows_threshold", self.decode_rows_threshold, 1,
+            self.max_batch_rows, error=ServeError,
+        )
 
     def bucket_rows(self, rows: int) -> int:
         """The padded row count a ``rows``-row batch launches with."""

@@ -18,13 +18,13 @@ separate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServeError
 from repro.serve.request import InferenceRequest
+from repro.utils.validation import check_choice, check_float, check_int, check_type
 
 __all__ = [
     "poisson_arrivals",
@@ -32,6 +32,9 @@ __all__ = [
     "TrafficSource",
     "generate_requests",
     "check_rate",
+    "check_trace",
+    "check_counts",
+    "ARRIVALS",
     "DECODE_ROWS_CHOICES",
     "DEFAULT_DECODE_STEPS_CHOICES",
 ]
@@ -52,19 +55,38 @@ DEFAULT_DECODE_STEPS_CHOICES: tuple[int, ...] = (2, 4, 8)
 #: and the trace it builds stay bounded.
 MAX_EXPECTED_ARRIVALS = 1_000_000
 
+#: The arrival processes :func:`generate_requests` draws from.
+ARRIVALS = ("poisson", "bursty")
+
 
 def check_rate(qps: float, duration_s: float) -> None:
     """Reject a rate or a horizon that is not a finite number > 0 (an
     infinite one would never end the arrival loop), or whose product
     expects more than :data:`MAX_EXPECTED_ARRIVALS` arrivals."""
-    for name, value in (("qps", qps), ("duration_s", duration_s)):
-        if not (math.isfinite(value) and value > 0):
-            raise ServeError(f"{name} must be a finite number > 0, got {value}")
+    check_float("qps", qps, gt=0, error=ServeError)
+    check_float("duration_s", duration_s, gt=0, error=ServeError)
     if qps * duration_s > MAX_EXPECTED_ARRIVALS:
         raise ServeError(
             f"qps * duration_s expects {qps * duration_s:g} arrivals, "
             f"more than {MAX_EXPECTED_ARRIVALS:,}"
         )
+
+
+def check_trace(qps: float, duration_s: float, seed: int, arrival: str) -> None:
+    """Reject what :func:`generate_requests` would: a bad rate or
+    horizon (:func:`check_rate`), a negative or non-int seed, or an
+    unknown arrival process."""
+    check_rate(qps, duration_s)
+    check_int("seed", seed, 0, error=ServeError)
+    check_choice("arrival process", arrival, ARRIVALS, error=ServeError)
+
+
+def check_counts(name: str, values) -> None:
+    """A choice list of counts: a nonempty tuple or list of ints >= 1."""
+    if not isinstance(values, (tuple, list)) or not values:
+        raise ServeError(f"{name} must be a nonempty tuple, got {values!r}")
+    for value in values:
+        check_int(f"{name} entry", value, 1, error=ServeError)
 
 
 def poisson_arrivals(
@@ -100,12 +122,9 @@ def bursty_arrivals(
     pure function of the seed.
     """
     check_rate(qps, duration_s)
-    if burst_factor < 1:
-        raise ServeError(f"burst_factor must be >= 1, got {burst_factor}")
-    if not 0 < burst_fraction < 1:
-        raise ServeError(
-            f"burst_fraction must be in (0, 1), got {burst_fraction}"
-        )
+    check_float("burst_factor", burst_factor, ge=1, error=ServeError)
+    check_float("burst_fraction", burst_fraction, gt=0, lt=1, error=ServeError)
+    check_float("cycle_s", cycle_s, gt=0, error=ServeError)
     if burst_factor * burst_fraction > 1:
         raise ServeError(
             f"burst_factor={burst_factor} with burst_fraction="
@@ -113,8 +132,6 @@ def bursty_arrivals(
             "keep the mean at qps; require burst_factor <= "
             f"{1.0 / burst_fraction:g}"
         )
-    if not cycle_s > 0:
-        raise ServeError(f"cycle_s must be > 0, got {cycle_s}")
     rate_on = qps * burst_factor
     rate_off = qps * (1.0 - burst_fraction * burst_factor) / (
         1.0 - burst_fraction
@@ -190,10 +207,20 @@ class TrafficSource:
     max_new_tokens_choices: tuple[int, ...] = (8, 16)
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ServeError(f"k must be >= 1, got {self.k}")
-        if not self.rows_choices or any(r < 1 for r in self.rows_choices):
-            raise ServeError(f"bad rows_choices {self.rows_choices}")
+        # Every field a request copies takes the request's own rule.
+        if not self.model:
+            raise ServeError("request needs a model name")
+        check_int("k", self.k, 1, error=ServeError)
+        check_int("priority", self.priority, 0, error=ServeError)
+        check_float("slo_ms", self.slo_ms, gt=0, error=ServeError, optional=True)
+        check_float("share", self.share, gt=0, error=ServeError)
+        check_float(
+            "decode_fraction", self.decode_fraction, ge=0, le=1, error=ServeError,
+            optional=True,
+        )
+        check_counts("rows_choices", self.rows_choices)
+        check_counts("decode_steps_choices", self.decode_steps_choices)
+        check_counts("max_new_tokens_choices", self.max_new_tokens_choices)
         # The decode-heavy default weights only fit the default choices;
         # custom rows_choices fall back to uniform unless the caller
         # supplies matching weights explicitly.
@@ -202,49 +229,21 @@ class TrafficSource:
             and len(self.rows_choices) != len(DEFAULT_ROWS_WEIGHTS)
         ):
             object.__setattr__(self, "rows_weights", None)
-        if self.rows_weights is not None and (
-            len(self.rows_weights) != len(self.rows_choices)
-            or any(w < 0 for w in self.rows_weights)
-            or sum(self.rows_weights) <= 0
-        ):
-            raise ServeError(f"bad rows_weights {self.rows_weights}")
-        if not self.share > 0:
-            raise ServeError(f"share must be > 0, got {self.share}")
-        if self.priority < 0:
-            raise ServeError(f"priority must be >= 0, got {self.priority}")
-        if self.slo_ms is not None and not self.slo_ms > 0:
-            raise ServeError(f"slo_ms must be > 0, got {self.slo_ms}")
-        if self.decode_fraction is not None and not (
-            0 <= self.decode_fraction <= 1
-        ):
-            raise ServeError(
-                f"decode_fraction must be in [0, 1], got "
-                f"{self.decode_fraction}"
-            )
-        if not self.decode_steps_choices or any(
-            s < 1 for s in self.decode_steps_choices
-        ):
-            raise ServeError(
-                f"bad decode_steps_choices {self.decode_steps_choices}"
-            )
+        weights = self.rows_weights
+        if weights is not None:
+            if not isinstance(weights, (tuple, list)) or len(weights) != len(self.rows_choices):
+                raise ServeError(f"rows_weights must pair with rows_choices, got {weights!r}")
+            for weight in weights:
+                check_float("rows_weights entry", weight, ge=0, error=ServeError)
+            if not sum(weights):
+                raise ServeError(f"rows_weights must not all be 0, got {weights!r}")
         if self.prompt_len_choices is not None:
-            if not self.prompt_len_choices or any(
-                p < 1 for p in self.prompt_len_choices
-            ):
-                raise ServeError(
-                    f"bad prompt_len_choices {self.prompt_len_choices}"
-                )
+            check_counts("prompt_len_choices", self.prompt_len_choices)
             if self.decode_fraction is not None:
                 raise ServeError(
                     "prompt_len_choices (model mode) and decode_fraction "
                     "(decode-shaped GEMM mode) are mutually exclusive"
                 )
-        if not self.max_new_tokens_choices or any(
-            t < 1 for t in self.max_new_tokens_choices
-        ):
-            raise ServeError(
-                f"bad max_new_tokens_choices {self.max_new_tokens_choices}"
-            )
 
 
 def generate_requests(
@@ -272,12 +271,14 @@ def generate_requests(
     numerics off — no point drawing and storing activation data the
     engine never reads.
     """
-    if not sources:
-        raise ServeError("generate_requests needs at least one TrafficSource")
+    check_type("sources", sources, (tuple, list), error=ServeError)
+    if not sources or not all(isinstance(s, TrafficSource) for s in sources):
+        raise ServeError(f"sources must be a nonempty list of TrafficSource, got {sources!r}")
+    check_trace(qps, duration_s, seed, arrival)
     rng = np.random.default_rng(seed)
     if arrival == "poisson":
         times = poisson_arrivals(qps, duration_s, rng)
-    elif arrival == "bursty":
+    else:
         times = bursty_arrivals(
             qps,
             duration_s,
@@ -285,10 +286,6 @@ def generate_requests(
             burst_factor=burst_factor,
             burst_fraction=burst_fraction,
             cycle_s=cycle_s,
-        )
-    else:
-        raise ServeError(
-            f"unknown arrival process {arrival!r}; use 'poisson' or 'bursty'"
         )
 
     shares = np.array([s.share for s in sources], dtype=np.float64)

@@ -37,7 +37,7 @@ from repro.nn.mlp import relu
 from repro.sparsity.compress import NMCompressedMatrix
 from repro.sparsity.config import NMPattern
 from repro.sparsity.index_matrix import index_dtype_for
-from repro.utils.validation import check_real, is_int
+from repro.utils.validation import check_int, check_real, check_type
 from repro.workloads.llama import (
     LlamaModel,
     get_llama_model,
@@ -50,6 +50,9 @@ __all__ = ["LayerSpec", "ModelSpec", "ModelExecutor"]
 #: end of the stack, not per block).
 BLOCK_LAYER_KINDS = ("attn-qkv-fused", "attn-qkvo", "mlp-gate-up", "mlp-down")
 HEAD_LAYER_KIND = "lm-head"
+#: Most transformer blocks a model may declare: three times Llama-65B's
+#: 80, and few enough that the eagerly built layer roster stays small.
+MAX_BLOCKS = 256
 #: Float64 normals (1 MiB) drawn at a time per weight: row chunks drawn
 #: back to back are one draw's stream, so the bits do not depend on it.
 #: Of 64 KiB to 1 MiB, 1 MiB left the lowest peak RSS when serving.
@@ -172,14 +175,13 @@ class ModelSpec:
         seed: int = 0,
         kv_dtype_bytes: int = 2,
     ):
-        for name, value, low in (
-            ("scale", scale, 1), ("seed", seed, 0), ("blocks", blocks, 1),
-            ("kv_dtype_bytes", kv_dtype_bytes, 1),
-        ):
-            if not is_int(value):
-                raise ServeError(f"{name} must be an int, got {value!r}")
-            if value < low:
-                raise ServeError(f"{name} must be >= {low}, got {value}")
+        check_int("scale", scale, 1, error=ServeError)
+        check_int("seed", seed, 0, error=ServeError)
+        # The layer roster is built eagerly, so bound it before building.
+        check_int("blocks", blocks, 1, MAX_BLOCKS, error=ServeError)
+        check_int("kv_dtype_bytes", kv_dtype_bytes, 1, error=ServeError)
+        check_type("pattern", pattern, NMPattern, error=ServeError, optional=True)
+        check_type("model", model, (str, LlamaModel), error=ServeError)
         base = get_llama_model(model) if isinstance(model, str) else model
         self.base_model = base
         self.model = base.scaled(scale) if scale != 1 else base

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.errors import ServeError
 from repro.serve.ledger import CostLedger
-from repro.utils.validation import is_int
+from repro.utils.validation import check_choice, check_int
 
 __all__ = ["DeviceMemoryModel", "KV_ADMISSION_MODES"]
 
@@ -34,22 +34,12 @@ __all__ = ["DeviceMemoryModel", "KV_ADMISSION_MODES"]
 KV_ADMISSION_MODES = ("kv-aware", "none")
 
 
-def _checked_budget(budget_bytes) -> int:
-    if is_int(budget_bytes) and budget_bytes > 0:
-        return int(budget_bytes)
-    raise ServeError(f"HBM budget must be an int > 0 bytes, got {budget_bytes!r}")
-
-
 class DeviceMemoryModel:
     """Byte-accurate simulated HBM pool for one serving run."""
 
     def __init__(self, budget_bytes: int, *, admission: str = "kv-aware"):
-        if admission not in KV_ADMISSION_MODES:
-            raise ServeError(
-                f"unknown kv admission mode {admission!r}; "
-                f"pick one of {KV_ADMISSION_MODES}"
-            )
-        self.budget_bytes = _checked_budget(budget_bytes)
+        check_choice("kv admission mode", admission, KV_ADMISSION_MODES, error=ServeError)
+        self.budget_bytes = check_int("HBM budget", budget_bytes, 1, error=ServeError)
         self.admission = admission
         self.weights = CostLedger("hbm.weight-bytes")
         self.kv = CostLedger("hbm.kv-bytes")
@@ -142,7 +132,7 @@ class DeviceMemoryModel:
     def set_budget(self, budget_bytes: int, t_s: float) -> None:
         """Shrink (or restore) the pool — device fail-stop re-shards
         onto the survivors, whose aggregate HBM is smaller."""
-        budget_bytes = _checked_budget(budget_bytes)
+        budget_bytes = check_int("HBM budget", budget_bytes, 1, error=ServeError)
         if budget_bytes < self.budget_bytes:
             self.budget_shrinks += 1
         self.budget_bytes = budget_bytes

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, ServeError
+from repro.errors import ServeError
 from repro.serve.batcher import BatchingPolicy
-from repro.serve.loadgen import TrafficSource, check_rate, generate_requests
-from repro.serve.model_exec.executor import ModelExecutor, ModelSpec
+from repro.serve.loadgen import TrafficSource, check_counts, check_trace, generate_requests
+from repro.serve.model_exec.executor import MAX_BLOCKS, ModelExecutor, ModelSpec
 from repro.serve.model_exec.memory import KV_ADMISSION_MODES
-from repro.serve.scenarios import TrafficTier
+from repro.serve.scenarios import TrafficTier, check_tiers
 from repro.serve.scheduling import SchedulingPolicy
 from repro.serve.server import (
     DEFAULT_HOST_OVERHEAD_S,
@@ -30,7 +30,7 @@ from repro.serve.server import (
     ServingReport,
 )
 from repro.sparsity.config import NMPattern
-from repro.utils.validation import is_int
+from repro.utils.validation import check_choice, check_int, check_type
 
 __all__ = [
     "ModelServingScenario",
@@ -111,22 +111,18 @@ class ModelServingScenario:
     resilience: "object | bool | None" = None
 
     def __post_init__(self) -> None:
-        if self.scale < 1:
-            raise ConfigurationError(f"scale must be >= 1, got {self.scale}")
+        check_int("scale", self.scale, 1, error=ServeError)
+        check_int("blocks", self.blocks, 1, MAX_BLOCKS, error=ServeError)
         if self.hbm_tokens is not None and self.hbm_bytes is not None:
             raise ServeError("pass hbm_tokens or hbm_bytes, not both")
-        if self.hbm_tokens is not None and (
-            not is_int(self.hbm_tokens) or self.hbm_tokens < 1
-        ):
-            raise ServeError(
-                f"hbm_tokens must be an int >= 1, got {self.hbm_tokens!r}"
-            )
-        if self.kv_admission not in KV_ADMISSION_MODES:
-            raise ServeError(
-                f"unknown kv admission mode {self.kv_admission!r}; "
-                f"pick one of {KV_ADMISSION_MODES}"
-            )
-        check_rate(self.qps, self.duration_s)
+        check_int("hbm_tokens", self.hbm_tokens, 1, error=ServeError, optional=True)
+        check_int("hbm_bytes", self.hbm_bytes, 1, error=ServeError, optional=True)
+        check_choice("kv admission mode", self.kv_admission, KV_ADMISSION_MODES, error=ServeError)
+        check_trace(self.qps, self.duration_s, self.seed, self.arrival)
+        check_type("policy", self.policy, BatchingPolicy, error=ServeError)
+        check_tiers(self.tiers)
+        check_counts("prompt_len_choices", self.prompt_len_choices)
+        check_counts("max_new_tokens_choices", self.max_new_tokens_choices)
         SchedulingPolicy.parse(self.scheduling)  # fail fast on typos
 
     # ------------------------------------------------------------------

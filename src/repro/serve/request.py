@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ServeError
 from repro.utils.arrays import as_f32
-from repro.utils.validation import check_matrix, check_real, is_int
+from repro.utils.validation import check_float, check_int, check_matrix, check_real, is_int
 
 __all__ = ["InferenceRequest", "RequestRecord"]
 
@@ -85,10 +85,7 @@ class InferenceRequest:
     deadline_s: "float | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_int(self.request_id) or self.request_id < 0:
-            raise ServeError(
-                f"request_id must be an int >= 0, got {self.request_id!r}"
-            )
+        check_int("request_id", self.request_id, 0, error=ServeError)
         if not self.model:
             raise ServeError("request needs a model name")
         if self.a is not None:
@@ -113,39 +110,20 @@ class InferenceRequest:
             rows, k = self.shape
         object.__setattr__(self, "rows", int(rows))
         object.__setattr__(self, "k", int(k))
-        if not np.isfinite(self.arrival_s) or self.arrival_s < 0:
-            raise ServeError(
-                f"arrival_s must be finite and >= 0, got {self.arrival_s}"
-            )
-        if not is_int(self.priority) or self.priority < 0:
-            raise ServeError(
-                f"priority must be an int >= 0, got {self.priority!r}"
-            )
-        if self.slo_ms is not None and (
-            not np.isfinite(self.slo_ms) or self.slo_ms <= 0
-        ):
-            raise ServeError(
-                f"slo_ms must be finite and > 0, got {self.slo_ms}"
-            )
+        check_float("arrival_s", self.arrival_s, ge=0, error=ServeError)
+        check_int("priority", self.priority, 0, error=ServeError)
+        check_float("slo_ms", self.slo_ms, gt=0, error=ServeError, optional=True)
         deadline = None if self.slo_ms is None else self.arrival_s + self.slo_ms * 1e-3
         object.__setattr__(self, "deadline_s", deadline)
-        if not is_int(self.steps) or self.steps < 1:
-            raise ServeError(f"steps must be an int >= 1, got {self.steps!r}")
+        check_int("steps", self.steps, 1, error=ServeError)
         if (self.prompt_len is None) != (self.max_new_tokens is None):
             raise ServeError(
                 "model-mode requests need both prompt_len and "
                 "max_new_tokens (or neither)"
             )
         if self.prompt_len is not None:
-            if not is_int(self.prompt_len) or self.prompt_len < 1:
-                raise ServeError(
-                    f"prompt_len must be an int >= 1, got {self.prompt_len!r}"
-                )
-            if not is_int(self.max_new_tokens) or self.max_new_tokens < 1:
-                raise ServeError(
-                    f"max_new_tokens must be an int >= 1, got "
-                    f"{self.max_new_tokens!r}"
-                )
+            check_int("prompt_len", self.prompt_len, 1, error=ServeError)
+            check_int("max_new_tokens", self.max_new_tokens, 1, error=ServeError)
             if self.a is not None:
                 raise ServeError(
                     "model-mode requests are metadata-only (modeled-time "

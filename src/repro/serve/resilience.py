@@ -36,12 +36,11 @@ against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ServeError
 from repro.serve.request import InferenceRequest
-from repro.utils.validation import is_int
+from repro.utils.validation import check_float, check_int
 
 __all__ = ["ResiliencePolicy"]
 
@@ -97,73 +96,14 @@ class ResiliencePolicy:
 
     def __post_init__(self) -> None:
         for name in ("max_retries", "shed_protect_priority"):
-            if not is_int(getattr(self, name)):
-                raise ServeError(
-                    f"{name} must be an int, got {getattr(self, name)!r}"
-                )
+            check_int(name, getattr(self, name), 0, error=ServeError)
         for name in ("breaker_threshold", "shed_queue_rows"):
-            value = getattr(self, name)
-            if value is not None and not is_int(value):
-                raise ServeError(
-                    f"{name} must be an int or None, got {value!r}"
-                )
-        if self.max_retries < 0:
-            raise ServeError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if not 0 <= self.backoff_base_s < math.inf:
-            raise ServeError(
-                "backoff_base_s must be finite >= 0, got "
-                f"{self.backoff_base_s}"
-            )
-        if not 1 <= self.backoff_multiplier < math.inf:
-            raise ServeError(
-                "backoff_multiplier must be finite >= 1, got "
-                f"{self.backoff_multiplier}"
-            )
-        if not 0 <= self.backoff_jitter < math.inf:
-            raise ServeError(
-                "backoff_jitter must be finite >= 0, got "
-                f"{self.backoff_jitter}"
-            )
-        if self.timeout_slo_multiplier is not None and not (
-            self.timeout_slo_multiplier > 0
-            and math.isfinite(self.timeout_slo_multiplier)
-        ):
-            raise ServeError(
-                "timeout_slo_multiplier must be finite > 0, got "
-                f"{self.timeout_slo_multiplier}"
-            )
-        if self.default_timeout_ms is not None and not (
-            self.default_timeout_ms > 0
-            and math.isfinite(self.default_timeout_ms)
-        ):
-            raise ServeError(
-                "default_timeout_ms must be finite > 0, got "
-                f"{self.default_timeout_ms}"
-            )
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ServeError(
-                f"breaker_threshold must be >= 1, got "
-                f"{self.breaker_threshold}"
-            )
-        if self.breaker_cooldown_s is not None and not (
-            self.breaker_cooldown_s > 0
-            and math.isfinite(self.breaker_cooldown_s)
-        ):
-            raise ServeError(
-                "breaker_cooldown_s must be finite > 0, got "
-                f"{self.breaker_cooldown_s}"
-            )
-        if self.shed_queue_rows is not None and self.shed_queue_rows < 1:
-            raise ServeError(
-                f"shed_queue_rows must be >= 1, got {self.shed_queue_rows}"
-            )
-        if self.shed_protect_priority < 0:
-            raise ServeError(
-                "shed_protect_priority must be >= 0, got "
-                f"{self.shed_protect_priority}"
-            )
+            check_int(name, getattr(self, name), 1, error=ServeError, optional=True)
+        check_float("backoff_base_s", self.backoff_base_s, ge=0, error=ServeError)
+        check_float("backoff_multiplier", self.backoff_multiplier, ge=1, error=ServeError)
+        check_float("backoff_jitter", self.backoff_jitter, ge=0, error=ServeError)
+        for name in ("timeout_slo_multiplier", "default_timeout_ms", "breaker_cooldown_s"):
+            check_float(name, getattr(self, name), gt=0, error=ServeError, optional=True)
 
     # ------------------------------------------------------------------
     def timeout_s(self, request: InferenceRequest) -> "float | None":

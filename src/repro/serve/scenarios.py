@@ -23,7 +23,7 @@ from repro.serve.batcher import BatchingPolicy
 from repro.serve.loadgen import (
     DEFAULT_ROWS_CHOICES,
     TrafficSource,
-    check_rate,
+    check_trace,
     generate_requests,
 )
 from repro.serve.model_exec.executor import LayerSpec
@@ -34,10 +34,10 @@ from repro.serve.server import (
     ServingReport,
 )
 from repro.sparsity.config import NMPattern
-from repro.utils.validation import check_non_negative_int
+from repro.utils.validation import check_choice, check_int, check_type
 from repro.workloads.llama import get_llama_model, llama_layer_shapes
 
-__all__ = ["parse_pattern", "TrafficTier", "LlamaServingScenario"]
+__all__ = ["parse_pattern", "TrafficTier", "check_tiers", "LlamaServingScenario"]
 
 
 def _draw(seed: int, shapes: "tuple[tuple[int, int], ...]", integer_values: bool) -> np.ndarray:
@@ -70,6 +70,13 @@ def parse_pattern(spec: str, vector_length: int = 8) -> NMPattern:
             f"bad pattern spec {spec!r}; N and M must be integers"
         ) from None
     return NMPattern(n, m, vector_length=vector_length)
+
+
+def check_tiers(tiers) -> None:
+    """A tier list: a tuple or list of :class:`TrafficTier` (may be empty)."""
+    check_type("tiers", tiers, (tuple, list), error=ServeError)
+    for tier in tiers:
+        check_type("tiers entry", tier, TrafficTier, error=ServeError)
 
 
 @dataclass(frozen=True)
@@ -175,15 +182,12 @@ class LlamaServingScenario:
     resilience: "object | bool | None" = None
 
     def __post_init__(self) -> None:
-        if not self.models:
-            raise ServeError("scenario needs at least one model")
-        if self.scale < 1:
-            raise ConfigurationError(
-                "scale must be >= 1 (1 serves the true shapes), got "
-                f"{self.scale}"
-            )
-        check_rate(self.qps, self.duration_s)
-        check_non_negative_int("seed", self.seed)
+        check_type("models", self.models, (tuple, list), error=ServeError)
+        if not self.models or not all(isinstance(name, str) for name in self.models):
+            raise ServeError(f"models must be a nonempty tuple of names, got {self.models!r}")
+        check_int("scale", self.scale, 1, error=ServeError)
+        check_trace(self.qps, self.duration_s, self.seed, self.arrival)
+        check_tiers(self.tiers)
         SchedulingPolicy.parse(self.scheduling)  # fail fast on typos
 
     # ------------------------------------------------------------------
@@ -214,12 +218,7 @@ class LlamaServingScenario:
             shapes = {
                 layer: (n, k) for layer, n, k in llama_layer_shapes(scaled)
             }
-            if self.layer not in shapes:
-                raise ConfigurationError(
-                    f"unknown layer {self.layer!r}; known: "
-                    f"{sorted(shapes)}"
-                )
-            n, k = shapes[self.layer]
+            n, k = shapes[check_choice("layer", self.layer, shapes)]
             weight_shapes.append((k, n))
             registered = f"{model_name.lower()}/{self.layer}"
             draw = partial(_draw, self.seed, tuple(weight_shapes), self.integer_values)

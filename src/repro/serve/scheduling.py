@@ -29,6 +29,7 @@ import math
 
 from repro.errors import ServeError
 from repro.serve.request import InferenceRequest
+from repro.utils.validation import check_choice
 
 __all__ = ["SchedulingPolicy", "request_order_key"]
 
@@ -45,13 +46,8 @@ class SchedulingPolicy(enum.Enum):
         """Accept either the enum or its CLI spelling (``"slo-edf"``)."""
         if isinstance(value, cls):
             return value
-        for member in cls:
-            if member.value == value:
-                return member
-        raise ServeError(
-            f"unknown scheduling policy {value!r}; expected one of "
-            f"{[m.value for m in cls]}"
-        )
+        names = [m.value for m in cls]
+        return cls(check_choice("scheduling policy", value, names, error=ServeError))
 
 
 def request_order_key(

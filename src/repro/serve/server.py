@@ -70,7 +70,7 @@ from repro.backends.registry import backend_names
 from repro.core.api import NMSpMM, SparseHandle
 from repro.distributed.shard import SHARD_MODES, ShardedHandle
 from repro.distributed.sharded import DistributedStep, sharded_execute
-from repro.distributed.topology import CommEvent, DeviceGroup, Link, get_link
+from repro.distributed.topology import MAX_DEVICES, CommEvent, DeviceGroup, Link, get_link
 from repro.errors import ServeError
 from repro.faults import FaultInjector, FaultPlan, parse_fault_spec
 from repro.gpu.spec import GPUSpec
@@ -95,7 +95,7 @@ from repro.serve.request import InferenceRequest, RequestRecord
 from repro.serve.resilience import ResiliencePolicy
 from repro.serve.scheduling import SchedulingPolicy, request_order_key
 from repro.sparsity.config import NMPattern
-from repro.utils.validation import check_weights, is_int
+from repro.utils.validation import check_choice, check_float, check_int, check_type, check_weights
 
 __all__ = ["ModelEntry", "ServingReport", "InferenceServer"]
 
@@ -487,34 +487,19 @@ class InferenceServer:
         kv_admission: str = "kv-aware",
         host_link_bytes_per_s: float = 16e9,
     ):
-        if not 0 <= host_overhead_s < math.inf:
-            raise ServeError(
-                f"host_overhead_s must be finite >= 0, got {host_overhead_s}"
-            )
-        if hbm_bytes is not None and not (is_int(hbm_bytes) and hbm_bytes > 0):
-            raise ServeError(f"hbm_bytes must be finite int > 0, got {hbm_bytes!r}")
-        if kv_admission not in KV_ADMISSION_MODES:
-            raise ServeError(
-                f"unknown kv admission mode {kv_admission!r}; "
-                f"pick one of {KV_ADMISSION_MODES}"
-            )
-        if not 0 < host_link_bytes_per_s < math.inf:
-            raise ServeError(
-                "host_link_bytes_per_s must be finite > 0, got "
-                f"{host_link_bytes_per_s}"
-            )
-        if backend not in backend_names():
-            raise ServeError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{backend_names()}"
-            )
-        if not is_int(devices) or devices < 1:
-            raise ServeError(f"devices must be an int >= 1, got {devices!r}")
-        if shard not in SHARD_MODES:
-            raise ServeError(
-                f"unknown shard mode {shard!r}; expected one of "
-                f"{SHARD_MODES}"
-            )
+        check_float("host_overhead_s", host_overhead_s, ge=0, error=ServeError)
+        check_int("hbm_bytes", hbm_bytes, 1, error=ServeError, optional=True)
+        check_choice("kv admission mode", kv_admission, KV_ADMISSION_MODES, error=ServeError)
+        check_float("host_link_bytes_per_s", host_link_bytes_per_s, gt=0, error=ServeError)
+        check_choice("backend", backend, backend_names(), error=ServeError)
+        check_int("devices", devices, 1, MAX_DEVICES, error=ServeError)
+        check_choice("shard mode", shard, SHARD_MODES, error=ServeError)
+        check_type("policy", policy, BatchingPolicy, error=ServeError, optional=True)
+        check_type("tracer", tracer, Tracer, error=ServeError, optional=True)
+        check_type("faults", faults, (FaultPlan, str), error=ServeError, optional=True)
+        check_type(
+            "resilience", resilience, (ResiliencePolicy, bool), error=ServeError, optional=True
+        )
         self.policy = policy or BatchingPolicy()
         #: One plan cache per simulated device (a shard's launch
         #: geometry differs per device when windows divide unevenly, so
@@ -592,6 +577,12 @@ class InferenceServer:
         and a traced launch's cost reads a packing plan's ``D``."""
         return self.execute_numerics or self.tracer is not None
 
+    def _check_new_name(self, name: str) -> None:
+        if not name:
+            raise ServeError("model name must be nonempty")
+        if name in self._models:
+            raise ServeError(f"model {name!r} is already registered")
+
     def register_handle(
         self, name: str, op: NMSpMM, handle: "SparseHandle | LayerSpec"
     ) -> ModelEntry:
@@ -600,10 +591,7 @@ class InferenceServer:
         distributed server this is where the offline phase pays the
         tensor-parallel partition (plus the per-shard gather layouts),
         so serving steps only execute and communicate."""
-        if not name:
-            raise ServeError("model name must be nonempty")
-        if name in self._models:
-            raise ServeError(f"model {name!r} is already registered")
+        self._check_new_name(name)
         entry = self._placed(name, op, handle, tuple(range(self.devices)))
         self._models[name] = entry
         return entry
@@ -619,10 +607,7 @@ class InferenceServer:
         (``prompt_len``/``max_new_tokens``): the engine walks prefill
         and per-token decode through the sub-entries, one modeled
         gather-GEMM launch per layer per step."""
-        if not name:
-            raise ServeError("model name must be nonempty")
-        if name in self._models:
-            raise ServeError(f"model {name!r} is already registered")
+        self._check_new_name(name)
         if self.execute_numerics:
             raise ServeError(
                 "model-mode serving is modeled-time only; build the "

@@ -28,6 +28,7 @@ from repro.errors import CompressionError
 from repro.sparsity.compress import NMCompressedMatrix
 from repro.sparsity.config import NMPattern
 from repro.utils.intmath import ceil_div
+from repro.utils.validation import check_int
 
 __all__ = [
     "ColumnInfo",
@@ -47,8 +48,7 @@ def expected_packed_fraction(pattern: NMPattern, qs: int) -> float:
     ``(1 - N/M)^qs``; the expected packed width is therefore
     ``M * (1 - (1 - N/M)^qs)`` per window, i.e. this fraction of ks.
     """
-    if qs <= 0:
-        raise ValueError(f"qs must be positive, got {qs}")
+    check_int("qs", qs, 1)
     return 1.0 - (1.0 - pattern.density) ** qs
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.constants import HIGH_SPARSITY_THRESHOLD
 from repro.errors import PatternError
 from repro.utils.intmath import bits_required, ceil_div
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_float, check_int
 
 __all__ = ["NMPattern", "sparsity_ratio"]
 
@@ -33,8 +33,8 @@ def sparsity_ratio(n: int, m: int) -> float:
     >>> sparsity_ratio(2, 4)
     0.5
     """
-    n = check_positive_int("n", n)
-    m = check_positive_int("m", m)
+    n = check_int("n", n, 1, error=PatternError)
+    m = check_int("m", m, 1, error=PatternError)
     if n > m:
         raise PatternError(f"N ({n}) cannot exceed M ({m})")
     return 1.0 - n / m
@@ -69,9 +69,9 @@ class NMPattern:
     vector_length: int = 32
 
     def __post_init__(self) -> None:
-        check_positive_int("n", self.n)
-        check_positive_int("m", self.m)
-        check_positive_int("vector_length", self.vector_length)
+        check_int("n", self.n, 1, error=PatternError)
+        check_int("m", self.m, 1, error=PatternError)
+        check_int("vector_length", self.vector_length, 1, error=PatternError)
         if self.n > self.m:
             raise PatternError(
                 f"N:M pattern requires N <= M, got N={self.n}, M={self.m}"
@@ -117,17 +117,17 @@ class NMPattern:
         ``k`` values that are not multiples of M are padded up, exactly
         as §II-A prescribes.
         """
-        check_positive_int("k", k)
+        check_int("k", k, 1, error=PatternError)
         return ceil_div(k, self.m) * self.n
 
     def window_count_k(self, k: int) -> int:
         """Number of pruning windows along the ``k`` dimension."""
-        check_positive_int("k", k)
+        check_int("k", k, 1, error=PatternError)
         return ceil_div(k, self.m)
 
     def window_count_n(self, n: int) -> int:
         """``q = ceil(n/L)``: pruning windows along the row direction."""
-        check_positive_int("n", n)
+        check_int("n", n, 1, error=PatternError)
         return ceil_div(n, self.vector_length)
 
     def padded_k(self, k: int) -> int:
@@ -151,7 +151,8 @@ class NMPattern:
         >>> NMPattern.from_sparsity(0.875, m=32).n
         4
         """
-        check_positive_int("m", m)
+        check_int("m", m, 1, error=PatternError)
+        check_float("sparsity", sparsity, ge=0, lt=1, error=PatternError)
         n_exact = (1.0 - sparsity) * m
         n = round(n_exact)
         if n < 1 or abs(n_exact - n) > 1e-9:

@@ -11,13 +11,12 @@ from repro.utils.intmath import (
     round_up,
 )
 from repro.utils.validation import (
+    check_choice,
     check_divides,
-    check_fraction,
-    check_in_range,
+    check_float,
+    check_int,
     check_matrix,
     check_multiple_of,
-    check_non_negative_int,
-    check_positive_int,
 )
 from repro.utils.arrays import as_f32, iter_tiles, pad_to_multiple, split_into_windows, tile_count
 from repro.utils.tables import TextTable, format_float, format_si
@@ -31,13 +30,12 @@ __all__ = [
     "bits_required",
     "geomean",
     "clamp",
-    "check_positive_int",
-    "check_non_negative_int",
-    "check_in_range",
+    "check_int",
+    "check_float",
+    "check_choice",
     "check_multiple_of",
     "check_divides",
     "check_matrix",
-    "check_fraction",
     "pad_to_multiple",
     "iter_tiles",
     "tile_count",

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.utils.intmath import ceil_div, round_up
-from repro.utils.validation import check_matrix, check_positive_int
+from repro.utils.validation import check_choice, check_int, check_matrix
 
 __all__ = [
     "pad_to_multiple",
@@ -58,8 +58,8 @@ def pad_to_multiple(
     (4, 8)
     """
     check_matrix("array", array)
-    check_positive_int("row_multiple", row_multiple)
-    check_positive_int("col_multiple", col_multiple)
+    check_int("row_multiple", row_multiple, 1)
+    check_int("col_multiple", col_multiple, 1)
     rows, cols = array.shape
     new_rows = round_up(rows, row_multiple) if rows else row_multiple
     new_cols = round_up(cols, col_multiple) if cols else col_multiple
@@ -73,7 +73,7 @@ def pad_to_multiple(
 def tile_count(extent: int, tile: int) -> int:
     """Number of tiles of size ``tile`` covering ``extent`` (last one may
     be partial)."""
-    check_positive_int("tile", tile)
+    check_int("tile", tile, 1)
     return ceil_div(extent, tile) if extent > 0 else 0
 
 
@@ -83,7 +83,7 @@ def iter_tiles(extent: int, tile: int) -> Iterator[tuple[int, int]]:
     >>> list(iter_tiles(10, 4))
     [(0, 4), (4, 8), (8, 10)]
     """
-    check_positive_int("tile", tile)
+    check_int("tile", tile, 1)
     start = 0
     while start < extent:
         stop = min(start + tile, extent)
@@ -99,9 +99,8 @@ def split_into_windows(array: np.ndarray, window: int, axis: int = 0) -> np.ndar
     matrix B in Fig. 1.
     """
     check_matrix("array", array)
-    check_positive_int("window", window)
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
+    check_int("window", window, 1)
+    check_choice("axis", axis, (0, 1))
     extent = array.shape[axis]
     if extent % window != 0:
         raise ValueError(

@@ -12,7 +12,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence, TypeVar
 
-from repro.errors import ConfigurationError
+from repro.utils.validation import check_int
 
 __all__ = ["CacheStats", "LRUCache"]
 
@@ -78,11 +78,7 @@ class LRUCache:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigurationError(
-                f"cache capacity must be >= 1, got {capacity}"
-            )
-        self.capacity = capacity
+        self.capacity = check_int("cache capacity", capacity, 1)
         self.stats = CacheStats()
         self.generation = 0
         self._data: "OrderedDict[Hashable, object]" = OrderedDict()

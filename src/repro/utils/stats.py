@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.utils.validation import check_float
+
 __all__ = ["percentile", "duration_digest"]
 
 
@@ -22,8 +24,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     """
     if not values:
         raise ValueError("percentile of an empty sample")
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
+    check_float("percentile q", q, ge=0, le=100)
     ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]

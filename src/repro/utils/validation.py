@@ -1,11 +1,18 @@
 """Argument validation helpers.
 
 Centralising the checks keeps kernel and simulator code free of
-boilerplate and makes error messages uniform (they always name the
-offending parameter).
+boilerplate and makes error messages uniform: a field checked by two
+constructors is refused with the same words by both, and every message
+names the offending parameter.  Each scalar rule takes the error class
+to raise (``error=``), so every package raises its own
+:class:`~repro.errors.ReproError` subclass from the one rule, and
+``optional=True`` lets ``None`` through.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Collection, TypeVar
 
 import numpy as np
 
@@ -13,16 +20,19 @@ from repro.errors import ConfigurationError, ReproError, ShapeError
 
 __all__ = [
     "is_int",
-    "check_positive_int",
-    "check_non_negative_int",
-    "check_in_range",
+    "check_int",
+    "check_float",
+    "check_choice",
+    "check_type",
     "check_multiple_of",
     "check_divides",
     "check_matrix",
     "check_real",
     "check_weights",
-    "check_fraction",
 ]
+
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_T = TypeVar("_T")
 
 
 def is_int(value: object) -> bool:
@@ -30,40 +40,96 @@ def is_int(value: object) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
-def check_positive_int(name: str, value: object) -> int:
-    """Validate that ``value`` is a positive integer and return it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an int, got {type(value).__name__}")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
-    return int(value)
+def check_int(
+    name: str,
+    value: object,
+    low: int,
+    high: "int | None" = None,
+    *,
+    error: type[ReproError] = ConfigurationError,
+    optional: bool = False,
+) -> "int | None":
+    """Validate an integer ``low <= value`` (and ``<= high`` when given;
+    ``bool`` is not an integer here) and return it as ``int``."""
+    if optional and value is None:
+        return None
+    if is_int(value) and low <= value and (high is None or value <= high):
+        return int(value)
+    bound = f">= {low}" if high is None else f">= {low} and <= {high}"
+    alt = " or None" if optional else ""
+    raise error(f"{name} must be an integer {bound}{alt}, got {value!r}")
 
 
-def check_non_negative_int(name: str, value: object) -> int:
-    """Validate that ``value`` is a non-negative integer and return it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ConfigurationError(f"{name} must be non-negative, got {value}")
-    return int(value)
+def check_float(
+    name: str,
+    value: object,
+    *,
+    gt: "float | None" = None,
+    ge: "float | None" = None,
+    lt: "float | None" = None,
+    le: "float | None" = None,
+    error: type[ReproError] = ConfigurationError,
+    optional: bool = False,
+) -> "float | None":
+    """Validate a finite real number inside the open (``gt``/``lt``)
+    or closed (``ge``/``le``) bounds given and return it unchanged.
+    NaN, ±inf, ``bool`` and non-numbers are refused."""
+    if optional and value is None:
+        return value
+    if (
+        not isinstance(value, bool)
+        and isinstance(value, _REAL_TYPES)
+        and (is_int(value) or math.isfinite(value))
+        and (gt is None or value > gt)
+        and (ge is None or value >= ge)
+        and (lt is None or value < lt)
+        and (le is None or value <= le)
+    ):
+        return value
+    bound = " and".join(
+        f" {op} {limit:g}"
+        for op, limit in ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+        if limit is not None
+    )
+    alt = " or None" if optional else ""
+    raise error(f"{name} must be a finite number{bound}{alt}, got {value!r}")
 
 
-def check_in_range(name: str, value: float, low: float, high: float) -> float:
-    """Validate ``low <= value <= high`` and return ``value`` as float."""
-    value = float(value)
-    if not (low <= value <= high):
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
-    return value
+def check_choice(
+    name: str,
+    value: _T,
+    choices: "Collection[object]",
+    *,
+    error: type[ReproError] = ConfigurationError,
+) -> _T:
+    """Validate that ``value`` is one of ``choices`` and return it."""
+    try:
+        if not isinstance(value, bool) and value in choices:
+            return value
+    except (TypeError, ValueError):  # unhashable, or an array's truth value
+        pass
+    raise error(f"unknown {name} {value!r}; expected one of {tuple(choices)}")
 
 
-def check_fraction(name: str, value: float) -> float:
-    """Validate that ``value`` is a fraction in [0, 1]."""
-    return check_in_range(name, value, 0.0, 1.0)
+def check_type(
+    name: str,
+    value: object,
+    types: "type | tuple[type, ...]",
+    *,
+    error: type[ReproError] = ConfigurationError,
+    optional: bool = False,
+) -> object:
+    """Validate that ``value`` is an instance of ``types`` and return it."""
+    if (optional and value is None) or isinstance(value, types):
+        return value
+    names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+    alt = " or None" if optional else ""
+    raise error(f"{name} must be {names}{alt}, got {value!r}")
 
 
 def check_multiple_of(name: str, value: int, multiple: int) -> int:
     """Validate that ``value`` is a positive multiple of ``multiple``."""
-    value = check_positive_int(name, value)
+    value = check_int(name, value, 1)
     if value % multiple != 0:
         raise ConfigurationError(f"{name} must be a multiple of {multiple}, got {value}")
     return value
@@ -71,8 +137,7 @@ def check_multiple_of(name: str, value: int, multiple: int) -> int:
 
 def check_divides(name_a: str, a: int, name_b: str, b: int) -> None:
     """Validate that ``a`` divides ``b`` exactly."""
-    if a <= 0:
-        raise ConfigurationError(f"{name_a} must be positive, got {a}")
+    check_int(name_a, a, 1)
     if b % a != 0:
         raise ConfigurationError(f"{name_a}={a} must divide {name_b}={b}")
 

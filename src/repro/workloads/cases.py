@@ -3,9 +3,9 @@ levels."""
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
 from repro.model.workload import ProblemShape
 from repro.sparsity.config import NMPattern
+from repro.utils.validation import check_choice
 
 __all__ = [
     "TABLE_II_CASES",
@@ -59,10 +59,4 @@ def table_ii_case(label: str) -> ProblemShape:
     >>> table_ii_case("A").m
     512
     """
-    key = label.strip().upper()
-    if key not in TABLE_II_CASES:
-        raise ConfigurationError(
-            f"unknown Table II case {label!r}; expected one of "
-            f"{sorted(TABLE_II_CASES)}"
-        )
-    return TABLE_II_CASES[key]
+    return TABLE_II_CASES[check_choice("Table II case", label.strip().upper(), TABLE_II_CASES)]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.model.workload import ProblemShape
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_int
 
 __all__ = [
     "LlamaModel",
@@ -61,9 +61,9 @@ class LlamaModel:
     vocab: int = 32000
 
     def __post_init__(self) -> None:
-        check_positive_int("hidden", self.hidden)
-        check_positive_int("ffn", self.ffn)
-        check_positive_int("vocab", self.vocab)
+        check_int("hidden", self.hidden, 1)
+        check_int("ffn", self.ffn, 1)
+        check_int("vocab", self.vocab, 1)
 
     def scaled(self, factor: int) -> "LlamaModel":
         """A geometry-preserving shrink of this model: every dimension
@@ -71,7 +71,7 @@ class LlamaModel:
         simulator uses this so Llama-*shaped* traffic stays cheap enough
         for the NumPy kernels while keeping the layer aspect ratios.
         """
-        check_positive_int("factor", factor)
+        check_int("factor", factor, 1)
         if (
             self.hidden % factor
             or self.ffn % factor

@@ -7,7 +7,7 @@ import numpy as np
 
 from repro.model.workload import ProblemShape, SparseProblem
 from repro.sparsity.config import NMPattern
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_int
 
 __all__ = ["random_dense", "random_sparse_problem", "make_problem_suite"]
 
@@ -20,8 +20,8 @@ def random_dense(
     scale: float = 1.0,
 ) -> np.ndarray:
     """A reproducible float32 Gaussian matrix."""
-    check_positive_int("rows", rows)
-    check_positive_int("cols", cols)
+    check_int("rows", rows, 1)
+    check_int("cols", cols, 1)
     rng = (
         seed
         if isinstance(seed, np.random.Generator)

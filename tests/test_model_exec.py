@@ -52,9 +52,9 @@ class TestLayerRoster:
             ModelExecutor("llama-7b", scale=16, blocks=0)
         with pytest.raises(ServeError, match="kv_dtype_bytes"):
             ModelExecutor("llama-7b", scale=16, kv_dtype_bytes=0)
-        with pytest.raises(ServeError, match="seed must be >= 0"):
+        with pytest.raises(ServeError, match="seed must be an integer >= 0"):
             ModelExecutor("llama-7b", scale=16, seed=-1)
-        with pytest.raises(ServeError, match="scale must be >= 1"):
+        with pytest.raises(ServeError, match="scale must be an integer >= 1"):
             ModelExecutor("llama-7b", scale=0)
 
     @pytest.mark.parametrize(

@@ -74,7 +74,7 @@ class TestScenarioConfig:
 
     def test_non_int_hbm_bytes_rejected(self):
         # The scenario used to truncate 2.5 to a 2-byte budget.
-        with pytest.raises(ServeError, match="hbm_bytes must be finite int"):
+        with pytest.raises(ServeError, match="hbm_bytes must be an integer >= 1"):
             ModelServingScenario(hbm_bytes=2.5).build_server()
 
     @pytest.mark.parametrize("hbm_tokens", [True, 2.5])

@@ -449,6 +449,7 @@ def _run(args: argparse.Namespace) -> int:
 
         from repro.errors import ReproError
         from repro.serve.batcher import BatchingPolicy
+        from repro.serve.model_exec import ModelServingScenario
         from repro.serve.scenarios import LlamaServingScenario, parse_pattern
 
         tracer = None
@@ -464,14 +465,32 @@ def _run(args: argparse.Namespace) -> int:
             else:
                 tracer = Tracer()
         try:
-            policy = BatchingPolicy(
-                max_batch_requests=args.max_batch_requests,
-                max_batch_rows=args.max_batch_rows,
-                max_wait_s=args.max_wait_ms * 1e-3,
+            shared = dict(
+                scale=args.scale,
+                pattern=parse_pattern(args.pattern, args.vector_length),
+                gpu=args.gpu,
+                version=args.opt_version,
+                backend=args.backend,
+                qps=args.qps,
+                duration_s=args.duration,
+                arrival=args.arrival,
+                seed=args.seed,
+                scheduling=args.sched,
+                policy=BatchingPolicy(
+                    max_batch_requests=args.max_batch_requests,
+                    max_batch_rows=args.max_batch_rows,
+                    max_wait_s=args.max_wait_ms * 1e-3,
+                ),
+                devices=args.devices,
+                shard=args.shard,
+                link=args.link,
+                tracer=tracer,
+                faults=args.faults,
+                resilience=args.resilience or None,
             )
+            if args.cache_size is not None:
+                shared["plan_cache_capacity"] = args.cache_size
             if args.model_mode:
-                from repro.serve.model_exec import ModelServingScenario
-
                 if args.decode_fraction is not None:
                     raise SystemExit(
                         "serve-sim: --decode-fraction does not apply in "
@@ -480,31 +499,14 @@ def _run(args: argparse.Namespace) -> int:
                     )
                 scenario = ModelServingScenario(
                     model=args.models[0],
-                    scale=args.scale,
                     blocks=args.blocks,
-                    pattern=parse_pattern(args.pattern, args.vector_length),
-                    gpu=args.gpu,
-                    version=args.opt_version,
-                    backend=args.backend,
-                    qps=args.qps,
-                    duration_s=args.duration,
-                    arrival=args.arrival,
-                    seed=args.seed,
-                    scheduling=args.sched,
-                    policy=policy,
-                    plan_cache_capacity=args.cache_size,
                     prompt_len_choices=tuple(args.prompt_lens),
                     max_new_tokens_choices=tuple(args.max_new_tokens),
                     slo_ms=args.slo_ms,
                     hbm_tokens=args.hbm_tokens,
                     hbm_bytes=args.hbm_bytes,
                     kv_admission=args.kv_admission,
-                    devices=args.devices,
-                    shard=args.shard,
-                    link=args.link,
-                    tracer=tracer,
-                    faults=args.faults,
-                    resilience=args.resilience or None,
+                    **shared,
                 )
             else:
                 defaults = build_parser().parse_args(["serve-sim"])
@@ -515,27 +517,10 @@ def _run(args: argparse.Namespace) -> int:
                 scenario = LlamaServingScenario(
                     models=tuple(args.models),
                     layer=args.layer,
-                    scale=args.scale,
-                    pattern=parse_pattern(args.pattern, args.vector_length),
-                    gpu=args.gpu,
-                    version=args.opt_version,
-                    qps=args.qps,
-                    duration_s=args.duration,
-                    arrival=args.arrival,
-                    seed=args.seed,
-                    policy=policy,
-                    plan_cache_capacity=64 if args.cache_size is None else args.cache_size,
                     execute_numerics=not args.no_numerics,
-                    backend=args.backend,
-                    scheduling=args.sched,
                     continuous=args.decode_fraction is not None,
                     decode_fraction=args.decode_fraction,
-                    devices=args.devices,
-                    shard=args.shard,
-                    link=args.link,
-                    tracer=tracer,
-                    faults=args.faults,
-                    resilience=args.resilience or None,
+                    **shared,
                 )
             report = scenario.run()
         except (ReproError, SystemExit):

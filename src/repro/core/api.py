@@ -97,13 +97,6 @@ class SparseHandle:
         """Compressed bytes: ``B'`` and ``D``."""
         return self.compressed.total_bytes()
 
-    def shard(self, devices: int, mode: str):
-        """These weights partitioned over ``devices`` (see
-        :func:`repro.distributed.shard.shard_handle`, which memoizes)."""
-        from repro.distributed.shard import shard_handle
-
-        return shard_handle(self, devices, mode)
-
     def col_info(self, ws: int, ns: int) -> ColumnInfo:
         """The offline pre-processing output for a block shape, cached
         (Listing 3's PreProcessing runs once per deployment)."""
@@ -293,11 +286,7 @@ class NMSpMM:
         track.  Host execution time is wall-clock (the NumPy kernels
         really run), so these spans are *measured*, unlike the
         modeled-clock engine/device spans — deterministic trace tests
-        run with numerics off, where no backend ever executes.  A
-        tracer constructed with ``modeled_host_spans=True`` opts out:
-        the span is stamped with the plan's *modeled* seconds
-        (``measured=False``), so even a numerics-on chaos run exports
-        a byte-identical trace per seed.
+        run with numerics off, where no backend ever executes.
         """
         name = request.backend
         decision = None
@@ -314,23 +303,17 @@ class NMSpMM:
         result = backend.run(request)
         tracer = request.tracer
         if tracer is not None:
-            if getattr(tracer, "modeled_host_spans", False):
-                span_s = request.resolve_plan().simulate().seconds
-                measured = False
-            else:
-                span_s = result.seconds
-                measured = True
             tracer.add_span(
                 f"backend.{name}.run",
                 tracer.now,
-                tracer.now + span_s,
+                tracer.now + result.seconds,
                 track="host",
                 parent=None,
                 backend=name,
                 m=request.m,
                 k=request.k,
                 n=request.handle.n,
-                measured=measured,
+                measured=True,
             )
             tracer.metrics.counter(
                 "backend_runs_total", "backend dispatches by name"

@@ -120,8 +120,12 @@ def validate_model(
     spec = resolve_gpu(gpu)
     calib = calibration_for(spec)
     if params is None:
+        # Two pruning windows per k-step, or the whole padded k when it
+        # holds fewer: a k-step wider than k stages bytes that the
+        # executed kernels never load.
         params = TileParams(
-            ms=32, ns=32, mr=16, nr=32, mt=4, nt=4, ks=2 * pattern.m
+            ms=32, ns=32, mr=16, nr=32, mt=4, nt=4,
+            ks=min(2 * pattern.m, pattern.padded_k(k)),
         )
     problem = SparseProblem(ProblemShape(m, n, k), pattern)
 

@@ -69,8 +69,6 @@ class NMSparseLinear:
         handle: SparseHandle,
         bias: np.ndarray | None = None,
         *,
-        original_k: int | None = None,
-        original_n: int | None = None,
         backend: str = "auto",
     ):
         self.op = op
@@ -82,23 +80,6 @@ class NMSparseLinear:
         #: fastest numerics path for this layer's pattern (gather-GEMM,
         #: or scatter-to-dense below the vector-length crossover).
         self.backend = backend
-        self.original_k = (
-            original_k if original_k is not None else handle.k_logical
-        )
-        self.original_n = (
-            original_n if original_n is not None else handle.n_logical
-        )
-        if self.original_k > handle.k_logical:
-            raise ShapeError(
-                f"original_k={self.original_k} exceeds the weights' input "
-                f"width k={handle.k_logical}; the extra features would "
-                "silently multiply zero padding rows"
-            )
-        if self.original_n > handle.n_logical:
-            raise ShapeError(
-                f"original_n={self.original_n} exceeds the handle's "
-                f"output width n={handle.n_logical}"
-            )
 
     @classmethod
     def from_dense(
@@ -110,14 +91,7 @@ class NMSparseLinear:
     ) -> "NMSparseLinear":
         """Prune and compress a dense layer's weights."""
         op = NMSpMM(pattern, gpu=gpu, version=version)
-        handle = op.prepare(layer.weight)
-        return cls(
-            op,
-            handle,
-            layer.bias,
-            original_k=layer.in_features,
-            original_n=layer.out_features,
-        )
+        return cls(op, op.prepare(layer.weight), layer.bias)
 
     @property
     def pattern(self) -> NMPattern:
@@ -125,31 +99,22 @@ class NMSparseLinear:
 
     @property
     def in_features(self) -> int:
-        return self.original_k
+        return self.handle.k_logical
 
     @property
     def out_features(self) -> int:
-        return self.original_n
+        return self.handle.n_logical
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_f32_any_order(check_real("x", check_matrix("x", x)))
-        if x.shape[1] != self.original_k:
+        if x.shape[1] != self.in_features:
             raise ShapeError(
                 f"input has {x.shape[1]} features, layer expects "
-                f"{self.original_k}"
+                f"{self.in_features}"
             )
         # execute() pads logical-k activations and trims the output to
-        # the logical n itself; the explicit pad below only matters when
-        # original_k was overridden on a handle that lacks logical-shape
-        # metadata, and the residual slice when original_n was overridden
-        # below the handle's logical width.
-        if x.shape[1] not in (self.handle.k, self.handle.k_logical):
-            pad = np.zeros(
-                (x.shape[0], self.handle.k - x.shape[1]), dtype=np.float32
-            )
-            x = np.hstack([x, pad])
+        # the logical n itself.
         y = self.op.execute(x, self.handle, backend=self.backend)
-        y = y[:, : self.out_features]
         if self.bias is not None:
             y = y + self.bias
         return y

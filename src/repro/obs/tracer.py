@@ -125,11 +125,6 @@ class Tracer:
         long chaos runs, at the price of in-process queries
         (``find``/``total_s``/``check_invariants``) seeing only the
         spans still open.
-    modeled_host_spans:
-        When ``True``, instrumented *host* code (``SparseHandle.run``)
-        stamps its ``backend.<name>.run`` span with the plan's modeled
-        seconds instead of measured wall time, keeping the whole trace
-        deterministic under seeded chaos.
     sample_rate:
         Fraction of *traces* kept, in ``[0, 1]``.  The decision is
         made once per root span from a private seeded LCG stream (so a
@@ -152,7 +147,6 @@ class Tracer:
         metrics: "MetricsRegistry | None" = None,
         sink: "TraceSink | None" = None,
         retain: bool = True,
-        modeled_host_spans: bool = False,
         sample_rate: float = 1.0,
         sample_seed: int = 0,
         ring_capacity: "int | None" = None,
@@ -174,7 +168,6 @@ class Tracer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.sink = sink
         self.retain = retain
-        self.modeled_host_spans = modeled_host_spans
         self.sample_rate = float(sample_rate)
         self.ring_capacity = ring_capacity
         self.dropped_spans = 0

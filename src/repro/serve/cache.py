@@ -10,8 +10,8 @@ GPUs (or at different optimization levels) never collide.  The
 batcher's row bucketing collapses the batch-size distribution onto a
 few buckets, so the cache converges to near-100% hits after warm-up.
 ``ColumnInfo`` (Listing 3's offline pre-processing) is likewise reused
-— it lives on each model's :class:`~repro.core.api.SparseHandle` and is
-built at most once per block shape.  Only a traced run reads a launch's
+— it lives on the :class:`~repro.core.api.SparseHandle` each model's
+layer spec prepares, and is built at most once per block shape.  Only a traced run reads a launch's
 analytic trace (:attr:`PlanEntry.trace`), so only a traced run reads
 ``ColumnInfo`` at all.
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from repro.core.api import NMSpMM, SparseHandle
+from repro.core.api import NMSpMM
 from repro.core.plan import ExecutionPlan
 from repro.utils.cache import CacheStats, LRUCache
 
@@ -49,8 +49,8 @@ class PlanEntry:
 
     plan: ExecutionPlan
     report: object  # KernelReport; kept untyped to avoid a model import
-    #: A SparseHandle, or a layer spec that builds its weights on
-    #: demand (only a packing plan's trace reads them, via col_info).
+    #: The launch's layer spec, which builds its weights on demand
+    #: (only a packing plan's trace reads them, via col_info).
     handle: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -92,11 +92,11 @@ class PlanCache:
         return (model, m, op.gpu.name, op.version.value)
 
     def lookup(
-        self, model: str, op: NMSpMM, handle: SparseHandle, m: int
+        self, model: str, op: NMSpMM, handle, m: int
     ) -> PlanEntry:
         """The plan + modeled report for an ``m``-row launch of
         ``model``, building both on first use.  ``handle`` is the
-        launch's weights, or a layer spec priced from its shapes.
+        launch's layer spec (or anything with its padded ``n``/``k``).
 
         Hit/miss accounting lives in :attr:`stats`; a tracing server
         reads the stats delta around this call to emit

@@ -66,8 +66,10 @@ class LayerSpec:
 
     Pricing reads a spec as it reads a
     :class:`~repro.core.api.SparseHandle`: padded ``k``/``n``,
-    ``pattern``, ``index_itemsize``, ``weight_bytes``, ``col_info`` and
-    :meth:`shard`.
+    ``pattern``, ``index_itemsize``, ``weight_bytes`` and ``col_info``;
+    :meth:`shard` cuts it as :func:`shard_handle` cuts its weights.
+    Numerics run on :attr:`weights`, the handle it prepares on first
+    call.
     """
 
     #: Unique name, e.g. ``"block0/mlp-gate-up"`` or ``"lm-head"``.
@@ -99,8 +101,17 @@ class LayerSpec:
         cls, name: str, op: NMSpMM, k: int, n: int, draw: "Callable[[], np.ndarray]"
     ) -> "LayerSpec":
         """A plain serving entry: one ``(k, n)`` weight matrix, which
-        ``op`` prepares from ``draw()`` on first read."""
-        return cls(name, name, None, op.pattern, k, n, weights=cache(lambda: op.prepare(draw())))
+        ``op`` prepares from ``draw()`` on first read.  The prepared
+        handle then replaces ``draw``, and with it any dense copy that
+        ``draw`` holds."""
+
+        def prepare() -> SparseHandle:
+            nonlocal draw
+            handle = op.prepare(draw())
+            draw = None
+            return handle
+
+        return cls(name, name, None, op.pattern, k, n, weights=cache(prepare))
 
     @property
     def index_itemsize(self) -> int:

@@ -15,21 +15,15 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ServeError
 from repro.serve.batcher import BatchingPolicy
-from repro.serve.loadgen import TrafficSource, check_counts, check_trace, generate_requests
+from repro.serve.loadgen import TrafficSource, check_counts
 from repro.serve.model_exec.executor import MAX_BLOCKS, ModelExecutor, ModelSpec
 from repro.serve.model_exec.memory import KV_ADMISSION_MODES
-from repro.serve.scenarios import TrafficTier, check_tiers
-from repro.serve.scheduling import SchedulingPolicy
-from repro.serve.server import (
-    DEFAULT_HOST_OVERHEAD_S,
-    InferenceServer,
-    ServingReport,
-)
-from repro.sparsity.config import NMPattern
+from repro.serve.scenarios import ServingScenario, TrafficTier
+from repro.serve.server import InferenceServer
 from repro.utils.validation import check_choice, check_int, check_type
 
 __all__ = [
@@ -40,24 +34,21 @@ __all__ = [
 ]
 
 
-@dataclass
-class ModelServingScenario:
+@dataclass(kw_only=True)
+class ModelServingScenario(ServingScenario):
     """One reproducible end-to-end model-serving experiment.
 
     Parameters
     ----------
     model:
         Llama checkpoint name registered as one model.
-    scale / blocks / pattern / gpu / version / backend / kv_dtype_bytes:
+    blocks / kv_dtype_bytes:
         Model construction knobs (see
         :class:`~repro.serve.model_exec.executor.ModelSpec`).
-    qps / duration_s / arrival / seed:
-        Load-generation knobs (see :mod:`repro.serve.loadgen`).
     prompt_len_choices / max_new_tokens_choices:
         Per-request prompt and generation lengths (uniform draw).
-    tiers:
-        Priority tiers of the traffic mix; empty serves one source
-        tagged with the scenario-level ``slo_ms``.
+    slo_ms:
+        The SLO of the one source served when ``tiers`` is empty.
     hbm_tokens:
         HBM budget expressed as KV headroom: the budget is the
         model's compressed ``weight_bytes`` plus this many tokens of
@@ -72,28 +63,16 @@ class ModelServingScenario:
     """
 
     model: str = "llama-7b"
-    scale: int = 16
     blocks: int = 2
-    pattern: NMPattern = field(
-        default_factory=lambda: NMPattern(2, 8, vector_length=8)
-    )
-    gpu: str = "A100"
-    version: str = "V3"
-    backend: str = "auto"
     kv_dtype_bytes: int = 2
     qps: float = 100.0
     duration_s: float = 2.0
-    arrival: str = "poisson"
-    seed: int = 0
-    scheduling: str = SchedulingPolicy.FIFO.value
-    policy: BatchingPolicy = field(default_factory=BatchingPolicy)
     #: ``None`` sizes each plan cache to the run (see
     #: :meth:`plan_cache_size`).
     plan_cache_capacity: "int | None" = None
     prompt_len_choices: tuple[int, ...] = (64, 128, 256)
     max_new_tokens_choices: tuple[int, ...] = (8, 16)
     slo_ms: "float | None" = None
-    tiers: tuple[TrafficTier, ...] = ()
     hbm_tokens: "int | None" = None
     hbm_bytes: "int | None" = None
     kv_admission: str = "kv-aware"
@@ -102,28 +81,18 @@ class ModelServingScenario:
     #: so the canned scenarios shrink the link the same way to keep the
     #: thrash-to-compute ratio representative.
     host_link_bytes_per_s: float = 16e9
-    host_overhead_s: float = DEFAULT_HOST_OVERHEAD_S
-    tracer: "object | None" = None
-    devices: int = 1
-    shard: str = "column"
-    link: str = "nvlink"
-    faults: "object | str | None" = None
-    resilience: "object | bool | None" = None
 
     def __post_init__(self) -> None:
-        check_int("scale", self.scale, 1, error=ServeError)
+        super().__post_init__()
         check_int("blocks", self.blocks, 1, MAX_BLOCKS, error=ServeError)
         if self.hbm_tokens is not None and self.hbm_bytes is not None:
             raise ServeError("pass hbm_tokens or hbm_bytes, not both")
         check_int("hbm_tokens", self.hbm_tokens, 1, error=ServeError, optional=True)
         check_int("hbm_bytes", self.hbm_bytes, 1, error=ServeError, optional=True)
         check_choice("kv admission mode", self.kv_admission, KV_ADMISSION_MODES, error=ServeError)
-        check_trace(self.qps, self.duration_s, self.seed, self.arrival)
         check_type("policy", self.policy, BatchingPolicy, error=ServeError)
-        check_tiers(self.tiers)
         check_counts("prompt_len_choices", self.prompt_len_choices)
         check_counts("max_new_tokens_choices", self.max_new_tokens_choices)
-        SchedulingPolicy.parse(self.scheduling)  # fail fast on typos
 
     # ------------------------------------------------------------------
     def build_spec(self) -> ModelSpec:
@@ -173,94 +142,34 @@ class ModelServingScenario:
         """Register the model (priced from its layer shapes) and return
         the server plus the scenario's traffic sources."""
         spec = self.build_spec()
-        server = InferenceServer(
-            policy=self.policy,
+        server = self._server(
             plan_cache_capacity=self.plan_cache_size(spec),
             execute_numerics=False,
-            backend=self.backend,
-            scheduling=self.scheduling,
             continuous_batching=True,
-            host_overhead_s=self.host_overhead_s,
-            devices=self.devices,
-            shard=self.shard,
-            link=self.link,
-            tracer=self.tracer,
-            faults=self.faults,
-            resilience=self.resilience,
             hbm_bytes=self.budget_bytes(spec),
             kv_admission=self.kv_admission,
             host_link_bytes_per_s=self.host_link_bytes_per_s,
         )
         registered = self.model.lower()
         server.register_executor(registered, spec)
-        sources: list[TrafficSource] = []
-        if self.tiers:
-            for tier in self.tiers:
-                sources.append(
-                    TrafficSource(
-                        model=registered,
-                        k=spec.hidden,
-                        share=tier.share,
-                        priority=tier.priority,
-                        slo_ms=tier.slo_ms,
-                        prompt_len_choices=self.prompt_len_choices,
-                        max_new_tokens_choices=self.max_new_tokens_choices,
-                    )
-                )
-        else:
-            sources.append(
-                TrafficSource(
-                    model=registered,
-                    k=spec.hidden,
-                    slo_ms=self.slo_ms,
-                    prompt_len_choices=self.prompt_len_choices,
-                    max_new_tokens_choices=self.max_new_tokens_choices,
-                )
-            )
-        return server, sources
+        untiered = TrafficTier(priority=0, slo_ms=self.slo_ms)
+        return server, self._sources(registered, spec.hidden, untiered)
 
-    def run(self) -> ServingReport:
-        """Build the server, generate the seeded trace, simulate."""
-        server, sources = self.build_server()
-        trace = generate_requests(
-            sources,
-            self.qps,
-            self.duration_s,
-            seed=self.seed,
-            arrival=self.arrival,
-            synthesize_activations=False,
-        )
-        return server.simulate(trace)
+    def _traffic(self, tier: TrafficTier) -> dict:
+        return {
+            "prompt_len_choices": self.prompt_len_choices,
+            "max_new_tokens_choices": self.max_new_tokens_choices,
+        }
 
-    def describe(self) -> str:
-        text = (
-            f"model={self.model} scale=1/{self.scale} "
-            f"blocks={self.blocks} pattern={self.pattern.label()} "
-            f"gpu={self.gpu} {self.version} qps={self.qps:g} "
-            f"duration={self.duration_s:g}s arrival={self.arrival} "
-            f"seed={self.seed} sched={self.scheduling} "
-            f"kv={self.kv_admission}"
-        )
+    def _describe_models(self) -> str:
+        return f"model={self.model} scale=1/{self.scale} blocks={self.blocks}"
+
+    def _describe_options(self) -> str:
+        text = f" kv={self.kv_admission}"
         if self.hbm_tokens is not None:
             text += f" hbm_tokens={self.hbm_tokens}"
         elif self.hbm_bytes is not None:
             text += f" hbm_bytes={self.hbm_bytes}"
-        if self.tiers:
-            text += " tiers=" + ",".join(t.label() for t in self.tiers)
-        if self.devices > 1:
-            text += (
-                f" devices={self.devices} shard={self.shard} "
-                f"link={self.link}"
-            )
-        if self.faults is not None:
-            spec = (
-                self.faults
-                if isinstance(self.faults, str)
-                else self.faults.describe()
-            )
-            text += f" faults=[{spec}]"
-        if self.resilience:
-            text += " resilience"
         return text
 
 

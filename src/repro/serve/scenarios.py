@@ -4,10 +4,11 @@ Shared by ``python -m repro serve-sim`` and
 ``benchmarks/bench_serving.py`` so the CLI demo and the tracked
 benchmark run the identical setup: each requested Llama checkpoint is
 shrunk by ``scale`` (geometry-preserving), one linear layer's weight
-matrix is registered on the server (synthesized from the seed when the
-server reads weights, else priced from its shape and synthesized on
-first read), and a :class:`~repro.serve.loadgen.TrafficSource` is
-attached to it.
+matrix is registered on the server (priced from its shape, synthesized
+from the seed and prepared on first read), and a
+:class:`~repro.serve.loadgen.TrafficSource` is attached to it.
+:class:`ServingScenario` is what this scenario and the whole-model one
+(:mod:`repro.serve.model_exec.scenarios`) share.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.sparsity.config import NMPattern
 from repro.utils.validation import check_choice, check_int, check_type
 from repro.workloads.llama import get_llama_model, llama_layer_shapes
 
-__all__ = ["parse_pattern", "TrafficTier", "check_tiers", "LlamaServingScenario"]
+__all__ = ["parse_pattern", "TrafficTier", "ServingScenario", "LlamaServingScenario"]
 
 
 def _draw(seed: int, shapes: "tuple[tuple[int, int], ...]", integer_values: bool) -> np.ndarray:
@@ -72,13 +73,6 @@ def parse_pattern(spec: str, vector_length: int = 8) -> NMPattern:
     return NMPattern(n, m, vector_length=vector_length)
 
 
-def check_tiers(tiers) -> None:
-    """A tier list: a tuple or list of :class:`TrafficTier` (may be empty)."""
-    check_type("tiers", tiers, (tuple, list), error=ServeError)
-    for tier in tiers:
-        check_type("tiers entry", tier, TrafficTier, error=ServeError)
-
-
 @dataclass(frozen=True)
 class TrafficTier:
     """One priority tier of a tiered traffic mix.
@@ -100,37 +94,26 @@ class TrafficTier:
         return text
 
 
-@dataclass
-class LlamaServingScenario:
-    """One reproducible serving experiment.
+@dataclass(kw_only=True)
+class ServingScenario:
+    """What the canned serving experiments share.  A subclass adds its
+    fields and defaults for ``qps``, ``duration_s`` and
+    ``plan_cache_capacity``, registers its models (``build_server()``),
+    shapes a tier's requests (``_traffic(tier)``) and names its models
+    (``_describe_models()``, ``_describe_options()``).
 
     Parameters
     ----------
-    models:
-        Llama checkpoint names (``"llama-7b"``...), each registered as
-        one serving model.
-    layer:
-        Which linear layer's shape to serve (a name from
-        :func:`~repro.workloads.llama.llama_layer_shapes`).
     scale:
         Geometry-preserving shrink factor applied to every dimension so
         the NumPy kernels stay fast; 1 serves the true shapes.
-    pattern:
-        N:M sparsity pattern for every registered model.
     qps / duration_s / arrival / seed:
         Load-generation knobs (see :mod:`repro.serve.loadgen`).
     scheduling:
         Scheduler policy: ``"fifo"``, ``"priority"``, or ``"slo-edf"``.
-    continuous:
-        Enable continuous batching (decode-shaped requests join the
-        rolling in-flight batch instead of the cut-and-wait batcher).
-    decode_fraction:
-        When set, that fraction of every source's traffic is emitted
-        decode-shaped (1-4 rows, multi-step); ignored by tiers that set
-        their own fraction.
     tiers:
-        Priority tiers of the traffic mix; empty serves one untagged
-        source per model (the legacy behaviour).
+        Priority tiers of the traffic mix; empty serves one source per
+        model.
     devices / shard / link:
         Simulated multi-GPU topology: shard every registered model
         ``devices``-way (``"column"`` or ``"row"`` tensor parallel)
@@ -138,27 +121,20 @@ class LlamaServingScenario:
         single-GPU server.
     """
 
-    models: tuple[str, ...] = ("llama-7b",)
-    layer: str = "attn-qkvo"
+    qps: float
+    duration_s: float
+    plan_cache_capacity: "int | None"
     scale: int = 16
     pattern: NMPattern = field(
         default_factory=lambda: NMPattern(2, 8, vector_length=8)
     )
     gpu: str = "A100"
     version: str = "V3"
-    qps: float = 200.0
-    duration_s: float = 5.0
+    backend: str = "auto"
     arrival: str = "poisson"
     seed: int = 0
-    rows_choices: tuple[int, ...] = DEFAULT_ROWS_CHOICES
-    policy: BatchingPolicy = field(default_factory=BatchingPolicy)
-    plan_cache_capacity: int = 64
-    execute_numerics: bool = True
-    integer_values: bool = False
-    backend: str = "auto"
     scheduling: str = SchedulingPolicy.FIFO.value
-    continuous: bool = False
-    decode_fraction: "float | None" = None
+    policy: BatchingPolicy = field(default_factory=BatchingPolicy)
     tiers: tuple[TrafficTier, ...] = ()
     devices: int = 1
     shard: str = "column"
@@ -182,26 +158,21 @@ class LlamaServingScenario:
     resilience: "object | bool | None" = None
 
     def __post_init__(self) -> None:
-        check_type("models", self.models, (tuple, list), error=ServeError)
-        if not self.models or not all(isinstance(name, str) for name in self.models):
-            raise ServeError(f"models must be a nonempty tuple of names, got {self.models!r}")
         check_int("scale", self.scale, 1, error=ServeError)
         check_trace(self.qps, self.duration_s, self.seed, self.arrival)
-        check_tiers(self.tiers)
+        check_type("tiers", self.tiers, (tuple, list), error=ServeError)
+        for tier in self.tiers:
+            check_type("tiers entry", tier, TrafficTier, error=ServeError)
         SchedulingPolicy.parse(self.scheduling)  # fail fast on typos
 
     # ------------------------------------------------------------------
-    def build_server(self) -> "tuple[InferenceServer, list[TrafficSource]]":
-        """Register every model and return the server plus one traffic
-        source per model.  Weights are drawn (and prepared) now only
-        if the server reads them."""
-        server = InferenceServer(
+    def _server(self, **options) -> InferenceServer:
+        """A server with this scenario's shared settings plus the
+        subclass's ``options``."""
+        return InferenceServer(
             policy=self.policy,
-            plan_cache_capacity=self.plan_cache_capacity,
-            execute_numerics=self.execute_numerics,
             backend=self.backend,
             scheduling=self.scheduling,
-            continuous_batching=self.continuous,
             host_overhead_s=self.host_overhead_s,
             devices=self.devices,
             shard=self.shard,
@@ -209,54 +180,27 @@ class LlamaServingScenario:
             tracer=self.tracer,
             faults=self.faults,
             resilience=self.resilience,
+            **options,
         )
-        sources: list[TrafficSource] = []
-        weight_shapes: list[tuple[int, int]] = []  # this model's and every earlier one's
-        for model_name in self.models:
-            base = get_llama_model(model_name)
-            scaled = base.scaled(self.scale) if self.scale > 1 else base
-            shapes = {
-                layer: (n, k) for layer, n, k in llama_layer_shapes(scaled)
-            }
-            n, k = shapes[check_choice("layer", self.layer, shapes)]
-            weight_shapes.append((k, n))
-            registered = f"{model_name.lower()}/{self.layer}"
-            draw = partial(_draw, self.seed, tuple(weight_shapes), self.integer_values)
-            if server.reads_weights:
-                server.register_model(
-                    registered, draw(), self.pattern, gpu=self.gpu, version=self.version
-                )
-            else:
-                op = NMSpMM(self.pattern, gpu=self.gpu, version=self.version)
-                spec = LayerSpec.plain(registered, op, k, n, draw)
-                server.register_handle(registered, op, spec)
-            if self.tiers:
-                for tier in self.tiers:
-                    sources.append(
-                        TrafficSource(
-                            model=registered,
-                            k=k,
-                            rows_choices=self.rows_choices,
-                            share=tier.share,
-                            priority=tier.priority,
-                            slo_ms=tier.slo_ms,
-                            decode_fraction=(
-                                tier.decode_fraction
-                                if tier.decode_fraction is not None
-                                else self.decode_fraction
-                            ),
-                        )
-                    )
-            else:
-                sources.append(
-                    TrafficSource(
-                        model=registered,
-                        k=k,
-                        rows_choices=self.rows_choices,
-                        decode_fraction=self.decode_fraction,
-                    )
-                )
-        return server, sources
+
+    def _sources(self, model: str, k: int, untiered: TrafficTier) -> "list[TrafficSource]":
+        """``model``'s traffic: one source per tier of the mix, or one
+        ``untiered`` source when the mix has no tiers."""
+        return [
+            TrafficSource(
+                model=model,
+                k=k,
+                share=tier.share,
+                priority=tier.priority,
+                slo_ms=tier.slo_ms,
+                **self._traffic(tier),
+            )
+            for tier in self.tiers or (untiered,)
+        ]
+
+    def _activations(self) -> dict:
+        """How :meth:`run` synthesizes activations (none by default)."""
+        return {"synthesize_activations": False}
 
     def run(self) -> ServingReport:
         """Build the server, generate the seeded trace, simulate."""
@@ -267,23 +211,18 @@ class LlamaServingScenario:
             self.duration_s,
             seed=self.seed,
             arrival=self.arrival,
-            integer_values=self.integer_values,
-            synthesize_activations=self.execute_numerics,
+            **self._activations(),
         )
         return server.simulate(trace)
 
     def describe(self) -> str:
         text = (
-            f"models={','.join(self.models)} layer={self.layer} "
-            f"scale=1/{self.scale} pattern={self.pattern.label()} "
+            f"{self._describe_models()} pattern={self.pattern.label()} "
             f"gpu={self.gpu} {self.version} qps={self.qps:g} "
             f"duration={self.duration_s:g}s arrival={self.arrival} "
             f"seed={self.seed} sched={self.scheduling}"
+            f"{self._describe_options()}"
         )
-        if self.continuous:
-            text += " continuous"
-        if self.decode_fraction is not None:
-            text += f" decode={self.decode_fraction:g}"
         if self.tiers:
             text += " tiers=" + ",".join(t.label() for t in self.tiers)
         if self.devices > 1:
@@ -300,6 +239,97 @@ class LlamaServingScenario:
             text += f" faults=[{spec}]"
         if self.resilience:
             text += " resilience"
+        return text
+
+
+@dataclass(kw_only=True)
+class LlamaServingScenario(ServingScenario):
+    """One reproducible serving experiment.
+
+    Parameters
+    ----------
+    models:
+        Llama checkpoint names (``"llama-7b"``...), each registered as
+        one serving model.
+    layer:
+        Which linear layer's shape to serve (a name from
+        :func:`~repro.workloads.llama.llama_layer_shapes`).
+    continuous:
+        Enable continuous batching (decode-shaped requests join the
+        rolling in-flight batch instead of the cut-and-wait batcher).
+    decode_fraction:
+        When set, that fraction of every source's traffic is emitted
+        decode-shaped (1-4 rows, multi-step); ignored by tiers that set
+        their own fraction.
+    """
+
+    models: tuple[str, ...] = ("llama-7b",)
+    layer: str = "attn-qkvo"
+    qps: float = 200.0
+    duration_s: float = 5.0
+    rows_choices: tuple[int, ...] = DEFAULT_ROWS_CHOICES
+    plan_cache_capacity: int = 64
+    execute_numerics: bool = True
+    integer_values: bool = False
+    continuous: bool = False
+    decode_fraction: "float | None" = None
+
+    def __post_init__(self) -> None:
+        check_type("models", self.models, (tuple, list), error=ServeError)
+        if not self.models or not all(isinstance(name, str) for name in self.models):
+            raise ServeError(f"models must be a nonempty tuple of names, got {self.models!r}")
+        super().__post_init__()
+
+    # ------------------------------------------------------------------
+    def build_server(self) -> "tuple[InferenceServer, list[TrafficSource]]":
+        """Register every model and return the server plus its traffic
+        sources.  Each model is priced from its shape; its weights are
+        drawn from the seed and prepared on first read."""
+        server = self._server(
+            plan_cache_capacity=self.plan_cache_capacity,
+            execute_numerics=self.execute_numerics,
+            continuous_batching=self.continuous,
+        )
+        sources: list[TrafficSource] = []
+        weight_shapes: list[tuple[int, int]] = []  # this model's and every earlier one's
+        for model_name in self.models:
+            base = get_llama_model(model_name)
+            scaled = base.scaled(self.scale) if self.scale > 1 else base
+            shapes = {
+                layer: (n, k) for layer, n, k in llama_layer_shapes(scaled)
+            }
+            n, k = shapes[check_choice("layer", self.layer, shapes)]
+            weight_shapes.append((k, n))
+            registered = f"{model_name.lower()}/{self.layer}"
+            draw = partial(_draw, self.seed, tuple(weight_shapes), self.integer_values)
+            op = NMSpMM(self.pattern, gpu=self.gpu, version=self.version)
+            server.register_handle(registered, op, LayerSpec.plain(registered, op, k, n, draw))
+            sources += self._sources(registered, k, TrafficTier(priority=0))
+        return server, sources
+
+    def _traffic(self, tier: TrafficTier) -> dict:
+        fraction = tier.decode_fraction
+        return {
+            "rows_choices": self.rows_choices,
+            "decode_fraction": self.decode_fraction if fraction is None else fraction,
+        }
+
+    def _activations(self) -> dict:
+        return {
+            "integer_values": self.integer_values,
+            "synthesize_activations": self.execute_numerics,
+        }
+
+    def _describe_models(self) -> str:
+        return (
+            f"models={','.join(self.models)} layer={self.layer} "
+            f"scale=1/{self.scale}"
+        )
+
+    def _describe_options(self) -> str:
+        text = " continuous" if self.continuous else ""
+        if self.decode_fraction is not None:
+            text += f" decode={self.decode_fraction:g}"
         return text
 
     # ------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """The serving engine: model registry + discrete-event simulation.
 
 :class:`InferenceServer` owns the registered models (each an
-:class:`~repro.core.api.NMSpMM` operator plus its prepared
-:class:`~repro.core.api.SparseHandle`, or, on a server that reads no
-weights, a :class:`~repro.serve.model_exec.executor.LayerSpec` of its
-shape), per-device plan caches, and a
-simulated GPU — or, with ``devices > 1``, a simulated multi-GPU
+:class:`~repro.core.api.NMSpMM` operator plus a
+:class:`~repro.serve.model_exec.executor.LayerSpec` of its weights'
+shape, which prepares them on first read), per-device plan caches, and
+a simulated GPU — or, with ``devices > 1``, a simulated multi-GPU
 :class:`~repro.distributed.topology.DeviceGroup` that every model's
-weights are sharded tensor-parallel across at registration.
+layer spec is sharded tensor-parallel across at registration (its
+weights on their first numerics launch).
 ``simulate`` replays a seeded request trace through the batching layer
 with a discrete-event loop:
 
@@ -67,8 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backends.registry import backend_names
-from repro.core.api import NMSpMM, SparseHandle
-from repro.distributed.shard import SHARD_MODES, ShardedHandle
+from repro.core.api import NMSpMM
+from repro.distributed.shard import SHARD_MODES, ShardedHandle, shard_handle
 from repro.distributed.sharded import DistributedStep, sharded_execute
 from repro.distributed.topology import MAX_DEVICES, CommEvent, DeviceGroup, Link, get_link
 from repro.errors import ServeError
@@ -128,9 +128,10 @@ class ModelEntry:
 
     name: str
     op: NMSpMM
-    #: The weights, or the layer spec priced in their place (model mode,
-    #: and a plain entry on a server that reads no weights).
-    handle: "SparseHandle | LayerSpec"
+    #: The weights' layer spec: priced from its shape, and prepared
+    #: (:meth:`LayerSpec.weights`) only when numerics or a packing
+    #: plan's trace read it.
+    handle: LayerSpec
     devices: "tuple[int, ...]" = (0,)
     sharded: "ShardedHandle | None" = None
     group: "DeviceGroup | None" = None
@@ -559,23 +560,14 @@ class InferenceServer:
         gpu: "str | GPUSpec" = "A100",
         version: str = "V3",
     ) -> ModelEntry:
-        """Register ``weights`` under ``name``.  A server that
-        :attr:`reads_weights` prepares them now (the offline phase);
-        any other is priced from their shape, and its entry prepares a
-        float32 copy taken here only when something reads it."""
+        """Register ``weights`` under ``name``, priced from their shape.
+        A float32 copy taken here is prepared on the entry's first read
+        (numerics, or a traced packing plan's ``D``) and then dropped."""
         weights = check_weights("weights", weights)
         op = NMSpMM(pattern, gpu=gpu, version=version)
-        if self.reads_weights:
-            return self.register_handle(name, op, op.prepare(weights))
         copy = weights.astype(np.float32)
         spec = LayerSpec.plain(name, op, *copy.shape, lambda: copy)
         return self.register_handle(name, op, spec)
-
-    @property
-    def reads_weights(self) -> bool:
-        """Whether runs read registered weights: numerics execute them,
-        and a traced launch's cost reads a packing plan's ``D``."""
-        return self.execute_numerics or self.tracer is not None
 
     def _check_new_name(self, name: str) -> None:
         if not name:
@@ -583,14 +575,9 @@ class InferenceServer:
         if name in self._models:
             raise ServeError(f"model {name!r} is already registered")
 
-    def register_handle(
-        self, name: str, op: NMSpMM, handle: "SparseHandle | LayerSpec"
-    ) -> ModelEntry:
-        """Register an already-prepared handle (or a plain
-        :class:`LayerSpec`) under ``name``.  On a
-        distributed server this is where the offline phase pays the
-        tensor-parallel partition (plus the per-shard gather layouts),
-        so serving steps only execute and communicate."""
+    def register_handle(self, name: str, op: NMSpMM, handle: LayerSpec) -> ModelEntry:
+        """Register a plain :class:`LayerSpec` (see :meth:`LayerSpec.plain`)
+        under ``name``, sharded like its weights on a distributed server."""
         self._check_new_name(name)
         entry = self._placed(name, op, handle, tuple(range(self.devices)))
         self._models[name] = entry
@@ -630,7 +617,7 @@ class InferenceServer:
         self,
         name: str,
         op: NMSpMM,
-        handle: "SparseHandle | LayerSpec",
+        handle: LayerSpec,
         devices: "tuple[int, ...]",
         executor: "ModelSpec | None" = None,
     ) -> ModelEntry:
@@ -771,7 +758,7 @@ class InferenceServer:
     # step (``_step``)
     # ------------------------------------------------------------------
     def _cached_plan(self, cache: PlanCache, device: int, entry: ModelEntry,
-                     handle: SparseHandle, padded_rows: int):
+                     handle: LayerSpec, padded_rows: int):
         """One plan-cache lookup, surfaced (when tracing) as a
         ``plan_cache.hit``/``plan_cache.miss`` event — the outcome read
         off the cache's own stats delta, so the event stream and
@@ -1003,11 +990,13 @@ class InferenceServer:
 
     def _execute_batch(self, entry: ModelEntry, batch, plan) -> list:
         """Run one batch's numerics and split per-request outputs."""
+        weights = entry.handle.weights()
         if entry.distributed:
-            c = sharded_execute(batch.a, entry.sharded)
+            sharded = shard_handle(weights, len(entry.devices), entry.sharded.mode)
+            c = sharded_execute(batch.a, sharded)
             return batch.split(c[:, : entry.handle.n_logical])
         c = entry.op.execute(
-            batch.a, entry.handle, plan=plan, backend=self.backend,
+            batch.a, weights, plan=plan, backend=self.backend,
             tracer=self.tracer,
         )
         return batch.split(c)

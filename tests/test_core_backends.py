@@ -257,8 +257,6 @@ class TestLinearBackend:
         sparse_structural = NMSparseLinear(
             sparse_fast.op,
             sparse_fast.handle,
-            original_k=30,
-            original_n=20,
             backend="structural",
         )
         x = random_dense(5, 30, rng)

@@ -43,6 +43,14 @@ class TestValidateModel:
         report = validate_model(pattern)
         assert report.max_rel_error(exclude_expected=True) < 1e-9
 
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+    def test_every_cli_m_ratio_fits_the_k_step(self, m):
+        # The default k-step is two windows, or all of k=64 when one
+        # window already fills it (M = 64).
+        report = validate_model(NMPattern(2, m, vector_length=4))
+        assert report.params.ks <= 64
+        assert report.max_rel_error() <= 1e-6
+
     def test_cli_validate(self, capsys):
         from repro.cli import main
 

@@ -159,9 +159,9 @@ class TestPruneIntegration:
 
 
 class TestDirectConstructionOverrides:
-    """Regression: an explicit original_k override on a handle built
-    directly from a compressed matrix (no logical-shape metadata) must
-    still pad activations up to the compressed k."""
+    """Regression: a handle built directly from a compressed matrix
+    with only its logical k must still pad activations up to the
+    compressed k."""
 
     def test_original_k_override_pads(self):
         import numpy as np
@@ -177,9 +177,10 @@ class TestDirectConstructionOverrides:
         op = NMSpMM(pattern)
         dense = rng.standard_normal((64, 16)).astype(np.float32)
         pruned, mask = prune_dense(pattern, dense)
-        handle = SparseHandle(compressed=compress(pattern, pruned, mask))
-        assert handle.k_logical == handle.k == 64  # no logical metadata
-        layer = NMSparseLinear(op, handle, original_k=60)
+        handle = SparseHandle(compressed=compress(pattern, pruned, mask), logical_k=60)
+        assert (handle.k_logical, handle.k) == (60, 64)
+        layer = NMSparseLinear(op, handle)
+        assert (layer.in_features, layer.out_features) == (60, 16)
         x = rng.standard_normal((4, 60)).astype(np.float32)
         y = layer(x)
         assert y.shape == (4, 16)
@@ -187,40 +188,6 @@ class TestDirectConstructionOverrides:
         np.testing.assert_allclose(
             y, padded @ pruned, rtol=2e-5, atol=2e-5
         )
-
-    def test_oversized_original_k_raises_shape_error(self):
-        import numpy as np
-        import pytest
-
-        from repro.core.api import NMSpMM
-        from repro.errors import ShapeError
-        from repro.nn.linear import NMSparseLinear
-        from repro.sparsity.config import NMPattern
-
-        rng = np.random.default_rng(0)
-        pattern = NMPattern(2, 8, vector_length=4)
-        op = NMSpMM(pattern)
-        handle = op.prepare(rng.standard_normal((64, 16)).astype(np.float32))
-        with pytest.raises(ShapeError, match="original_k"):
-            NMSparseLinear(op, handle, original_k=72)
-
-    def test_oversized_original_n_raises_shape_error(self):
-        import numpy as np
-        import pytest
-
-        from repro.core.api import NMSpMM
-        from repro.errors import ShapeError
-        from repro.nn.linear import NMSparseLinear
-        from repro.sparsity.config import NMPattern
-
-        rng = np.random.default_rng(0)
-        pattern = NMPattern(2, 8, vector_length=8)
-        op = NMSpMM(pattern)
-        # n=18 pads to 24; an override above the logical 18 cannot be
-        # honored now that execute() trims to the logical width.
-        handle = op.prepare(rng.standard_normal((64, 18)).astype(np.float32))
-        with pytest.raises(ShapeError, match="original_n"):
-            NMSparseLinear(op, handle, original_n=20)
 
     def test_inconsistent_handle_logical_dims_rejected(self):
         import numpy as np

@@ -1,14 +1,16 @@
 """Plain serving entries priced from their shape.
 
-A server that neither runs numerics nor traces registers each plain
-weight matrix as a :class:`~repro.serve.model_exec.executor.LayerSpec`
-of its ``(k, n)``: its padded shapes, compressed bytes and shard
-geometry are pattern arithmetic, and its weights are prepared only when
-something reads them, bit for bit as an eager ``prepare`` would.
+Every server registers each plain weight matrix as a
+:class:`~repro.serve.model_exec.executor.LayerSpec` of its ``(k, n)``:
+its padded shapes, compressed bytes and shard geometry are pattern
+arithmetic, and its weights are prepared only when something reads
+them (numerics, or a traced packing plan), bit for bit as an eager
+``prepare`` would.
 """
 
 from __future__ import annotations
 
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ from repro.distributed.shard import shard_handle
 from repro.errors import ShapeError, ShardError
 from repro.obs import Tracer
 from repro.serve import InferenceServer
-from repro.serve.loadgen import generate_requests
+from repro.serve.loadgen import TrafficSource, generate_requests
 from repro.serve.model_exec import ModelServingScenario
 from repro.serve.model_exec.executor import LayerSpec
 from repro.serve.scenarios import LlamaServingScenario
@@ -154,16 +156,69 @@ class TestModeledServerBuildsNoWeights:
 
 @pytest.mark.parametrize(
     "overrides",
-    [dict(execute_numerics=True), dict(tracer=Tracer())],
-    ids=["numerics", "traced"],
+    [dict(execute_numerics=True), dict(tracer=Tracer()), dict()],
+    ids=["numerics", "traced", "modeled"],
 )
-def test_reading_servers_prepare_each_entry_once_at_registration(overrides):
+def test_servers_prepare_each_entry_at_most_once_on_first_read(overrides):
     scenario = _scenario(**overrides)
-    with _Counts() as counts:
+    prepared: list = []
+    prepare = NMSpMM.prepare
+
+    def counted(op, b):
+        prepared.append(op)
+        return prepare(op, b)
+
+    with mock.patch.object(NMSpMM, "prepare", counted):
         server, sources = scenario.build_server()
-        assert counts.prepare == len(scenario.models)
+        assert prepared == []
         server.simulate(_requests(scenario, sources, scenario.execute_numerics))
-    assert counts.prepare == len(scenario.models)
+    ops = [server.model(name).op for name in server.model_names]
+    assert all(prepared.count(op) <= 1 for op in ops)
+    assert len(prepared) == len({id(op) for op in prepared})
+    if scenario.execute_numerics:
+        assert len(prepared) == len(ops)
+    elif scenario.tracer is None:
+        assert prepared == []
+
+
+class TestServedNumerics:
+    @pytest.mark.parametrize(
+        "devices, mode", [(1, "column"), (2, "column"), (2, "row")]
+    )
+    def test_outputs_equal_execute_on_the_prepared_weights(self, devices, mode):
+        # Small integers keep every sum exact, so sharded and single
+        # execution agree bit for bit.
+        weights = np.random.default_rng(8).integers(-4, 5, size=(96, 40))
+        server = InferenceServer(devices=devices, shard=mode)
+        entry = server.register_model("m", weights, NMPATTERN)
+        sources = [TrafficSource(model="m", k=entry.k, rows_choices=(1, 3, 8))]
+        requests = generate_requests(
+            sources, 200.0, 0.05, seed=2, integer_values=True
+        )
+        records = server.simulate(requests).metrics.request_records
+        assert records
+        handle = entry.handle.weights()
+        for record in records:
+            np.testing.assert_array_equal(
+                record.output, entry.op.execute(record.request.a, handle)
+            )
+
+    def test_first_read_drops_the_dense_copy(self):
+        copies = []
+        plain = LayerSpec.plain
+
+        def spy(name, op, k, n, draw):
+            copies.append(weakref.ref(draw()))
+            return plain(name, op, k, n, draw)
+
+        weights = np.random.default_rng(9).standard_normal((96, 40))
+        with mock.patch.object(LayerSpec, "plain", spy):
+            entry = InferenceServer().register_model("m", weights, NMPATTERN)
+        (copy,) = copies
+        assert copy() is not None and copy() is not weights
+        handle = entry.handle.weights()
+        assert copy() is None
+        assert entry.handle.weights() is handle
 
 
 class TestLazyWeightsAreEager:
@@ -195,7 +250,7 @@ class TestLazyWeightsAreEager:
         for name in reversed(lazy.model_names):  # the second model first
             spec = lazy.model(name).handle
             assert isinstance(spec, LayerSpec)
-            assert _bits(spec.weights()) == _bits(eager.model(name).handle)
+            assert _bits(spec.weights()) == _bits(eager.model(name).handle.weights())
 
 
 class TestModelModePlanCache:

@@ -1006,7 +1006,7 @@ class TestSchedulingEngine:
         report = server.simulate(trace)
         entry = server.model("m")
         for record in report.request_records:
-            expected = entry.op.execute(record.request.a, entry.handle)
+            expected = entry.op.execute(record.request.a, entry.handle.weights())
             assert record.output is not None
             np.testing.assert_array_equal(record.output, expected)
             assert record.started_s >= record.request.arrival_s

@@ -283,7 +283,7 @@ class TestGoldenDigests:
         completed = report.metrics.request_records
         assert completed
         for record in completed:
-            handle = server.model(record.request.model).handle
+            handle = server.model(record.request.model).handle.weights()
             pruned = handle.dense()[: handle.k_logical, : handle.n_logical]
             np.testing.assert_allclose(
                 record.output, record.request.a @ pruned,
